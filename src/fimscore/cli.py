@@ -56,10 +56,21 @@ def _write_manifest(out: str, command: str, args: argparse.Namespace,
     }
     path = os.path.join(out, "manifest.json") if os.path.isdir(out) \
         else out + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    data.write_atomic(path, _json_text(manifest))
     return path
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+
+def _parse_list(text: str, kind, flag: str) -> list:
+    """Comma-separated values of ``kind``; a bad item is a DomainError."""
+    try:
+        return [kind(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise DomainError(f"{flag} expects comma-separated {kind.__name__} "
+                          f"values, got {text!r}") from exc
 
 
 def _resolve_seed(value) -> int:
@@ -104,7 +115,7 @@ def _cmd_gen_data(args) -> int:
             raise DomainError(f"--param expects KEY=VALUE, got {item!r}")
         key, val = item.split("=", 1)
         params[key.strip()] = _parse_value(val.strip())
-    split = tuple(float(p) for p in args.split.split(","))
+    split = _parse_list(args.split, float, "--split")
     try:
         ds = data.generate(args.dist, args.n, seed, split=split, **params)
     except TypeError as exc:
@@ -259,7 +270,7 @@ def _cmd_eval(args) -> int:
     for name, path in evals.items():
         eval_splits[name] = data.load_dmat(path)
         inputs.append(path)
-    batch_sizes = [int(b) for b in args.batch_sizes.split(",")]
+    batch_sizes = _parse_list(args.batch_sizes, int, "--batch-sizes")
     methods = tuple(m.strip() for m in args.methods.split(","))
     reports = evaluation.run_pairings(
         train_entries, eval_splits, batch_sizes=batch_sizes,
@@ -269,14 +280,12 @@ def _cmd_eval(args) -> int:
     artifacts = []
     for rep in reports:
         path = os.path.join(out, f"report_{rep.train}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(rep.to_json())
+        data.write_atomic(path, rep.to_json())
         artifacts.append(path)
     for m in methods:
         for b in batch_sizes:
             path = os.path.join(out, f"grid_{m}_B{b}.txt")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(evaluation.render_grid(reports, m, b))
+            data.write_atomic(path, evaluation.render_grid(reports, m, b))
             artifacts.append(path)
     args.seed = seed
     _write_manifest(out, "eval", args, inputs, artifacts)
@@ -304,16 +313,14 @@ def _cmd_fim_probe(args) -> int:
     data.save_csv(raw_path, sl.matrix)
     data.save_csv(norm_path, normalized)
     side_path = os.path.join(out, "fim.json")
-    with open(side_path, "w", encoding="utf-8") as fh:
-        json.dump({
-            "layers": layers,
-            "weight_map": [[name, idx] for name, idx in sl.weight_map],
-            "n_samples": sl.n_samples,
-            "model_checksum": M.model_checksum(model),
-            "diag_mean": diag_mean,
-            "offdiag_mean": offdiag_mean,
-        }, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    data.write_atomic(side_path, _json_text({
+        "layers": layers,
+        "weight_map": [[name, idx] for name, idx in sl.weight_map],
+        "n_samples": sl.n_samples,
+        "model_checksum": M.model_checksum(model),
+        "diag_mean": diag_mean,
+        "offdiag_mean": offdiag_mean,
+    }))
     args.seed = seed
     _write_manifest(out, "fim-probe", args, [args.model],
                     [raw_path, norm_path, side_path])
@@ -346,17 +353,15 @@ def _cmd_invariance_check(args) -> int:
               and report["max_loglik_residual"] <= tol_ll)
     out = _ensure_dir(args.out)
     path = os.path.join(out, "invariance.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({
-            "model_checksum": M.model_checksum(model),
-            "transform": args.transform,
-            "n_points": args.n_points,
-            "tolerances": {"grad": tol_grad, "loglik": tol_ll},
-            "max_grad_discrepancy": report["max_grad_discrepancy"],
-            "max_loglik_residual": report["max_loglik_residual"],
-            "pass": passed,
-        }, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    data.write_atomic(path, _json_text({
+        "model_checksum": M.model_checksum(model),
+        "transform": args.transform,
+        "n_points": args.n_points,
+        "tolerances": {"grad": tol_grad, "loglik": tol_ll},
+        "max_grad_discrepancy": report["max_grad_discrepancy"],
+        "max_loglik_residual": report["max_loglik_residual"],
+        "pass": passed,
+    }))
     args.seed = seed
     _write_manifest(out, "invariance-check", args, [args.model], [path])
     print(f"invariance under {args.transform}: "
@@ -379,11 +384,10 @@ def _cmd_tv_volume(args) -> int:
         obj["mc_volume"] = vol
         obj["mc_se"] = se
         args.seed = seed
-    text = json.dumps(obj, indent=1, sort_keys=True) + "\n"
+    text = _json_text(obj)
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        data.write_atomic(args.out, text)
         _write_manifest(args.out, "tv-volume", args, [], [args.out])
     return 0
 

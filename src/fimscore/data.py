@@ -1,4 +1,4 @@
-"""Synthetic 2-D distributions and dataset persistence.
+"""Synthetic 2-D distributions, matrix files, and the atomic file writer.
 
 Every generator consumes randomness from a passed-in stream in a
 documented order, so a (distribution, seed, n, params) tuple pins the
@@ -11,19 +11,22 @@ dataset bit-for-bit:
   uniform_square 2n coordinate uniforms
 
 ``generate`` additionally tags each row train/fit/eval by a shuffled
-partition (the permutation is drawn after the points), and the tags of
-a persisted dataset never mix eval rows into training.
+partition (the permutation is drawn after the points), so eval rows
+never mix into training.
 
 The on-disk matrix format is DMAT: magic "DMAT", little-endian u32
 version (=1), u64 rows, u64 cols, then rows*cols float64 values in
-row-major order. Round-trips are exact. CSV (header row, numeric cells)
-is supported for interchange and reports parse failures with row and
-column numbers.
+row-major order. Round-trips are exact, and a non-finite cell is
+rejected at load time with its row and column. CSV (header row, numeric
+cells) is supported for interchange and reports parse failures with row
+and column numbers.
+
+Every artifact the package writes goes through ``write_atomic``, so a
+reader never sees a half-written file.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import struct
@@ -146,7 +149,7 @@ def generate(dist: str, n: int, seed: int, split=(0.8, 0.1, 0.1),
             f"unknown distribution '{dist}'; choose from {sorted(GENERATORS)}"
         )
     frac = tuple(float(f) for f in split)
-    if len(frac) != 3 or any(f < 0 for f in frac) or abs(sum(frac) - 1.0) > 1e-9:
+    if len(frac) != 3 or not all(f >= 0 for f in frac) or not abs(sum(frac) - 1.0) <= 1e-9:
         raise DomainError(f"split fractions must be 3 nonnegatives summing to 1, got {split}")
     rng = Rng(seed)
     points = GENERATORS[dist](n, rng, **params)
@@ -159,17 +162,31 @@ def generate(dist: str, n: int, seed: int, split=(0.8, 0.1, 0.1),
     return Dataset(dist, points, tags, seed, dict(params))
 
 
+def write_atomic(path: str, contents) -> None:
+    """Write ``contents`` (str as UTF-8, or bytes) to ``path`` atomically.
+
+    The bytes go to ``path + ".tmp"``, which then replaces ``path`` by
+    ``os.replace``; if any step fails the tmp file is removed.
+    """
+    if isinstance(contents, str):
+        contents = contents.encode("utf-8")
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(contents)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_dmat(path: str, matrix: np.ndarray) -> None:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise DomainError(f"DMAT stores 2-D matrices, got shape {m.shape}")
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(DMAT_MAGIC)
-        fh.write(struct.pack("<I", DMAT_VERSION))
-        fh.write(struct.pack("<QQ", m.shape[0], m.shape[1]))
-        fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
-    os.replace(tmp, path)
+    header = DMAT_MAGIC + struct.pack("<IQQ", DMAT_VERSION, *m.shape)
+    write_atomic(path, header + np.ascontiguousarray(m, dtype="<f8").tobytes())
 
 
 def load_dmat(path: str) -> np.ndarray:
@@ -189,51 +206,15 @@ def load_dmat(path: str) -> np.ndarray:
             f"'{path}' has {len(blob)} bytes, expected {expected} for "
             f"{rows}x{cols}"
         )
-    data = np.frombuffer(blob, dtype="<f8", offset=24)
-    return data.reshape(rows, cols).astype(np.float64)
-
-
-def save_dataset(ds: Dataset, path: str) -> None:
-    """Persist points as ``path.dmat`` plus a ``path.json`` sidecar.
-
-    The sidecar records the generator name, seed, parameters, and the
-    per-row split tags, so a reload reproduces the exact train/fit/eval
-    partition; the points block round-trips bit-for-bit through DMAT.
-    """
-    save_dmat(path + ".dmat", ds.points)
-    sidecar = {
-        "name": ds.name,
-        "seed": ds.seed,
-        "params": ds.params,
-        "tags": [int(t) for t in ds.tags],
-        "tag_legend": TAG_NAMES,
-    }
-    tmp = path + ".json.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path + ".json")
-
-
-def load_dataset(path: str) -> Dataset:
-    points = load_dmat(path + ".dmat")
-    try:
-        with open(path + ".json", "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        tags = np.asarray(obj["tags"], dtype=np.uint8)
-        ds = Dataset(str(obj["name"]), points, tags, int(obj["seed"]),
-                     dict(obj.get("params", {})))
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"dataset sidecar is not valid JSON: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetFormatError(f"malformed dataset sidecar: {exc}") from exc
-    if tags.shape[0] != points.shape[0]:
+    data = np.frombuffer(blob, dtype="<f8", offset=24).reshape(rows, cols)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        r, c = (int(i) for i in bad[0])
         raise DatasetFormatError(
-            f"{tags.shape[0]} tags for {points.shape[0]} rows"
+            f"'{path}' has non-finite value {data[r, c]} (rows and columns "
+            f"count from 0)", row=r, col=c
         )
-    if tags.size and tags.max() > TAG_EVAL:
-        raise DatasetFormatError(f"unknown tag code {int(tags.max())}")
-    return ds
+    return data.astype(np.float64)
 
 
 def save_csv(path: str, matrix: np.ndarray, header=None) -> None:
@@ -245,10 +226,7 @@ def save_csv(path: str, matrix: np.ndarray, header=None) -> None:
     lines = [",".join(header)]
     for row in m:
         lines.append(",".join(repr(float(v)) for v in row))
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_csv(path: str) -> np.ndarray:

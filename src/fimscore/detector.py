@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_atomic
 from .errors import DatasetFormatError, DomainError, InsufficientDataError
 from .numcore import std_normal_cdf
 
@@ -96,11 +96,7 @@ def save_detector(det: DetectorModel, path: str) -> None:
         "model_checksum": det.model_checksum,
         "floor_used": det.floor_used,
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
 def load_detector(path: str) -> DetectorModel:

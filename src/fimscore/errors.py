@@ -2,7 +2,7 @@
 
 Every error raised by library code derives from FimscoreError so the CLI
 can map domain failures to a single exit code. Subclasses carry enough
-context (pivot index, row/column, epoch/batch) to be actionable.
+context (row/column, epoch/batch) to be actionable.
 """
 
 
@@ -15,15 +15,7 @@ class DomainError(FimscoreError, ValueError):
 
 
 class SingularMatrixError(FimscoreError, ValueError):
-    """Dense factorization hit a pivot too small to proceed."""
-
-    def __init__(self, pivot_index: int, pivot_value: float):
-        self.pivot_index = pivot_index
-        self.pivot_value = pivot_value
-        super().__init__(
-            f"matrix is singular or near-singular at pivot {pivot_index} "
-            f"(|pivot| = {abs(pivot_value):.3e})"
-        )
+    """A matrix that must be invertible has determinant zero."""
 
 
 class DegenerateDataError(FimscoreError, ValueError):

@@ -83,10 +83,7 @@ def _eval_batches(rows: np.ndarray, batch_size: int, n_batches: int, rng: Rng):
 
 
 def _method_scores(model, det, h_hat, batches):
-    logf = np.vstack(
-        [gradfeatures.log_features(gradfeatures.gradient_features(model, b))
-         for b in batches]
-    )
+    logf = gradfeatures.log_features(gradfeatures.feature_matrix(model, batches))
     return {
         "ours": np.asarray(detector.ood_score(det, logf), dtype=np.float64).reshape(-1),
         "fisher": np.asarray(
@@ -112,6 +109,8 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise DomainError(f"unknown methods: {unknown}")
+    if any(b < 1 for b in batch_sizes):
+        raise DomainError(f"batch sizes must be >= 1, got {list(batch_sizes)}")
     missing = [n for n in train_entries if n not in eval_splits]
     if missing:
         raise DomainError(f"train distributions without eval split: {missing}")
@@ -166,11 +165,8 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
                         f"fit split of '{train_name}' yields "
                         f"{len(fit_batches)} batches of size {bsz}; need >= 2"
                     )
-                logf_fit = np.vstack([
-                    gradfeatures.log_features(
-                        gradfeatures.gradient_features(model, b))
-                    for b in fit_batches
-                ])
+                logf_fit = gradfeatures.log_features(
+                    gradfeatures.feature_matrix(model, fit_batches))
                 det = detector.fit_detector(
                     logf_fit, model_checksum(model), gradfeatures.DEFAULT_FLOOR
                 )

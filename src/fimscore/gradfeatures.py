@@ -18,6 +18,7 @@ import os
 
 import numpy as np
 
+from .data import load_csv, save_csv, write_atomic
 from .errors import DatasetFormatError, DomainError, NonFiniteError
 
 DEFAULT_FLOOR = 1e-300
@@ -93,39 +94,18 @@ def layer_correlation_profile(features: np.ndarray):
 def save_features(path: str, features: np.ndarray, meta: dict) -> None:
     """CSV with header batch_id,layer_0,... plus a JSON sidecar at path.json."""
     f = np.asarray(features, dtype=np.float64)
-    header = "batch_id," + ",".join(f"layer_{j}" for j in range(f.shape[1]))
-    lines = [header]
-    for i, row in enumerate(f):
-        lines.append(",".join([str(i)] + [repr(float(v)) for v in row]))
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    table = np.column_stack([np.arange(f.shape[0], dtype=np.float64), f])
+    save_csv(path, table, ["batch_id"] + [f"layer_{j}" for j in range(f.shape[1])])
+    write_atomic(path + ".json", json.dumps(meta, indent=1, sort_keys=True) + "\n")
 
 
 def load_features(path: str):
     """Inverse of save_features; returns (matrix, meta or None)."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("batch_id"):
-        raise DatasetFormatError(f"'{path}' is not a feature CSV", row=0)
-    width = len(lines[0].split(",")) - 1
-    rows = []
-    for r, line in enumerate(lines[1:], start=1):
-        parts = line.split(",")
-        if len(parts) != width + 1:
-            raise DatasetFormatError(
-                f"expected {width + 1} fields, got {len(parts)}", row=r
-            )
-        try:
-            rows.append([float(p) for p in parts[1:]])
-        except ValueError as exc:
-            raise DatasetFormatError(f"bad float: {exc}", row=r) from exc
+        if not fh.readline().startswith("batch_id"):
+            raise DatasetFormatError(f"'{path}' is not a feature CSV", row=0)
     meta = None
     if os.path.exists(path + ".json"):
         with open(path + ".json", "r", encoding="utf-8") as fh:
             meta = json.load(fh)
-    return np.asarray(rows, dtype=np.float64), meta
+    return load_csv(path)[:, 1:], meta

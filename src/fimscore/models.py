@@ -23,10 +23,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 
 import numpy as np
 
+from .data import write_atomic
 from .errors import DatasetFormatError, DomainError, NonFiniteError
 from .numcore import Rng
 
@@ -343,10 +343,6 @@ def _as_batch(x: np.ndarray, dim: int) -> np.ndarray:
     return x
 
 
-def log_likelihood(model, x) -> float:
-    return float(model.log_likelihood_batch(x)[0])
-
-
 def score(model, x) -> LayeredParams:
     """Parameter gradient of log-likelihood at a single point."""
     return LayeredParams([(n, g[0]) for n, g in model.score_batch(x)])
@@ -356,19 +352,6 @@ def sample(model, rng: Rng, n: int) -> np.ndarray:
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
     return model.sample(rng, n)
-
-
-def expected_score_mc(model, rng: Rng, n: int) -> LayeredParams:
-    """Monte Carlo mean of the score over n draws from the model itself.
-
-    The population value is zero at any interior parameter point, which
-    makes this a cheap consistency probe; with n=1 it reduces to the
-    score at a single model sample.
-    """
-    draws = sample(model, rng, n)
-    return LayeredParams(
-        [(name, g.mean(axis=0)) for name, g in model.score_batch(draws)]
-    )
 
 
 def checkpoint_dict(model) -> dict:
@@ -394,11 +377,7 @@ def model_checksum(model) -> str:
 
 
 def save_model(model, path: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(checkpoint_dict(model), fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(checkpoint_dict(model), indent=1) + "\n")
 
 
 def model_from_dict(obj: dict):

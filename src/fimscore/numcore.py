@@ -1,4 +1,4 @@
-"""Deterministic numeric kernels: PRNG, special functions, dense solves.
+"""Deterministic numeric kernels: PRNG and special functions.
 
 The random generator is PCG32 (64-bit LCG state, xorshift-rotate output)
 so that streams are reproducible bit-for-bit across platforms and runs.
@@ -9,10 +9,8 @@ Bulk generation uses the closed form of the LCG orbit,
 evaluated with wrapping uint64 cumulative products/sums, and is exactly
 the sequence the scalar stepper produces.
 
-Dense linear algebra is limited to the small systems this package needs
-(at most 64x64): an LU factorization with partial pivoting that reports
-the failing pivot index on singular input. Special functions defer to
-the C library through ``math`` where that meets the accuracy contract.
+Special functions defer to the C library through ``math`` where that
+meets the accuracy contract.
 """
 
 from __future__ import annotations
@@ -21,14 +19,12 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, SingularMatrixError
+from .errors import DomainError
 
 _MASK64 = (1 << 64) - 1
 _PCG_MULT = 6364136223846793005
 _INV_2_53 = 1.0 / (1 << 53)
 _SQRT2 = math.sqrt(2.0)
-
-MAX_DENSE_DIM = 64
 
 
 def _splitmix64(z: int) -> int:
@@ -40,7 +36,7 @@ def _splitmix64(z: int) -> int:
 
 
 class Rng:
-    """PCG32 stream with bulk draws, child-stream derivation, and jumps.
+    """PCG32 stream with bulk draws and child-stream derivation.
 
     Seeding follows the reference generator: the increment is
     ``(stream << 1) | 1`` and the seed is absorbed between two steps.
@@ -134,9 +130,6 @@ class Rng:
         out[1::2] = r * np.sin(theta)
         return out[:n]
 
-    def normal(self) -> float:
-        return float(self.normals(1)[0])
-
     def randint(self, bound: int) -> int:
         """Uniform integer in [0, bound) as floor(uniform * bound)."""
         if bound <= 0:
@@ -165,25 +158,6 @@ class Rng:
             raise DomainError(f"child index must be >= 0, got {index}")
         k = _splitmix64(self._derive_key ^ _splitmix64(index + 1))
         return Rng(seed=_splitmix64(k), stream=_splitmix64(k ^ 0x9E3779B97F4A7C15))
-
-    def advance(self, delta: int) -> None:
-        """Jump the stream forward by ``delta`` 32-bit outputs in O(log delta).
-
-        Uses the standard LCG stride trick: a^delta and the geometric sum
-        are built by square-and-multiply on (multiplier, increment) pairs.
-        """
-        if delta < 0:
-            raise DomainError(f"advance requires delta >= 0, got {delta}")
-        cur_mult, cur_plus = _PCG_MULT, self._inc
-        acc_mult, acc_plus = 1, 0
-        while delta > 0:
-            if delta & 1:
-                acc_mult = (acc_mult * cur_mult) & _MASK64
-                acc_plus = (acc_plus * cur_mult + cur_plus) & _MASK64
-            cur_plus = ((cur_mult + 1) * cur_plus) & _MASK64
-            cur_mult = (cur_mult * cur_mult) & _MASK64
-            delta >>= 1
-        self._state = (acc_mult * self._state + acc_plus) & _MASK64
 
 
 def lgamma(x: float) -> float:
@@ -234,54 +208,3 @@ def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
             raise DomainError(f"objective not finite at probe for coordinate {i}")
         grad[i] = (fp - fm) / (2.0 * h)
     return grad
-
-
-def _lu_factor(a: np.ndarray):
-    """In-place LU with partial pivoting; returns (lu, perm, sign)."""
-    a = np.array(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"square matrix required, got shape {a.shape}")
-    n = a.shape[0]
-    if n > MAX_DENSE_DIM:
-        raise DomainError(f"dense solves are limited to {MAX_DENSE_DIM}x{MAX_DENSE_DIM}, got n={n}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError("matrix entries must be finite")
-    perm = np.arange(n)
-    sign = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) <= 1e-12:
-            raise SingularMatrixError(k, float(a[p, k]))
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-            sign = -sign
-        a[k + 1 :, k] /= a[k, k]
-        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
-    return a, perm, sign
-
-
-def solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b by LU with partial pivoting (n <= 64).
-
-    Raises SingularMatrixError carrying the pivot index when elimination
-    meets a pivot of magnitude <= 1e-12.
-    """
-    lu, perm, _ = _lu_factor(a)
-    b = np.asarray(b, dtype=np.float64)
-    vec = b.ndim == 1
-    y = b.reshape(b.shape[0], -1)[perm].astype(np.float64, copy=True)
-    n = lu.shape[0]
-    for k in range(1, n):
-        y[k] -= lu[k, :k] @ y[:k]
-    for k in range(n - 1, -1, -1):
-        y[k] = (y[k] - lu[k, k + 1 :] @ y[k + 1 :]) / lu[k, k]
-    return y[:, 0] if vec else y
-
-
-def slogdet_dense(a: np.ndarray) -> tuple[float, float]:
-    """(sign, log|det|) of a small dense matrix via the same pivoted LU."""
-    lu, _, sign = _lu_factor(a)
-    diag = np.diag(lu)
-    sign *= float(np.prod(np.sign(diag)))
-    return sign, float(np.sum(np.log(np.abs(diag))))

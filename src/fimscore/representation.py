@@ -9,7 +9,7 @@ round-tripping points through the transform. Likelihood VALUES shift by
 the log-det, which is why the likelihood baseline is not representation
 invariant while gradient features are.
 
-Transforms provided: dense affine maps (log-det from a pivoted LU),
+Transforms provided: dense affine maps (log-det from numpy's slogdet),
 named elementwise monotone maps with analytic derivatives, and a
 pixelwise RGB-to-HSV conversion. For HSV the per-pixel 3x3 Jacobian is
 analytic, piecewise by hue sextant, and its absolute determinant has
@@ -17,9 +17,8 @@ the closed form 1 / (6 * V * C) with V the max channel and C = V - min;
 gray pixels (C = 0) are singular, which is what dequantization noise is
 for. Bits-per-dimension shifts follow as log2 |det| / dims.
 
-Total variation of a flat vector is TV(x) = |x_1| + sum |x_i - x_{i-1}|
-(images are flattened along a column-major snake so neighbors stay
-adjacent), and the set {TV <= alpha} in R^d has volume (2 alpha)^d / d!,
+Total variation of a flat vector is TV(x) = |x_1| + sum |x_i - x_{i-1}|,
+and the set {TV <= alpha} in R^d has volume (2 alpha)^d / d!,
 giving the exact log-volume used to reason about how little mass such
 sets can hold in high dimension.
 """
@@ -30,9 +29,9 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateDataError, DomainError
+from .errors import DegenerateDataError, DomainError, SingularMatrixError
 from .models import score
-from .numcore import Rng, lgamma, slogdet_dense, solve_dense
+from .numcore import Rng, lgamma
 
 
 class AffineTransform:
@@ -49,13 +48,17 @@ class AffineTransform:
             raise DomainError(
                 f"offset shape {self.b.shape} does not match matrix {self.a.shape}"
             )
-        self._logdet = slogdet_dense(self.a)[1]
+        if not np.all(np.isfinite(self.a)):
+            raise DomainError("affine matrix entries must be finite")
+        sign, self._logdet = np.linalg.slogdet(self.a)
+        if sign == 0.0:
+            raise SingularMatrixError(f"affine matrix of shape {self.a.shape} is singular")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.a @ np.asarray(x, dtype=np.float64) + self.b
 
     def inverse(self, t: np.ndarray) -> np.ndarray:
-        return solve_dense(self.a, np.asarray(t, dtype=np.float64) - self.b)
+        return np.linalg.solve(self.a, np.asarray(t, dtype=np.float64) - self.b)
 
     def logdet(self, x: np.ndarray) -> float:
         return float(self._logdet)
@@ -65,8 +68,8 @@ class DiagonalAffine:
     """t = s * x + b with nonzero per-coordinate scales.
 
     Same contract as AffineTransform restricted to diagonal maps, but
-    with no dense matrix, so it works at dimensions past the dense
-    linear-algebra cap (e.g. whole images).
+    with no dense matrix: memory and time stay O(d), so it serves at
+    image dimensions where a d x d matrix and its solve would not.
     """
 
     name = "diagonal_affine"
@@ -344,33 +347,6 @@ def tv(x: np.ndarray) -> float:
     if x.ndim != 1 or x.size < 1:
         raise DomainError(f"tv expects a nonempty flat vector, got shape {x.shape}")
     return float(abs(x[0]) + np.sum(np.abs(np.diff(x))))
-
-
-def snake_indices(rows: int, cols: int) -> np.ndarray:
-    """Column-major snake order: even columns run down, odd columns up.
-
-    Returns a permutation p of range(rows * cols) such that
-    flat_image[p] lists pixels along the snake, consecutive entries
-    always being vertical neighbors (or column-to-column steps).
-    """
-    if rows < 1 or cols < 1:
-        raise DomainError(f"invalid image shape {rows}x{cols}")
-    out = np.empty(rows * cols, dtype=np.int64)
-    k = 0
-    for j in range(cols):
-        rng_rows = range(rows) if j % 2 == 0 else range(rows - 1, -1, -1)
-        for i in rng_rows:
-            out[k] = i * cols + j
-            k += 1
-    return out
-
-
-def tv_image(img: np.ndarray) -> float:
-    """TV of an image flattened along the snake path."""
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise DomainError(f"expected a 2-D image, got shape {img.shape}")
-    return tv(img.reshape(-1)[snake_indices(*img.shape)])
 
 
 def tv_log_volume(alpha: float, d: int) -> float:

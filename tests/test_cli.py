@@ -140,6 +140,34 @@ def test_score_checksum_mismatch(pipeline, tmp_path, capsys):
     assert "checksum mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--split", "0.8,abc,0.1"),
+    ("--batch-sizes", "1,x"),
+    ("--batch-sizes", "0"),
+])
+def test_bad_list_values_exit_1(pipeline, tmp_path, capsys, flag, value):
+    if flag == "--split":
+        argv = ["gen-data", "--dist", "rings", "--n", 50]
+    else:
+        model = os.path.join(pipeline["model"], "model.json")
+        fit = os.path.join(pipeline["model"], "fit_split.dmat")
+        ev = os.path.join(pipeline["data"], "eval.dmat")
+        argv = ["eval", "--train", f"a={model}:{fit}", "--eval", f"a={ev}",
+                "--eval", f"b={ev}"]
+    assert run(argv + [flag, value, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["fit", "score"])
+def test_failed_write_leaves_no_tmp_file(pipeline, tmp_path, command):
+    taken = tmp_path / "taken"
+    taken.mkdir()  # the final rename onto a directory fails
+    argv = ["fit"] if command == "fit" else ["score", "--detector", pipeline["det"]]
+    assert run(argv + ["--features", pipeline["feats"], "--out", taken]) == 1
+    assert os.listdir(tmp_path) == ["taken"]
+
+
 def test_fim_probe(pipeline):
     out = str(pipeline["root"] / "fim")
     assert run(["fim-probe", "--model",

@@ -13,11 +13,9 @@ from fimscore.data import (
     gauss_grid,
     generate,
     load_csv,
-    load_dataset,
     load_dmat,
     rings,
     save_csv,
-    save_dataset,
     save_dmat,
     two_moons,
     uniform_square,
@@ -109,6 +107,8 @@ def test_generate_validation():
     with pytest.raises(DomainError):
         generate("rings", 100, seed=0, split=(0.5, 0.5, 0.5))
     with pytest.raises(DomainError):
+        generate("rings", 100, seed=0, split=(0.5, 0.5, float("nan")))
+    with pytest.raises(DomainError):
         a = generate("rings", 100, seed=0)
         a.rows("test")
 
@@ -158,43 +158,14 @@ def test_dmat_error_messages(tmp_path):
     with pytest.raises(DatasetFormatError):
         load_dmat(path)
 
-
-def test_dataset_roundtrip(tmp_path):
-    ds = generate("gauss_grid", 77, seed=6, k=2, sigma=0.2)
-    base = str(tmp_path / "grid")
-    save_dataset(ds, base)
-    back = load_dataset(base)
-    assert back.name == "gauss_grid"
-    assert back.seed == 6
-    assert back.params == {"k": 2, "sigma": 0.2}
-    assert np.array_equal(back.points, ds.points)
-    assert np.array_equal(back.tags, ds.tags)
-    for tag in ("train", "fit", "eval"):
-        assert np.array_equal(back.rows(tag), ds.rows(tag))
-
-
-def test_dataset_sidecar_validation(tmp_path):
-    ds = generate("rings", 30, seed=1)
-    base = str(tmp_path / "r")
-    save_dataset(ds, base)
-
-    import json
-
-    obj = json.load(open(base + ".json"))
-    obj["tags"] = obj["tags"][:-1]
-    json.dump(obj, open(base + ".json", "w"))
-    with pytest.raises(DatasetFormatError):
-        load_dataset(base)
-
-    obj["tags"] = [7] * 30
-    json.dump(obj, open(base + ".json", "w"))
-    with pytest.raises(DatasetFormatError):
-        load_dataset(base)
-
-    with open(base + ".json", "w") as fh:
-        fh.write("{oops")
-    with pytest.raises(DatasetFormatError):
-        load_dataset(base)
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.ones((4, 2))
+        m[2, 1] = bad
+        save_dmat(path, m)
+        with pytest.raises(DatasetFormatError) as exc:
+            load_dmat(path)
+        assert (exc.value.row, exc.value.col) == (2, 1)
+        assert "non-finite" in str(exc.value)
 
 
 def test_csv_roundtrip(tmp_path):

@@ -9,9 +9,7 @@ from fimscore.models import (
     CouplingFlowModel,
     DiagGaussianModel,
     LayeredParams,
-    expected_score_mc,
     load_model,
-    log_likelihood,
     model_checksum,
     sample,
     save_model,
@@ -43,11 +41,18 @@ def warped_flow(seed=3, dim=2, n_blocks=2, hidden=8, jitter=0.3):
     return m.with_params(m.params.from_flat(flat))
 
 
+def mean_score(m, rng, n):
+    """Monte Carlo mean of the flat score over n draws from the model."""
+    draws = sample(m, rng, n)
+    return np.concatenate(
+        [g.mean(axis=0).reshape(-1) for _, g in m.score_batch(draws)])
+
+
 def test_standard_gaussian_loglik_at_origin():
     m = DiagGaussianModel.standard(1)
-    assert abs(log_likelihood(m, np.array([0.0])) - STD_NORMAL_LL_AT_0) < 1e-14
+    assert abs(m.log_likelihood_batch(np.array([0.0]))[0] - STD_NORMAL_LL_AT_0) < 1e-14
     m2 = DiagGaussianModel.standard(2)
-    assert abs(log_likelihood(m2, np.zeros(2)) - 2 * STD_NORMAL_LL_AT_0) < 1e-14
+    assert abs(m2.log_likelihood_batch(np.zeros(2))[0] - 2 * STD_NORMAL_LL_AT_0) < 1e-14
 
 
 def test_gaussian_loglik_closed_form():
@@ -55,7 +60,7 @@ def test_gaussian_loglik_closed_form():
     x = np.array([1.5, 0.0])
     z = (x - np.array([1.0, -2.0])) / np.array([0.5, 2.0])
     want = float(np.sum(-np.log([0.5, 2.0]) - 0.5 * np.log(2 * np.pi) - 0.5 * z * z))
-    assert abs(log_likelihood(m, x) - want) < 1e-14
+    assert abs(m.log_likelihood_batch(x)[0] - want) < 1e-14
 
 
 def test_gaussian_score_closed_form():
@@ -167,27 +172,27 @@ def test_zero_flow_sampling_distribution():
 
 def test_expected_score_single_draw_reduces_to_score():
     m = warped_flow(seed=5)
-    got = expected_score_mc(m, Rng(30), 1)
+    got = mean_score(m, Rng(30), 1)
     x = sample(m, Rng(30), 1)
     want = score(m, x[0])
-    assert np.max(np.abs(got.flat() - want.flat())) < 1e-14
+    assert np.max(np.abs(got - want.flat())) < 1e-14
 
 
 def test_expected_score_near_zero_gaussian():
     m = DiagGaussianModel(np.array([1.0, -1.0]), np.array([0.2, -0.3]))
-    est = expected_score_mc(m, Rng(31), 100_000)
-    assert np.max(np.abs(est.flat())) < 0.02
+    est = mean_score(m, Rng(31), 100_000)
+    assert np.max(np.abs(est)) < 0.02
 
 
 def test_expected_score_near_zero_flow():
     m = warped_flow(seed=7)
-    est = expected_score_mc(m, Rng(32), 20_000)
+    est = mean_score(m, Rng(32), 20_000)
     # crude per-coordinate scale from a second, independent batch
     draws = sample(m, Rng(33), 20_000)
     per = np.concatenate(
         [g.reshape(len(draws), -1) for _, g in m.score_batch(draws)], axis=1)
     se = per.std(axis=0).mean() / math.sqrt(20_000)
-    assert np.max(np.abs(est.flat())) < 10 * max(se, 1e-3)
+    assert np.max(np.abs(est)) < 10 * max(se, 1e-3)
 
 
 def test_score_matches_finite_differences():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fimscore.errors import DegenerateDataError, DomainError
+from fimscore.errors import DegenerateDataError, DomainError, SingularMatrixError
 from fimscore.models import DiagGaussianModel
-from fimscore.numcore import Rng, finite_diff_grad, slogdet_dense
+from fimscore.numcore import Rng, finite_diff_grad
 from fimscore.representation import (
     AffineTransform,
     DiagonalAffine,
@@ -23,9 +23,7 @@ from fimscore.representation import (
     rgb_hsv_logdet,
     rgb_to_hsv,
     scale_shift_transform,
-    snake_indices,
     tv,
-    tv_image,
     tv_log_volume,
     tv_volume_mc,
 )
@@ -45,6 +43,14 @@ def test_affine_logdet_constant():
     out, ld = apply_with_logdet(t, x)
     assert np.allclose(out, 2.0 * x + 1.0)
     assert ld == t.logdet(x)
+    # a permutation has determinant -1: the log-det is of its absolute value
+    swap = AffineTransform(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))
+    assert abs(swap.logdet(np.zeros(2))) < 1e-14
+
+
+def test_affine_singular_matrix_raises():
+    with pytest.raises(SingularMatrixError):
+        AffineTransform(np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros(2))
 
 
 def test_identity_transform_is_noop():
@@ -177,7 +183,7 @@ def test_pixelwise_logdet_factorizes():
     full = np.zeros((27, 27))
     for i, p in enumerate(pix):
         full[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] = rgb_hsv_jacobian(p)
-    _, want = slogdet_dense(full)
+    _, want = np.linalg.slogdet(full)
     got = t.logdet(pix.reshape(-1))
     assert abs(got - want) < 1e-10
 
@@ -219,22 +225,6 @@ def test_tv_triangle_bounds(vals):
     # through the increments that TV sums
     assert tv(x) >= np.max(np.abs(x)) - 1e-9
     assert tv(2.0 * x) == pytest.approx(2.0 * tv(x), rel=1e-12)
-
-
-def test_snake_indices_bijection_and_adjacency():
-    idx = snake_indices(4, 5)
-    assert sorted(idx.tolist()) == list(range(20))
-    coords = np.array([(i // 5, i % 5) for i in idx])
-    steps = np.abs(np.diff(coords, axis=0)).sum(axis=1)
-    assert np.all(steps == 1)  # consecutive snake entries stay adjacent
-
-
-def test_tv_image_consistency():
-    img = np.array([[1.0, 3.0], [2.0, 0.0]])
-    # snake order: (0,0), (1,0), (1,1), (0,1) -> 1, 2, 0, 3
-    assert tv_image(img) == tv(np.array([1.0, 2.0, 0.0, 3.0]))
-    with pytest.raises(DomainError):
-        tv_image(np.zeros(4))
 
 
 def test_tv_log_volume_small_cases():
