@@ -186,12 +186,8 @@ def _cmd_train(args) -> int:
 def _cmd_features(args) -> int:
     model = M.load_model(args.model)
     rows = data.load_dmat(args.data)
-    batches = gradfeatures.batch_view(rows, args.batch_size)
-    if not batches:
-        raise DomainError(
-            f"{rows.shape[0]} rows yield no batch of size {args.batch_size}"
-        )
-    feats = gradfeatures.feature_matrix(model, batches)
+    feats = gradfeatures.feature_matrix(
+        model, gradfeatures.batch_view(rows, args.batch_size))
     meta = {
         "model_checksum": M.model_checksum(model),
         "batch_size": args.batch_size,
@@ -346,7 +342,7 @@ def _cmd_invariance_check(args) -> int:
     model = M.load_model(args.model)
     root = Rng(seed)
     transform = _make_transform(args.transform, model.dim, root.child(1), args)
-    points = model.sample(root.child(2), args.n_points)
+    points = M.sample(model, root.child(2), args.n_points)
     report = R.check_gradient_invariance(model, transform, points)
     tol_grad, tol_ll = 1e-10, 1e-9
     passed = (report["max_grad_discrepancy"] <= tol_grad

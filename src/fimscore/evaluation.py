@@ -71,15 +71,11 @@ class PairingReport:
 
 
 def _eval_batches(rows: np.ndarray, batch_size: int, n_batches: int, rng: Rng):
-    shuffled = rng.shuffled(rows)
-    avail = shuffled.shape[0] // batch_size
-    use = min(avail, n_batches)
-    if use < 1:
+    batches = gradfeatures.batch_view(rng.shuffled(rows), batch_size)[:n_batches]
+    if len(batches) == 0:
         raise InsufficientDataError(
-            f"eval split with {rows.shape[0]} rows yields no batch of size "
-            f"{batch_size}"
-        )
-    return [shuffled[i * batch_size : (i + 1) * batch_size] for i in range(use)]
+            f"eval split with {len(rows)} rows yields no batch of size {batch_size}")
+    return batches
 
 
 def _method_scores(model, det, h_hat, batches):

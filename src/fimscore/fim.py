@@ -135,8 +135,6 @@ def exact_score_test_gaussian(model, x: np.ndarray):
     inputs are computed as batches of one row. Only the batch form
     approaches the chi-square reference as n grows.
     """
-    mu = model.params["mu"]
-    sigma = np.exp(model.params["log_sigma"])
     arr = np.asarray(x, dtype=np.float64)
     if not 1 <= arr.ndim <= 3 or arr.shape[-1] != model.dim:
         raise DomainError(
@@ -144,13 +142,11 @@ def exact_score_test_gaussian(model, x: np.ndarray):
             f"D = {model.dim}, got {arr.shape}"
         )
     batches = arr if arr.ndim == 3 else arr.reshape(-1, 1, model.dim)
-    n = batches.shape[1]
-    if n < 1:
-        raise DomainError("batches must hold at least one row")
-    z = (batches - mu) / sigma
-    s_mu = z.sum(axis=1)
-    s_log_sigma = (z * z - 1.0).sum(axis=1)
-    stat = np.sum(s_mu ** 2 / n + s_log_sigma ** 2 / (2.0 * n), axis=1)
+    m, n, dim = batches.shape
+    # the model's summed score per batch: sum z / sigma, then sum (z^2 - 1)
+    s = model.grad_groups(batches.reshape(m * n, dim), n)[0]
+    s_mu = s[:, :dim] * np.exp(model.params["log_sigma"])
+    stat = np.sum(s_mu ** 2 / n + s[:, dim:] ** 2 / (2.0 * n), axis=1)
     dof = 2 * model.dim
     return (float(stat[0]), dof) if arr.ndim == 1 else (stat, dof)
 

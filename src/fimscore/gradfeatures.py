@@ -5,10 +5,10 @@ parameter layer, of the gradient of the batch-summed log-likelihood:
 
     f_j(x_1..x_B) = || grad_{theta_j} sum_b log p(x_b) ||_2^2.
 
-One backward pass over the summed objective produces every layer's
-feature at once. Scoring happens on ln f_j; exact zeros (they occur, for
-instance, in the mean layer of a Gaussian at its MLE) are floored before
-the log so downstream Gaussians stay finite.
+One grouped backward pass over a (batches, batch size, dim) array
+produces every feature at once. Scoring happens on ln f_j; exact zeros
+(they occur, for instance, in the mean layer of a Gaussian at its MLE)
+are floored before the log so downstream Gaussians stay finite.
 """
 
 from __future__ import annotations
@@ -19,20 +19,14 @@ import os
 import numpy as np
 
 from .data import load_csv, save_csv, write_atomic
-from .errors import DatasetFormatError, DomainError, NonFiniteError
+from .errors import DatasetFormatError, DomainError
 
 DEFAULT_FLOOR = 1e-300
 
 
 def gradient_features(model, batch: np.ndarray) -> np.ndarray:
     """Per-layer squared gradient norms of the batch-summed objective."""
-    grad = model.grad_sum_batch(batch)
-    feats = np.empty(len(grad))
-    for j, (name, g) in enumerate(grad):
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError(f"gradient for layer '{name}' is not finite")
-        feats[j] = float(np.sum(g * g))
-    return feats
+    return feature_matrix(model, np.asarray(batch, dtype=np.float64)[None])[0]
 
 
 def log_features(features: np.ndarray, floor: float = DEFAULT_FLOOR) -> np.ndarray:
@@ -46,20 +40,23 @@ def log_features(features: np.ndarray, floor: float = DEFAULT_FLOOR) -> np.ndarr
 
 
 def feature_matrix(model, batches) -> np.ndarray:
-    """Stack gradient_features over an iterable of equally sized batches."""
-    rows = [gradient_features(model, b) for b in batches]
-    if not rows:
-        raise DomainError("no batches given")
-    return np.vstack(rows)
+    """gradient_features of every batch of a (batches, batch size, dim)
+    array, one row per batch, from one grouped backward pass."""
+    batches = np.asarray(batches, dtype=np.float64)
+    if batches.ndim != 3 or batches.shape[0] == 0:
+        raise DomainError(f"need >= 1 batch of shape (size, dim), got {batches.shape}")
+    grads, _ = model.grad_groups(batches.reshape(-1, batches.shape[2]), batches.shape[1])
+    return np.add.reduceat(np.square(grads, out=grads), model.params.offsets, axis=1)
 
 
-def batch_view(rows: np.ndarray, batch_size: int):
-    """Disjoint contiguous batches of the given size; remainder dropped."""
+def batch_view(rows: np.ndarray, batch_size: int) -> np.ndarray:
+    """Disjoint contiguous batches of the given size as one
+    (batches, batch size, dim) view of ``rows``; remainder dropped."""
     rows = np.asarray(rows, dtype=np.float64)
     if batch_size < 1:
         raise DomainError(f"batch size must be >= 1, got {batch_size}")
     n = rows.shape[0] // batch_size
-    return [rows[i * batch_size : (i + 1) * batch_size] for i in range(n)]
+    return rows[: n * batch_size].reshape(n, batch_size, rows.shape[1])
 
 
 def layer_correlation_profile(features: np.ndarray):

@@ -10,8 +10,9 @@ map is invertible for every finite input.
 
 Backward passes are derived by hand per architecture and verified
 against central finite differences in the tests; there is no autodiff
-tape. Both a per-sample score and a single contracted backward pass for
-the batch-summed objective are provided, and they agree by linearity.
+tape. Each model has one gradient routine, ``grad_groups(x, group_size)``,
+giving one flat gradient row per group of consecutive rows: per-sample
+scores are groups of one row, a batch-summed gradient is one group.
 
 Checkpoints are canonical JSON (type, dims, hyper, named layers with
 shapes and row-major values). Python's shortest-repr float serialization
@@ -20,6 +21,7 @@ makes save/load round-trips bit-for-bit.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -34,31 +36,25 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 class LayeredParams:
-    """Ordered, named parameter layers (also used for gradient vectors).
-
-    Layers keep their order and shapes; ``flat``/``from_flat`` give the
-    row-major concatenated view used by the optimizer and the finite
-    difference oracle. Arrays are stored read-only; updates go through
-    ``from_flat`` or construction of a new instance.
-    """
+    """Ordered, named parameter layers (also used for gradient vectors):
+    read-only row-major views over one flat buffer, which ``flat``
+    returns without copying. ``offsets`` holds each layer's start;
+    ``from_flat`` copies a vector into a new instance with this layout."""
 
     def __init__(self, items):
-        names = []
-        arrays = []
-        for name, arr in items:
-            a = np.array(arr, dtype=np.float64)
-            if not np.all(np.isfinite(a)):
-                raise NonFiniteError(f"layer '{name}' has non-finite entries")
-            a.flags.writeable = False
-            names.append(str(name))
-            arrays.append(a)
-        if len(set(names)) != len(names):
+        items = [(str(name), np.asarray(a, dtype=np.float64)) for name, a in items]
+        self.names = [name for name, _ in items]
+        if len(set(self.names)) != len(self.names):
             raise DomainError("layer names must be unique")
-        self.names = names
-        self.arrays = arrays
+        self.offsets = np.cumsum([0] + [a.size for _, a in items])[:-1]
+        self._layout = [(start, start + a.size, a.shape)
+                        for start, (_, a) in zip(self.offsets.tolist(), items)]
+        self._adopt(np.concatenate([np.empty(0)] + [a.reshape(-1) for _, a in items]))
 
-    def __len__(self):
-        return len(self.names)
+    def _adopt(self, buf: np.ndarray) -> None:
+        self.check_finite(buf)
+        buf.flags.writeable = False
+        self._buf, self.arrays = buf, self.views(buf)
 
     def __iter__(self):
         return iter(zip(self.names, self.arrays))
@@ -68,23 +64,48 @@ class LayeredParams:
 
     @property
     def n_params(self) -> int:
-        return int(sum(a.size for a in self.arrays))
+        return self._buf.size
 
     def flat(self) -> np.ndarray:
-        return np.concatenate([a.reshape(-1) for a in self.arrays])
+        return self._buf
+
+    def views(self, buf: np.ndarray) -> list:
+        """Views of each layer's columns of ``buf``, shaped (*leading axes, *layer)."""
+        return [buf[..., start:stop].reshape(buf.shape[:-1] + shape)
+                for start, stop, shape in self._layout]
+
+    def check_finite(self, buf: np.ndarray) -> None:
+        """Raise NonFiniteError naming the first layer with a NaN or inf in ``buf``."""
+        # min and max carry any NaN or infinity without a buffer-sized mask
+        if not (np.isfinite(buf.min(initial=0.0)) and np.isfinite(buf.max(initial=0.0))):
+            col = np.nonzero(~np.isfinite(buf))[-1].min()
+            name = self.names[np.searchsorted(self.offsets, col, side="right") - 1]
+            raise NonFiniteError(f"layer '{name}' has non-finite entries")
 
     def from_flat(self, flat: np.ndarray) -> "LayeredParams":
-        flat = np.asarray(flat, dtype=np.float64)
+        flat = np.array(flat, dtype=np.float64)
         if flat.shape != (self.n_params,):
-            raise DomainError(
-                f"flat vector has size {flat.shape}, expected ({self.n_params},)"
-            )
-        out = []
-        pos = 0
-        for name, a in self:
-            out.append((name, flat[pos : pos + a.size].reshape(a.shape)))
-            pos += a.size
-        return LayeredParams(out)
+            raise DomainError(f"flat vector has shape {flat.shape}, want ({self.n_params},)")
+        out = copy.copy(self)  # shares names, offsets and layout
+        out._adopt(flat)
+        return out
+
+
+def _score_batch(self, x: np.ndarray) -> list:
+    """Per-row scores as (layer name, array of shape (rows, *layer shape))."""
+    return list(zip(self.params.names, self.params.views(self.grad_groups(x, 1)[0])))
+
+
+def _grad_sum_batch(self, x: np.ndarray) -> LayeredParams:
+    """Gradient of the batch-summed log-likelihood."""
+    return _loglik_and_grad_sum(self, x)[1]
+
+
+def _loglik_and_grad_sum(self, x: np.ndarray):
+    """Summed log-likelihood and its parameter gradient from one pass."""
+    x = _as_batch(x, self.dim)
+    grads, loglik = self.grad_groups(x, x.shape[0])
+    return float(loglik.sum()), self.params.from_flat(grads[0])
 
 
 class DiagGaussianModel:
@@ -101,9 +122,9 @@ class DiagGaussianModel:
     def __init__(self, mu, log_sigma):
         self.params = LayeredParams([("mu", mu), ("log_sigma", log_sigma)])
         mu_a, ls_a = self.params.arrays
-        if mu_a.ndim != 1 or mu_a.shape != ls_a.shape:
+        if mu_a.ndim != 1 or mu_a.shape != ls_a.shape or mu_a.size == 0:
             raise DomainError(
-                f"mu and log_sigma must be equal-length vectors, got "
+                f"mu and log_sigma must be equal-length nonempty vectors, got "
                 f"{mu_a.shape} and {ls_a.shape}"
             )
         self.dim = mu_a.size
@@ -116,28 +137,29 @@ class DiagGaussianModel:
     def with_params(self, params: LayeredParams) -> "DiagGaussianModel":
         return DiagGaussianModel(params["mu"], params["log_sigma"])
 
-    def _z(self, x: np.ndarray):
-        mu, ls = self.params.arrays
-        sigma = np.exp(ls)
-        return (x - mu) / sigma, sigma
-
     def log_likelihood_batch(self, x: np.ndarray) -> np.ndarray:
         x = _as_batch(x, self.dim)
-        z, sigma = self._z(x)
-        ls = self.params["log_sigma"]
+        mu, ls = self.params.arrays
+        z = (x - mu) / np.exp(ls)
         return np.sum(-ls - 0.5 * _LOG_2PI - 0.5 * z * z, axis=1)
 
-    def score_batch(self, x: np.ndarray):
-        x = _as_batch(x, self.dim)
-        z, sigma = self._z(x)
-        return [("mu", z / sigma), ("log_sigma", z * z - 1.0)]
+    def grad_groups(self, x: np.ndarray, group_size: int):
+        """``(grads, loglik)``: one flat gradient row per group of
+        ``group_size`` consecutive rows, and the per-row log-likelihood."""
+        x = _as_batch(x, self.dim, group_size)
+        grads = np.empty((len(x) // group_size, self.params.n_params))
+        g_mu, g_ls = self.params.views(grads)
+        mu, ls = self.params.arrays
+        sigma = np.exp(ls)
+        z = ((x - mu) / sigma).reshape(-1, group_size, self.dim)
+        (z / sigma).sum(axis=1, out=g_mu)
+        (z * z - 1.0).sum(axis=1, out=g_ls)
+        self.params.check_finite(grads)
+        return grads, self.log_likelihood_batch(x)
 
-    def grad_sum_batch(self, x: np.ndarray) -> LayeredParams:
-        grads = self.score_batch(x)
-        return LayeredParams([(n, g.sum(axis=0)) for n, g in grads])
-
-    def loglik_and_grad_sum(self, x: np.ndarray):
-        return float(self.log_likelihood_batch(x).sum()), self.grad_sum_batch(x)
+    score_batch = _score_batch
+    grad_sum_batch = _grad_sum_batch
+    loglik_and_grad_sum = _loglik_and_grad_sum
 
     def sample(self, rng: Rng, n: int) -> np.ndarray:
         """n draws; consumes n*dim normals in row-major (sample, coord) order."""
@@ -216,9 +238,8 @@ class CouplingFlowModel:
                                  self.clamp)
 
     def _block_params(self, k: int):
-        p = self.params
-        return (p[f"block{k}.w_in"], p[f"block{k}.b_in"],
-                p[f"block{k}.w_out"], p[f"block{k}.b_out"])
+        """(w_in, b_in, w_out, b_out) of block k."""
+        return self.params.arrays[4 * k : 4 * k + 4]
 
     def _halves(self, k: int):
         """(transformed slice, pass-through slice) for block k."""
@@ -247,7 +268,7 @@ class CouplingFlowModel:
             es = np.exp(s)
             z[:, tsl] = act * es + t
             logdet += s.sum(axis=1)
-            cache.append((act, cond, h, s_raw, es))
+            cache.append((act, cond, s_raw, es))
         return z, logdet, cache
 
     def log_likelihood_batch(self, x: np.ndarray) -> np.ndarray:
@@ -256,60 +277,48 @@ class CouplingFlowModel:
         base = -0.5 * self.dim * _LOG_2PI - 0.5 * np.sum(z * z, axis=1)
         return base + logdet
 
-    def _backward(self, x: np.ndarray, per_sample: bool):
-        """Gradients of log-likelihood w.r.t. every layer.
+    def grad_groups(self, x: np.ndarray, group_size: int):
+        """``(grads, loglik)``: one flat gradient row per group of
+        ``group_size`` consecutive rows, and the per-row log-likelihood.
 
-        Reverse sweep over the cached forward pass. ``g`` carries
-        d loglik / d z_current per sample; each block adds 1 to ds for
-        its own log-det term, zeroed where the clamp is active.
+        Reverse sweep: ``g`` carries d loglik / d z_current per row; each
+        block adds 1 to ds for its log-det term, zeroed where the clamp is
+        active. Weight gradients are the grouped contractions
+        sum_b delta_b h_b^T, written by batched matmul into their columns
+        of ``grads``. Hidden activations are recomputed, not cached, so
+        one block's (rows, hidden) arrays live at a time.
         """
-        x = _as_batch(x, self.dim)
-        bsz = x.shape[0]
+        x = _as_batch(x, self.dim, group_size)
         half = self.dim // 2
+        grads = np.empty((len(x) // group_size, self.params.n_params))
+        views = self.params.views(grads)
         z, logdet, cache = self._forward(x)
         loglik = -0.5 * self.dim * _LOG_2PI - 0.5 * np.sum(z * z, axis=1) + logdet
         g = -z
-        grads = {}
         for k in range(self.n_blocks - 1, -1, -1):
-            w_in, b_in, w_out, b_out = self._block_params(k)
+            w_in, b_in, w_out, _ = self._block_params(k)
             tsl, csl = self._halves(k)
-            act, cond, h, s_raw, es = cache[k]
+            act, cond, s_raw, es = cache.pop()
+            h = np.tanh(cond @ w_in.T + b_in)
             g_act_out = g[:, tsl]
-            g_cond_out = g[:, csl]
-            inside = (np.abs(s_raw) < self.clamp).astype(np.float64)
-            ds = (g_act_out * act * es + 1.0) * inside
+            ds = (g_act_out * act * es + 1.0) * (np.abs(s_raw) < self.clamp)
             do = np.concatenate([ds, g_act_out], axis=1)
-            dh = do @ w_out
-            du = dh * (1.0 - h * h)
-            if per_sample:
-                grads[f"block{k}.w_out"] = np.einsum("bi,bh->bih", do, h)
-                grads[f"block{k}.b_out"] = do
-                grads[f"block{k}.w_in"] = np.einsum("bh,bj->bhj", du, cond)
-                grads[f"block{k}.b_in"] = du
-            else:
-                grads[f"block{k}.w_out"] = do.T @ h
-                grads[f"block{k}.b_out"] = do.sum(axis=0)
-                grads[f"block{k}.w_in"] = du.T @ cond
-                grads[f"block{k}.b_in"] = du.sum(axis=0)
-            g_new = np.empty((bsz, self.dim))
-            g_new[:, tsl] = g_act_out * es
-            g_new[:, csl] = du @ w_in + g_cond_out
-            g = g_new
-        items = [(name, grads[name]) for name in self.params.names]
-        return items, loglik
+            du = (do @ w_out) * (1.0 - h * h)
+            gw_in, gb_in, gw_out, gb_out = views[4 * k : 4 * k + 4]
+            do_g = do.reshape(-1, group_size, self.dim)
+            du_g = du.reshape(-1, group_size, self.hidden)
+            np.matmul(do_g.transpose(0, 2, 1), h.reshape(du_g.shape), out=gw_out)
+            do_g.sum(axis=1, out=gb_out)
+            np.matmul(du_g.transpose(0, 2, 1), cond.reshape(-1, group_size, half), out=gw_in)
+            du_g.sum(axis=1, out=gb_in)
+            g[:, tsl] *= es  # do already holds its copy of g_act_out
+            g[:, csl] += du @ w_in
+        self.params.check_finite(grads)
+        return grads, loglik
 
-    def score_batch(self, x: np.ndarray):
-        return self._backward(x, per_sample=True)[0]
-
-    def grad_sum_batch(self, x: np.ndarray) -> LayeredParams:
-        """Gradient of the batch-summed log-likelihood in one backward pass
-        (the per-sample axis is contracted inside each block)."""
-        return LayeredParams(self._backward(x, per_sample=False)[0])
-
-    def loglik_and_grad_sum(self, x: np.ndarray):
-        """Summed log-likelihood and its parameter gradient from one pass."""
-        items, loglik = self._backward(x, per_sample=False)
-        return float(loglik.sum()), LayeredParams(items)
+    score_batch = _score_batch
+    grad_sum_batch = _grad_sum_batch
+    loglik_and_grad_sum = _loglik_and_grad_sum
 
     def sample(self, rng: Rng, n: int) -> np.ndarray:
         """n draws; consumes n*dim base normals, then inverts the chain."""
@@ -332,7 +341,7 @@ _MODEL_TYPES = {
 }
 
 
-def _as_batch(x: np.ndarray, dim: int) -> np.ndarray:
+def _as_batch(x: np.ndarray, dim: int, group_size: int = 1) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
@@ -340,12 +349,14 @@ def _as_batch(x: np.ndarray, dim: int) -> np.ndarray:
         raise DomainError(f"expected points of dimension {dim}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("input points contain non-finite values")
+    if group_size < 1 or len(x) % group_size:
+        raise DomainError(f"{len(x)} rows do not split into groups of {group_size}")
     return x
 
 
 def score(model, x) -> LayeredParams:
     """Parameter gradient of log-likelihood at a single point."""
-    return LayeredParams([(n, g[0]) for n, g in model.score_batch(x)])
+    return model.params.from_flat(model.grad_groups(x, 1)[0][0])
 
 
 def sample(model, rng: Rng, n: int) -> np.ndarray:

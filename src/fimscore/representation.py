@@ -293,6 +293,8 @@ def check_gradient_invariance(model, transform, points: np.ndarray) -> dict:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[None, :]
+    if pts.shape[0] == 0:
+        raise DomainError("gradient invariance needs at least one point")
     grad_disc = 0.0
     ll_resid = 0.0
     per_point = []

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError, InsufficientDataError, NonFiniteError
-from .models import DiagGaussianModel, LayeredParams
+from .models import DiagGaussianModel
 from .numcore import Rng
 
 
@@ -91,9 +91,8 @@ def train(model, data: np.ndarray, config: TrainConfig) -> TrainResult:
     root = Rng(config.seed)
     train_rows, fit_rows = split_rows(data, config.fit_fraction, root)
 
-    theta = model.params.flat().copy()
-    template = model.params
-    work = model.with_params(template.from_flat(theta))
+    theta = model.params.flat()
+    work = model.with_params(model.params.from_flat(theta))
     initial = float(np.mean(work.log_likelihood_batch(train_rows)))
 
     m = np.zeros_like(theta)
@@ -107,19 +106,20 @@ def train(model, data: np.ndarray, config: TrainConfig) -> TrainResult:
         for b in range(n_batches):
             idx = order[b * config.batch_size : (b + 1) * config.batch_size]
             batch = train_rows[idx]
-            loss_sum, grad = work.loglik_and_grad_sum(batch)
+            try:
+                loss_sum, grad = work.loglik_and_grad_sum(batch)
+                if not math.isfinite(loss_sum):
+                    raise NonFiniteError("non-finite loss")
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"{exc} at epoch {epoch}, batch {b}") from exc
             g = grad.flat() / config.batch_size
-            if not (math.isfinite(loss_sum) and np.all(np.isfinite(g))):
-                raise NonFiniteError(
-                    f"non-finite loss or gradient at epoch {epoch}, batch {b}"
-                )
             step += 1
             m = config.beta1 * m + (1.0 - config.beta1) * g
             v = config.beta2 * v + (1.0 - config.beta2) * g * g
             m_hat = m / (1.0 - config.beta1 ** step)
             v_hat = v / (1.0 - config.beta2 ** step)
             theta = theta + config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
-            work = model.with_params(template.from_flat(theta))
+            work = model.with_params(model.params.from_flat(theta))
         curve.append(float(np.mean(work.log_likelihood_batch(train_rows))))
     return TrainResult(work, train_rows, fit_rows, curve, initial)
 

@@ -193,6 +193,22 @@ def test_invariance_check(pipeline):
     assert rep["max_grad_discrepancy"] <= 1e-10
 
 
+@pytest.mark.parametrize("argv", [
+    ["invariance-check", "--transform", "scale_shift", "--n-points", 0],
+    ["invariance-check", "--transform", "scale_shift", "--n-points", -3],
+    ["features", "--data", "fit_split.dmat", "--batch-size", 100_000],
+])
+def test_empty_point_or_batch_set_exits_1(pipeline, tmp_path, capsys, argv):
+    model_dir = pipeline["model"]
+    argv = [os.path.join(model_dir, a) if a == "fit_split.dmat" else a for a in argv]
+    out = tmp_path / "o"
+    assert run(argv + ["--model", os.path.join(model_dir, "model.json"),
+                       "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_eval_grid_and_determinism(tmp_path):
     data_a = str(tmp_path / "a")
     data_b = str(tmp_path / "b")

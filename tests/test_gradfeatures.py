@@ -37,14 +37,19 @@ def test_mu_feature_vanishes_at_mle():
 
 
 def test_batch_feature_is_norm_of_summed_scores():
-    """Dual route: one backward pass on the summed objective must agree
-    with summing per-sample score vectors and taking norms."""
+    """Dual route: one grouped backward pass over several batches must
+    agree with summing each batch's per-sample score vectors and taking
+    norms."""
     m = CouplingFlowModel.init_random(2, Rng(3), n_blocks=3, hidden=8)
-    batch = m.sample(Rng(4), 7)
-    f = gradient_features(m, batch)
-    per = m.score_batch(batch)
-    want = np.array([float(np.sum(g.sum(axis=0) ** 2)) for _, g in per])
-    assert np.max(np.abs(f - want) / np.maximum(want, 1e-12)) < 1e-10
+    for size in (1, 3, 7):
+        batches = batch_view(m.sample(Rng(4), 4 * size), size)
+        f = feature_matrix(m, batches)
+        assert f.shape == (4, len(m.params.names))
+        for row, batch in zip(f, batches):
+            per = m.score_batch(batch)
+            want = np.array([float(np.sum(g.sum(axis=0) ** 2)) for _, g in per])
+            assert np.max(np.abs(row - want) / np.maximum(want, 1e-12)) < 1e-10
+            assert np.max(np.abs(gradient_features(m, batch) - row) / row) < 1e-12
 
 
 def test_log_features_values():

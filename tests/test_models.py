@@ -211,6 +211,23 @@ def test_score_matches_finite_differences():
         assert np.max(np.abs(got - fd) / denom) < 1e-5
 
 
+def test_grad_groups_rows_are_group_sums():
+    """Each grouped row equals the batch-summed gradient of its group."""
+    for m in (DiagGaussianModel(np.array([0.5, -0.5]), np.array([0.1, -0.2])),
+              warped_flow(seed=12, n_blocks=3, hidden=5)):
+        x = sample(m, Rng(41), 12)
+        for size in (1, 3, 12):
+            grads, loglik = m.grad_groups(x, size)
+            assert grads.shape == (12 // size, m.params.n_params)
+            assert np.array_equal(loglik, m.log_likelihood_batch(x))
+            for g, row in enumerate(grads):
+                want = m.grad_sum_batch(x[g * size : (g + 1) * size]).flat()
+                assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+        for size in (0, 5, 13):
+            with pytest.raises(DomainError):
+                m.grad_groups(x, size)
+
+
 def test_checkpoint_roundtrip_bit_identical(tmp_path):
     for m in (DiagGaussianModel(np.array([0.25]), np.array([-0.5])),
               warped_flow(seed=13)):
@@ -275,6 +292,18 @@ def test_layered_params_invariants():
         LayeredParams([("a", [float("inf")])])
     with pytest.raises(ValueError):
         p["a"][0, 0] = 5.0  # arrays are read-only
+    with pytest.raises(ValueError):
+        flat[0] = 5.0  # so is the flat buffer
+    assert p.flat() is flat  # returned without copying
+    assert p.offsets.tolist() == [0, 4]
+    for _, a in p:
+        assert np.shares_memory(a, flat)
+    src = np.arange(7.0)
+    q = p.from_flat(src)
+    src[:] = -1.0  # from_flat copied its input
+    assert np.array_equal(q.flat(), np.arange(7.0))
+    with pytest.raises(NonFiniteError, match="layer 'b'"):
+        p.from_flat([0.0, 1.0, 2.0, 3.0, 4.0, float("nan"), 6.0])
 
 
 def test_flow_constructor_validation():
@@ -290,3 +319,5 @@ def test_batch_shape_validation():
         m.log_likelihood_batch(np.zeros((3, 5)))
     with pytest.raises(DomainError):
         sample(m, Rng(0), 0)
+    with pytest.raises(DomainError):
+        DiagGaussianModel(np.zeros(0), np.zeros(0))  # no empty layer reaches reduceat

@@ -166,6 +166,15 @@ def test_nonfinite_loss_names_epoch_and_batch():
     assert "epoch 1" in str(exc.value) and "batch 1" in str(exc.value)
 
 
+def test_nonfinite_gradient_names_epoch_batch_and_layer():
+    data = Rng(4).normals(300).reshape(-1, 1)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as exc:
+        train(DiagGaussianModel([0.0], [-400.0]), data,
+              TrainConfig(epochs=1, batch_size=32, seed=0))
+    msg = str(exc.value)
+    assert "epoch 0" in msg and "batch 0" in msg and "'mu'" in msg
+
+
 def test_config_validation():
     for bad in (
         TrainConfig(epochs=-1),
