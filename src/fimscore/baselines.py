@@ -19,9 +19,17 @@ import numpy as np
 from .errors import InsufficientDataError
 
 
-def likelihood_score(model, batch: np.ndarray) -> float:
-    """Negative mean log-likelihood of the batch (higher = more anomalous)."""
-    return float(-np.mean(model.log_likelihood_batch(batch)))
+def _mean_loglik(model, batches: np.ndarray):
+    """Mean log-likelihood over the rows of each batch: one value per batch
+    of a (batches, size, dim) array, a scalar for one (size, dim) batch."""
+    batches = np.asarray(batches, dtype=np.float64)
+    ll = model.log_likelihood_batch(batches.reshape(-1, batches.shape[-1]))
+    return ll.reshape(batches.shape[:-1]).mean(axis=-1)
+
+
+def likelihood_score(model, batches: np.ndarray):
+    """Negative mean log-likelihood per batch (higher = more anomalous)."""
+    return -_mean_loglik(model, batches)
 
 
 def fit_typicality(model, fit_rows: np.ndarray) -> float:
@@ -31,9 +39,9 @@ def fit_typicality(model, fit_rows: np.ndarray) -> float:
         raise InsufficientDataError(
             f"typicality needs at least one fit row, got shape {fit_rows.shape}"
         )
-    return float(np.mean(model.log_likelihood_batch(fit_rows)))
+    return float(_mean_loglik(model, fit_rows))
 
 
-def typicality_score(model, h_hat: float, batch: np.ndarray) -> float:
-    """Absolute deviation of the batch mean log-likelihood from H_hat."""
-    return float(abs(np.mean(model.log_likelihood_batch(batch)) - h_hat))
+def typicality_score(model, h_hat: float, batches: np.ndarray):
+    """Absolute deviation of each batch's mean log-likelihood from H_hat."""
+    return np.abs(_mean_loglik(model, batches) - h_hat)

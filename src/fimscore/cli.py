@@ -227,7 +227,7 @@ def _cmd_score(args) -> int:
     logf = gradfeatures.log_features(feats, floor)
     scorer = detector.ood_score if args.method == "ours" \
         else detector.fisher_method_score
-    scores = np.asarray(scorer(det, logf), dtype=np.float64).reshape(-1)
+    scores = scorer(det, logf)
     table = np.column_stack([np.arange(scores.size, dtype=np.float64), scores])
     data.save_csv(args.out, table, header=["batch_id", "score"])
     _write_manifest(args.out, "score", args, [args.detector, args.features],

@@ -53,25 +53,22 @@ def fit_detector(log_feats: np.ndarray, model_checksum: str = "",
     return DetectorModel(mu, sigma2, int(f.shape[0]), model_checksum, floor_used)
 
 
-def _rows(det: DetectorModel, log_feats: np.ndarray) -> np.ndarray:
+def _checked(det: DetectorModel, log_feats: np.ndarray) -> np.ndarray:
     f = np.asarray(log_feats, dtype=np.float64)
-    if f.ndim == 1:
-        f = f[None, :]
-    if f.shape[1] != det.mu.shape[0]:
+    if f.ndim not in (1, 2) or f.shape[-1] != det.mu.shape[0]:
         raise DomainError(
-            f"feature width {f.shape[1]} does not match detector with "
-            f"{det.mu.shape[0]} layers"
+            f"log features of shape {f.shape} do not match a detector with "
+            f"{det.mu.shape[0]} layers; want (layers,) or (batches, layers)"
         )
     return f
 
 
 def ood_score(det: DetectorModel, log_feats: np.ndarray):
-    """Gaussian NLL summed over layers; scalar for a single row, else (N,)."""
-    f = _rows(det, log_feats)
+    """Gaussian NLL summed over layers; scalar for one row, else one per row."""
+    f = _checked(det, log_feats)
     nll = 0.5 * np.log(2.0 * math.pi * det.sigma2) + \
         (f - det.mu) ** 2 / (2.0 * det.sigma2)
-    out = nll.sum(axis=1)
-    return float(out[0]) if np.ndim(log_feats) == 1 else out
+    return nll.sum(axis=-1)
 
 
 def fisher_method_score(det: DetectorModel, log_feats: np.ndarray):
@@ -81,11 +78,10 @@ def fisher_method_score(det: DetectorModel, log_feats: np.ndarray):
     arithmetic but immune to the catastrophic cancellation 1 - Phi(z)
     suffers for z beyond about 7.
     """
-    f = _rows(det, log_feats)
+    f = _checked(det, log_feats)
     z = (f - det.mu) / np.sqrt(det.sigma2)
     q = np.maximum(std_normal_cdf(-np.abs(z)), Q_CLAMP)
-    out = -np.log(q).sum(axis=1)
-    return float(out[0]) if np.ndim(log_feats) == 1 else out
+    return -np.log(q).sum(axis=-1)
 
 
 def save_detector(det: DetectorModel, path: str) -> None:

@@ -44,16 +44,10 @@ def auroc(scores_in, scores_out) -> float:
         raise InsufficientDataError("auroc needs at least one score on each side")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DomainError("scores must be finite")
-    pooled = np.concatenate([a, b])
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(pooled.size, dtype=np.float64)
-    i = 0
-    while i < pooled.size:
-        j = i
-        while j + 1 < pooled.size and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # tied run at sorted positions i..j: average 1-based rank (i + j)/2 + 1
+    _, run, counts = np.unique(np.concatenate([a, b]), return_inverse=True,
+                               return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[run]
     rank_sum_out = float(ranks[a.size :].sum())
     u_out = rank_sum_out - b.size * (b.size + 1) / 2.0
     return u_out / (a.size * b.size)
@@ -70,25 +64,13 @@ class PairingReport:
         return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
-def _eval_batches(rows: np.ndarray, batch_size: int, n_batches: int, rng: Rng):
-    batches = gradfeatures.batch_view(rng.shuffled(rows), batch_size)[:n_batches]
-    if len(batches) == 0:
-        raise InsufficientDataError(
-            f"eval split with {len(rows)} rows yields no batch of size {batch_size}")
-    return batches
-
-
 def _method_scores(model, det, h_hat, batches):
     logf = gradfeatures.log_features(gradfeatures.feature_matrix(model, batches))
     return {
-        "ours": np.asarray(detector.ood_score(det, logf), dtype=np.float64).reshape(-1),
-        "fisher": np.asarray(
-            detector.fisher_method_score(det, logf), dtype=np.float64
-        ).reshape(-1),
-        "typicality": np.array(
-            [baselines.typicality_score(model, h_hat, b) for b in batches]
-        ),
-        "likelihood": np.array([baselines.likelihood_score(model, b) for b in batches]),
+        "ours": detector.ood_score(det, logf),
+        "fisher": detector.fisher_method_score(det, logf),
+        "typicality": baselines.typicality_score(model, h_hat, batches),
+        "likelihood": baselines.likelihood_score(model, batches),
     }
 
 
@@ -113,13 +95,21 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
     root = Rng(seed)
     eval_names = sorted(eval_splits)
     batch_cache = {}
-    for d_idx, name in enumerate(eval_names):
-        for b_idx, bsz in enumerate(batch_sizes):
-            rng = root.child(1 + d_idx * len(batch_sizes) + b_idx)
-            batch_cache[(name, bsz)] = _eval_batches(
-                np.asarray(eval_splits[name], dtype=np.float64), bsz,
-                n_eval_batches, rng,
-            )
+
+    def eval_batches(name, b_idx):
+        # built on first use, inside the cell's try, so a split too thin
+        # for one batch size skips only the cells that need it
+        key = (name, batch_sizes[b_idx])
+        if key not in batch_cache:
+            rows = np.asarray(eval_splits[name], dtype=np.float64)
+            rng = root.child(1 + eval_names.index(name) * len(batch_sizes) + b_idx)
+            batches = gradfeatures.batch_view(rng.shuffled(rows), key[1])[:n_eval_batches]
+            if len(batches) == 0:
+                raise InsufficientDataError(
+                    f"eval split '{name}' with {len(rows)} rows yields no "
+                    f"batch of size {key[1]}")
+            batch_cache[key] = batches
+        return batch_cache[key]
 
     reports = []
     for train_name in sorted(train_entries):
@@ -151,9 +141,9 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
                 skip_cells("missing checkpoint", bsz)
             reports.append(report)
             continue
-        for bsz in batch_sizes:
-            # a bad column (thin fit split, non-finite gradients) skips its
-            # cells with a reason instead of killing the whole grid run
+        for b_idx, bsz in enumerate(batch_sizes):
+            # a bad column (thin fit or eval split, non-finite gradients)
+            # skips its cells with a reason instead of killing the whole grid run
             try:
                 fit_batches = gradfeatures.batch_view(fit_rows, bsz)
                 if len(fit_batches) < 2:
@@ -168,16 +158,14 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
                 )
                 h_hat = baselines.fit_typicality(model, fit_rows)
                 in_scores = _method_scores(
-                    model, det, h_hat, batch_cache[(train_name, bsz)]
-                )
+                    model, det, h_hat, eval_batches(train_name, b_idx))
             except FimscoreError as exc:
                 skip_cells(str(exc), bsz)
                 continue
             for test_name in tests:
                 try:
                     out_scores = _method_scores(
-                        model, det, h_hat, batch_cache[(test_name, bsz)]
-                    )
+                        model, det, h_hat, eval_batches(test_name, b_idx))
                 except FimscoreError as exc:
                     skip_cells(str(exc), bsz, only_test=test_name)
                     continue

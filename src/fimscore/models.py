@@ -415,6 +415,9 @@ def model_from_dict(obj: dict):
         raise DatasetFormatError(f"unknown model type '{mtype}'")
     params = LayeredParams(items)
     if mtype == DiagGaussianModel.type_name:
+        for name in ("mu", "log_sigma"):
+            if name not in params.names:
+                raise DatasetFormatError(f"checkpoint has no '{name}' layer")
         model = DiagGaussianModel(params["mu"], params["log_sigma"])
     else:
         model = CouplingFlowModel(

@@ -25,6 +25,18 @@ def test_likelihood_score_is_batch_mean():
     assert likelihood_score(m, batch) == want
 
 
+def test_batch_set_scores_match_single_batches():
+    m = DiagGaussianModel.standard(2)
+    batches = Rng(5).normals(24).reshape(4, 3, 2)
+    h_hat = -2.5
+    lik = likelihood_score(m, batches)
+    typ = typicality_score(m, h_hat, batches)
+    assert lik.shape == typ.shape == (4,)
+    for i, batch in enumerate(batches):
+        assert lik[i] == likelihood_score(m, batch)
+        assert typ[i] == typicality_score(m, h_hat, batch)
+
+
 def test_likelihood_score_grows_away_from_mode():
     m = DiagGaussianModel.standard(1)
     scores = [likelihood_score(m, np.array([[x]])) for x in (0.0, 1.0, 2.0, 5.0)]

@@ -182,6 +182,16 @@ def test_fim_probe(pipeline):
     assert 0.0 <= side["offdiag_mean"] <= 1.0
 
 
+def test_fim_probe_checkpoint_without_layers_exits_1(tmp_path, capsys):
+    model = str(tmp_path / "model.json")
+    with open(model, "w") as fh:
+        json.dump({"type": "diag_gaussian", "dims": 1, "hyper": {}, "layers": []}, fh)
+    assert run(["fim-probe", "--model", model, "--out", tmp_path / "fim"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "'mu'" in err
+
+
 def test_invariance_check(pipeline):
     out = str(pipeline["root"] / "inv")
     assert run(["invariance-check", "--model",

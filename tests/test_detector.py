@@ -77,14 +77,19 @@ def test_ood_score_minimized_at_mean():
 def test_ood_score_matrix_form():
     det = unit_detector(2)
     rows = Rng(3).normals(10).reshape(5, 2)
-    out = ood_score(det, rows)
-    assert out.shape == (5,)
-    assert abs(out[0] - ood_score(det, rows[0])) < 1e-14
+    for score in (ood_score, fisher_method_score):
+        out = score(det, rows)
+        assert out.shape == (5,)
+        assert np.ndim(score(det, rows[0])) == 0
+        assert abs(out[0] - score(det, rows[0])) < 1e-14
 
 
 def test_width_mismatch():
-    with pytest.raises(DomainError):
-        ood_score(unit_detector(2), np.zeros(3))
+    # only a (layers,) row or a (batches, layers) matrix is scoreable
+    for bad in (np.zeros(3), np.zeros((3, 1)), np.float64(0.0), np.zeros((1, 3, 2))):
+        for score in (ood_score, fisher_method_score):
+            with pytest.raises(DomainError):
+                score(unit_detector(2), bad)
 
 
 def test_fisher_score_at_mean():

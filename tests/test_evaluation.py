@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from fimscore.errors import DomainError, InsufficientDataError
 from fimscore.evaluation import METHODS, auroc, render_grid, run_pairings
+from fimscore.models import DiagGaussianModel
 from fimscore.numcore import Rng
 from fimscore.trainer import analytic_mle_gaussian
 
@@ -131,6 +132,45 @@ def test_run_pairings_thin_fit_split_skips_column():
     near = [r for r in reports if r.train == "near"][0]
     assert all(row["auroc"] is None for row in near.rows)
     assert all("need >= 2" in row["skipped"] for row in near.rows)
+
+
+def test_run_pairings_thin_eval_split_skips_only_its_cells():
+    entries, evals = _two_gaussian_setup()
+    evals["far"] = evals["far"][:200]
+    evals["near"] = evals["near"][:3]  # no batch of size 5
+    reports = {r.train: r for r in run_pairings(
+        entries, evals, batch_sizes=[1, 5], n_eval_batches=10)}
+    for train in ("far", "near"):
+        rows = reports[train].rows
+        assert len(rows) == len(METHODS) * 2
+        for row in rows:
+            if row["batch_size"] == 1:
+                assert row["auroc"] is not None
+            else:
+                # far: the thin test row is skipped; near: its own in-
+                # distribution split is thin, so the whole column is
+                assert row["auroc"] is None
+                assert row["skipped"] == \
+                    "eval split 'near' with 3 rows yields no batch of size 5"
+
+
+def test_run_pairings_scores_each_batch_set_in_one_call(monkeypatch):
+    """Likelihood calls per grid do not grow with the number of batches."""
+    entries, evals = _two_gaussian_setup()
+    calls = []
+    original = DiagGaussianModel.log_likelihood_batch
+
+    def counted(self, x):
+        calls.append(len(x))
+        return original(self, x)
+
+    monkeypatch.setattr(DiagGaussianModel, "log_likelihood_batch", counted)
+    counts = []
+    for n_batches in (10, 50):
+        calls.clear()
+        run_pairings(entries, evals, batch_sizes=[1, 5], n_eval_batches=n_batches)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_run_pairings_validation():

@@ -268,6 +268,9 @@ def test_malformed_checkpoints(tmp_path):
         {"type": "diag_gaussian", "dims": 1, "hyper": {},
          "layers": [{"name": "mu", "shape": [2], "values": [0.0]},
                     {"name": "log_sigma", "shape": [2], "values": [0.0, 0.0]}]},
+        {"type": "diag_gaussian", "dims": 1, "hyper": {}, "layers": []},
+        {"type": "diag_gaussian", "dims": 1, "hyper": {},  # no log_sigma
+         "layers": [{"name": "mu", "shape": [1], "values": [0.0]}]},
     ):
         with open(path, "w") as fh:
             json.dump(obj, fh)
