@@ -89,6 +89,8 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
         raise DomainError(f"unknown methods: {unknown}")
     if any(b < 1 for b in batch_sizes):
         raise DomainError(f"batch sizes must be >= 1, got {list(batch_sizes)}")
+    if n_eval_batches < 1:
+        raise DomainError(f"eval batch count must be >= 1, got {n_eval_batches}")
     missing = [n for n in train_entries if n not in eval_splits]
     if missing:
         raise DomainError(f"train distributions without eval split: {missing}")

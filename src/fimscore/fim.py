@@ -24,10 +24,11 @@ is chi-square with 2D degrees of freedom as n grows; at the true
 parameters its variance is 2k + (E|u|^4 - k^2 - 2k)/n for k = 2D and u
 the whitened single-draw score.
 
-``sherman_morrison_score`` evaluates s_x^T (A_0 + sum_i S_i S_i^T)^{-1}
-s_x without ever forming a P x P matrix: the rank-one inverse updates
-are unrolled into inner products against stored update vectors, so
-memory stays O(N * P). The ``n_plus_1`` convention rescales the
+``sherman_morrison_score`` evaluates s_x^T (A_0 + S^T S)^{-1} s_x, with
+A_0 diagonal and the N gradient samples as the rows of S, through the
+Woodbury identity: one N x N Cholesky factorisation of I + S A_0^{-1} S^T
+replaces the N rank-one updates, so memory stays O(N P + N^2) and no
+P x P matrix is ever formed. The ``n_plus_1`` convention rescales the
 quadratic form by (N + 1), matching an FIM estimate that averages the
 prior together with the N outer products.
 """
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, DomainError
+from .errors import DegenerateDataError, DomainError, NonFiniteError
 from .models import sample
 from .numcore import Rng
 
@@ -166,14 +167,15 @@ def sherman_morrison_score(grad_samples, a0_diag: np.ndarray, s_x: np.ndarray,
                            scale_convention: str = "raw") -> float:
     """Quadratic form s_x^T (diag(a0) + sum_i S_i S_i^T)^{-1} s_x.
 
-    Rank-one updates are inverted recursively: with B_k the inverse
-    after k updates, w_k = B_{k-1} S_k and d_k = 1 + S_k^T w_k,
+    With R = S A^{-1/2} and y = A^{-1/2} s_x for A = diag(a0), the
+    Woodbury identity gives
 
-        B_N v = v / a0 - sum_k w_k (w_k^T v) / d_k,
+        q = y^T y - |L^{-1} R y|^2,   L L^T = I_N + R R^T,
 
-    so only the N update vectors are stored -- memory is O(N * P) and no
-    P x P array is ever allocated. ``scale_convention`` 'raw' returns the
-    quadratic form as-is; 'n_plus_1' multiplies by (N + 1).
+    one N x N Cholesky factorisation in place of N rank-one updates.
+    Memory is O(N P + N^2) and no P x P array is ever allocated; with no
+    samples q is the diagonal solve y^T y. ``scale_convention`` 'raw'
+    returns the quadratic form as-is; 'n_plus_1' multiplies by (N + 1).
     """
     if scale_convention not in ("raw", "n_plus_1"):
         raise DomainError(f"unknown scale convention '{scale_convention}'")
@@ -184,25 +186,28 @@ def sherman_morrison_score(grad_samples, a0_diag: np.ndarray, s_x: np.ndarray,
             f"a0 diagonal and s_x must be equal-length vectors, got "
             f"{a0.shape} and {sx.shape}"
         )
+    for name, v in (("a0_diag", a0), ("s_x", sx)):
+        if not np.all(np.isfinite(v)):
+            bad = int(np.nonzero(~np.isfinite(v))[0][0])
+            raise NonFiniteError(f"{name} entry {bad} is not finite")
     if np.any(a0 <= 0.0):
         bad = int(np.nonzero(a0 <= 0.0)[0][0])
         raise DomainError(f"prior diagonal entry {bad} must be positive")
-    samples = [np.asarray(s, dtype=np.float64) for s in grad_samples]
-    for i, s in enumerate(samples):
-        if s.shape != a0.shape:
-            raise DomainError(f"gradient sample {i} has shape {s.shape}")
-    ws = []
-    ds = []
-    for s in samples:
-        w = s / a0
-        for wj, dj in zip(ws, ds):
-            w = w - wj * (np.dot(wj, s) / dj)
-        d = 1.0 + np.dot(s, w)
-        ws.append(w)
-        ds.append(d)
-    q = float(np.dot(sx, sx / a0))
-    for wj, dj in zip(ws, ds):
-        q -= np.dot(wj, sx) ** 2 / dj
+    rows = [np.asarray(s, dtype=np.float64) for s in grad_samples]
+    for i, row in enumerate(rows):
+        if row.shape != a0.shape:
+            raise DomainError(f"gradient sample {i} has shape {row.shape}")
+    s = np.array(rows).reshape(len(rows), a0.size)
+    finite = np.isfinite(s).all(axis=1)
+    if not finite.all():
+        bad = int(np.nonzero(~finite)[0][0])
+        raise NonFiniteError(f"grad_samples[{bad}] has non-finite entries")
+    root = np.sqrt(a0)
+    r = s / root
+    y = sx / root
+    chol = np.linalg.cholesky(np.eye(len(rows)) + r @ r.T)
+    v = np.linalg.solve(chol, r @ y)
+    q = float(y @ y - v @ v)
     if scale_convention == "n_plus_1":
-        q *= len(samples) + 1
-    return float(q)
+        q *= len(rows) + 1
+    return q

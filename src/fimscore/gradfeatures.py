@@ -70,21 +70,18 @@ def layer_correlation_profile(features: np.ndarray):
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] < 2:
         raise DomainError(f"need a 2-D feature matrix with >= 2 rows, got {f.shape}")
-    n, j = f.shape
     std = f.std(axis=0)
-    excluded = [int(i) for i in np.nonzero(std == 0.0)[0]]
-    centered = f - f.mean(axis=0)
-    profile = np.full(j - 1, np.nan)
-    for d in range(1, j):
-        vals = []
-        for a in range(j - d):
-            b = a + d
-            if std[a] == 0.0 or std[b] == 0.0:
-                continue
-            r = float(np.dot(centered[:, a], centered[:, b]) / (n * std[a] * std[b]))
-            vals.append(r)
-        if vals:
-            profile[d - 1] = float(np.mean(vals))
+    keep = std != 0.0
+    excluded = [int(i) for i in np.nonzero(~keep)[0]]
+    # standardised columns; excluded ones are zeroed and masked out below
+    z = (f - f.mean(axis=0)) * np.divide(1.0, std, out=np.zeros_like(std), where=keep)
+    corr = z.T @ z / f.shape[0]
+    pairs = np.outer(keep, keep)
+    profile = np.full(f.shape[1] - 1, np.nan)
+    for d in range(1, f.shape[1]):
+        valid = np.diagonal(pairs, d)
+        if valid.any():
+            profile[d - 1] = np.diagonal(corr, d)[valid].mean()
     return profile, excluded
 
 

@@ -144,6 +144,7 @@ def test_score_checksum_mismatch(pipeline, tmp_path, capsys):
     ("--split", "0.8,abc,0.1"),
     ("--batch-sizes", "1,x"),
     ("--batch-sizes", "0"),
+    ("--n-batches", "0"),
 ])
 def test_bad_list_values_exit_1(pipeline, tmp_path, capsys, flag, value):
     if flag == "--split":

@@ -185,6 +185,13 @@ def test_run_pairings_validation():
         run_pairings(entries, missing)
 
 
+def test_run_pairings_rejects_eval_batch_count_below_one():
+    entries, evals = _two_gaussian_setup()
+    for n_batches in (0, -1):
+        with pytest.raises(DomainError, match="eval batch count"):
+            run_pairings(entries, evals, n_eval_batches=n_batches)
+
+
 def test_render_grid_contents():
     entries, evals = _two_gaussian_setup()
     entries["near"] = (None, entries["near"][1])

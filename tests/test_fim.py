@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fimscore.errors import DegenerateDataError, DomainError
+from fimscore.errors import DegenerateDataError, DomainError, NonFiniteError
 from fimscore.fim import (
     MAX_PROBE_LAYERS,
     diag_dominance,
@@ -202,6 +202,15 @@ def test_sherman_morrison_no_updates_is_diag_solve():
     assert abs(q - (4.0 / 2.0 + 25.0 / 5.0)) < 1e-14
 
 
+def _check_against_dense(samples, a0, sx):
+    dense = np.diag(a0)
+    for s in samples:
+        dense = dense + np.outer(s, s)
+    want = float(sx @ np.linalg.solve(dense, sx))
+    got = sherman_morrison_score(samples, a0, sx)
+    assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
+
+
 def test_sherman_morrison_matches_dense_solve():
     rng = Rng(30)
     for trial in range(25):
@@ -210,12 +219,13 @@ def test_sherman_morrison_matches_dense_solve():
         a0 = 0.5 + rng.uniforms(p) * 2.0
         samples = [rng.normals(p) for _ in range(n)]
         sx = rng.normals(p)
-        dense = np.diag(a0)
-        for s in samples:
-            dense = dense + np.outer(s, s)
-        want = float(sx @ np.linalg.solve(dense, sx))
-        got = sherman_morrison_score(samples, a0, sx)
-        assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
+        _check_against_dense(samples, a0, sx)
+    # more samples than parameters, then a prior diagonal spanning six decades
+    for a0, n in [(0.5 + rng.uniforms(3) * 2.0, 40),
+                  (0.5 + rng.uniforms(5) * 2.0, 60),
+                  (np.logspace(-3.0, 3.0, 12), 30)]:
+        samples = [rng.normals(a0.size) for _ in range(n)]
+        _check_against_dense(samples, a0, rng.normals(a0.size))
 
 
 def test_sherman_morrison_scale_convention():
@@ -237,11 +247,21 @@ def test_sherman_morrison_validation():
         sherman_morrison_score([], np.ones(2), np.ones(3))
     with pytest.raises(DomainError):
         sherman_morrison_score([np.ones(3)], np.ones(2), np.ones(2))
+    # a ragged list is located by sample, not left to numpy
+    with pytest.raises(DomainError, match="gradient sample 1 has shape"):
+        sherman_morrison_score([np.ones(2), np.ones(3)], np.ones(2), np.ones(2))
+    bad = np.array([1.0, np.nan])
+    with pytest.raises(NonFiniteError, match=r"grad_samples\[2\]"):
+        sherman_morrison_score([np.ones(2), np.ones(2), bad], np.ones(2), np.ones(2))
+    with pytest.raises(NonFiniteError, match="a0_diag"):
+        sherman_morrison_score([], np.array([1.0, np.inf]), np.ones(2))
+    with pytest.raises(NonFiniteError, match="s_x"):
+        sherman_morrison_score([np.ones(2)], np.ones(2), bad)
 
 
 def test_sherman_morrison_avoids_dense_memory():
     """P = 100k with 3 updates: a dense P x P matrix would need 80 GB;
-    the recursion should stay in the tens of megabytes."""
+    the Woodbury solve should stay in the tens of megabytes."""
     p = 100_000
     rng = Rng(32)
     samples = [rng.normals(p) for _ in range(3)]

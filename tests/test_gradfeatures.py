@@ -98,6 +98,17 @@ def test_correlation_profile_independent_columns():
     assert np.max(np.abs(profile)) < 0.05
 
 
+def test_correlation_profile_matches_pairwise_loop():
+    f = Rng(9).normals(200 * 7).reshape(200, 7) @ Rng(10).normals(49).reshape(7, 7)
+    f[:, 3] = 1.5
+    profile, excluded = layer_correlation_profile(f)
+    assert excluded == [3]
+    for d in range(1, 7):
+        want = [np.corrcoef(f[:, a], f[:, a + d])[0, 1]
+                for a in range(7 - d) if 3 not in (a, a + d)]
+        assert abs(profile[d - 1] - np.mean(want)) <= 1e-12
+
+
 def test_correlation_profile_excludes_constant_columns():
     col = Rng(8).normals(400)
     f = np.column_stack([col, np.full(400, 2.0)])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fimscore.errors import DegenerateDataError, DomainError, SingularMatrixError
-from fimscore.models import DiagGaussianModel
+from fimscore.models import CouplingFlowModel, DiagGaussianModel, score
 from fimscore.numcore import Rng, finite_diff_grad
 from fimscore.representation import (
     AffineTransform,
@@ -14,7 +14,6 @@ from fimscore.representation import (
     RgbHsvPixelwise,
     apply_with_logdet,
     check_gradient_invariance,
-    delta_bpd,
     dequantize,
     hsv_to_rgb,
     identity_transform,
@@ -198,14 +197,40 @@ def test_gradient_invariance_report():
     assert len(rep["per_point"]) == 10
 
 
-def test_delta_bpd():
-    x = np.zeros(3072)
-    assert delta_bpd(identity_transform(64), np.zeros(64)) == 0.0
-    assert delta_bpd(scale_shift_transform(3072, 2.0, 0.0), x) == 1.0
-    assert abs(delta_bpd(scale_shift_transform(3072, 2.0, 0.0), x, dims=1536)
-               - 2.0) < 1e-12
-    with pytest.raises(DomainError):
-        delta_bpd(identity_transform(1), np.array([]))
+def _pointwise_invariance(model, transform, pts):
+    """(grad discrepancy, loglik residual, logdet) per point, one point
+    and four model calls at a time."""
+    rows = []
+    for x in pts:
+        t, ld = apply_with_logdet(transform, x)
+        x_back = transform.inverse(t)
+        gd = np.max(np.abs(score(model, x).flat() - score(model, x_back).flat()))
+        ll_t = model.log_likelihood_batch(x_back)[0] - transform.logdet(x_back)
+        lr = abs((model.log_likelihood_batch(x)[0] - ll_t) - ld)
+        rows.append((gd, lr, ld))
+    return rows
+
+
+@pytest.mark.parametrize("transform", [random_affine(2, Rng(14)),
+                                       ElementwiseMonotone("exp")],
+                         ids=["affine", "exp"])
+def test_invariance_batched_matches_pointwise(transform, monkeypatch):
+    models = [DiagGaussianModel(np.array([0.2, -0.1]), np.array([0.1, 0.3])),
+              CouplingFlowModel.init_random(2, Rng(15), n_blocks=3, hidden=8)]
+    for i, model in enumerate(models):
+        pts = model.sample(Rng(16 + i), 50)
+        rep = check_gradient_invariance(model, transform, pts)
+        want = _pointwise_invariance(model, transform, pts)
+        got = [(r["grad_discrepancy"], r["loglik_residual"], r["logdet"])
+               for r in rep["per_point"]]
+        assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-12
+        calls = []
+        monkeypatch.setattr(model, "grad_groups", lambda x, g, orig=model.grad_groups:
+                            calls.append(len(x)) or orig(x, g))
+        for n in (5, 50):
+            calls.clear()
+            check_gradient_invariance(model, transform, pts[:n])
+            assert calls == [n, n]
 
 
 def test_tv_by_hand():
