@@ -1,9 +1,11 @@
 """Command-line pipeline: data, training, features, scoring, probes.
 
-Subcommands write their artifacts under --out together with a manifest
-(config echo plus SHA-256 of every input and artifact) so a run can be
-audited and reproduced. Exit codes: 0 success, 1 domain error (bad
-values, missing or malformed files), 2 usage error.
+main resolves the seed once and calls the subcommand, which returns
+(inputs, artifacts, summary line). main then writes a manifest under
+--out (config echo, including the seed in effect, plus SHA-256 of every
+input and artifact) so a run can be audited and reproduced, and prints
+the summary. Exit codes: 0 success, 1 domain error (bad values, missing
+or malformed files), 2 usage error.
 
 A flat key=value config file can supply any flag of the invoked
 subcommand via --config; explicit command-line flags win over the file.
@@ -25,7 +27,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, baselines, data, detector, evaluation, fim, gradfeatures
+from . import __version__, data, detector, evaluation, fim, gradfeatures
 from . import models as M
 from . import representation as R
 from . import trainer
@@ -41,23 +43,21 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out: str, command: str, args: argparse.Namespace,
-                    inputs, artifacts) -> str:
+def _write_manifest(args: argparse.Namespace, inputs, artifacts) -> None:
     config = {
         k: v for k, v in sorted(vars(args).items())
         if k not in ("func", "config") and not k.startswith("_")
     }
     manifest = {
-        "command": command,
+        "command": args.command,
         "package_version": __version__,
         "config": config,
         "inputs": {p: _sha256(p) for p in sorted(set(inputs))},
         "artifacts": {p: _sha256(p) for p in sorted(set(artifacts))},
     }
-    path = os.path.join(out, "manifest.json") if os.path.isdir(out) \
-        else out + ".manifest.json"
+    path = os.path.join(args.out, "manifest.json") if os.path.isdir(args.out) \
+        else args.out + ".manifest.json"
     data.write_atomic(path, _json_text(manifest))
-    return path
 
 
 def _json_text(obj) -> str:
@@ -107,8 +107,7 @@ def _parse_value(text: str):
     raise DomainError(f"cannot parse parameter value {text!r}")
 
 
-def _cmd_gen_data(args) -> int:
-    seed = _resolve_seed(args.seed)
+def _cmd_gen_data(args):
     params = {}
     for item in args.param or []:
         if "=" not in item:
@@ -117,7 +116,7 @@ def _cmd_gen_data(args) -> int:
         params[key.strip()] = _parse_value(val.strip())
     split = _parse_list(args.split, float, "--split")
     try:
-        ds = data.generate(args.dist, args.n, seed, split=split, **params)
+        ds = data.generate(args.dist, args.n, args.seed, split=split, **params)
     except TypeError as exc:
         raise DomainError(f"bad parameters for '{args.dist}': {exc}") from exc
     out = _ensure_dir(args.out)
@@ -126,10 +125,7 @@ def _cmd_gen_data(args) -> int:
         path = os.path.join(out, f"{tag}.dmat")
         data.save_dmat(path, ds.rows(tag))
         artifacts.append(path)
-    args.seed = seed
-    _write_manifest(out, "gen-data", args, [], artifacts)
-    print(f"wrote {', '.join(artifacts)}")
-    return 0
+    return [], artifacts, f"wrote {', '.join(artifacts)}"
 
 
 def _load_training_rows(path: str) -> np.ndarray:
@@ -140,8 +136,7 @@ def _load_training_rows(path: str) -> np.ndarray:
     return data.load_dmat(path)
 
 
-def _cmd_train(args) -> int:
-    seed = _resolve_seed(args.seed)
+def _cmd_train(args):
     rows = _load_training_rows(args.data)
     dim = rows.shape[1]
     if args.model == "gaussian":
@@ -150,13 +145,13 @@ def _cmd_train(args) -> int:
         # child(0) is never touched by the trainer (it uses the root for the
         # split and children 1..epochs for batch order), so it seeds the init
         model = M.CouplingFlowModel.init_random(
-            dim, Rng(seed).child(0), n_blocks=args.n_blocks,
+            dim, Rng(args.seed).child(0), n_blocks=args.n_blocks,
             hidden=args.hidden, clamp=args.clamp,
         )
     cfg = trainer.TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size,
         learning_rate=args.learning_rate, fit_fraction=args.fit_fraction,
-        seed=seed,
+        seed=args.seed,
     )
     result = trainer.train(model, rows, cfg)
     out = _ensure_dir(args.out)
@@ -171,19 +166,16 @@ def _cmd_train(args) -> int:
     fit_path = os.path.join(out, "fit_split.dmat")
     data.save_dmat(train_path, result.train_rows)
     data.save_dmat(fit_path, result.fit_rows)
-    args.seed = seed
     inputs = [args.data] if os.path.isfile(args.data) else [
         os.path.join(args.data, "train.dmat"), os.path.join(args.data, "fit.dmat")
     ]
-    _write_manifest(out, "train", args, inputs,
-                    [model_path, curve_path, train_path, fit_path])
     final = result.loss_curve[-1] if result.loss_curve else result.initial_loglik
-    print(f"trained {args.model}: mean log-likelihood "
-          f"{result.initial_loglik:.4f} -> {final:.4f}")
-    return 0
+    return inputs, [model_path, curve_path, train_path, fit_path], (
+        f"trained {args.model}: mean log-likelihood "
+        f"{result.initial_loglik:.4f} -> {final:.4f}")
 
 
-def _cmd_features(args) -> int:
+def _cmd_features(args):
     model = M.load_model(args.model)
     rows = data.load_dmat(args.data)
     feats = gradfeatures.feature_matrix(
@@ -191,30 +183,24 @@ def _cmd_features(args) -> int:
     meta = {
         "model_checksum": M.model_checksum(model),
         "batch_size": args.batch_size,
-        "floor": args.floor,
         "n_batches": int(feats.shape[0]),
         "layer_names": list(model.params.names),
     }
     gradfeatures.save_features(args.out, feats, meta)
-    _write_manifest(args.out, "features", args, [args.model, args.data],
-                    [args.out, args.out + ".json"])
-    print(f"wrote {feats.shape[0]} x {feats.shape[1]} features to {args.out}")
-    return 0
+    return [args.model, args.data], [args.out, args.out + ".json"], (
+        f"wrote {feats.shape[0]} x {feats.shape[1]} features to {args.out}")
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args):
     feats, meta = gradfeatures.load_features(args.features)
-    floor = args.floor if args.floor is not None else \
-        (meta or {}).get("floor", gradfeatures.DEFAULT_FLOOR)
-    logf = gradfeatures.log_features(feats, floor)
-    det = detector.fit_detector(logf, (meta or {}).get("model_checksum", ""), floor)
+    logf = gradfeatures.log_features(feats)
+    det = detector.fit_detector(logf, (meta or {}).get("model_checksum", ""))
     detector.save_detector(det, args.out)
-    _write_manifest(args.out, "fit", args, [args.features], [args.out])
-    print(f"fit detector on {det.n_fit} batches -> {args.out}")
-    return 0
+    return [args.features], [args.out], \
+        f"fit detector on {det.n_fit} batches -> {args.out}"
 
 
-def _cmd_score(args) -> int:
+def _cmd_score(args):
     det = detector.load_detector(args.detector)
     feats, meta = gradfeatures.load_features(args.features)
     feat_sum = (meta or {}).get("model_checksum", "")
@@ -223,17 +209,14 @@ def _cmd_score(args) -> int:
             "model checksum mismatch between detector and features; they were "
             "built from different checkpoints"
         )
-    floor = det.floor_used if det.floor_used > 0 else gradfeatures.DEFAULT_FLOOR
-    logf = gradfeatures.log_features(feats, floor)
+    logf = gradfeatures.log_features(feats)
     scorer = detector.ood_score if args.method == "ours" \
         else detector.fisher_method_score
     scores = scorer(det, logf)
     table = np.column_stack([np.arange(scores.size, dtype=np.float64), scores])
     data.save_csv(args.out, table, header=["batch_id", "score"])
-    _write_manifest(args.out, "score", args, [args.detector, args.features],
-                    [args.out])
-    print(f"scored {scores.shape[0]} batches with method={args.method}")
-    return 0
+    return [args.detector, args.features], [args.out], \
+        f"scored {scores.shape[0]} batches with method={args.method}"
 
 
 def _parse_named(items, what: str, parts: int):
@@ -251,8 +234,7 @@ def _parse_named(items, what: str, parts: int):
     return out
 
 
-def _cmd_eval(args) -> int:
-    seed = _resolve_seed(args.seed)
+def _cmd_eval(args):
     trains = _parse_named(args.train, "train", 2)
     evals = _parse_named(args.eval, "eval", 1)
     if not trains or len(evals) < 2:
@@ -270,7 +252,7 @@ def _cmd_eval(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(","))
     reports = evaluation.run_pairings(
         train_entries, eval_splits, batch_sizes=batch_sizes,
-        n_eval_batches=args.n_batches, methods=methods, seed=seed,
+        n_eval_batches=args.n_batches, methods=methods, seed=args.seed,
     )
     out = _ensure_dir(args.out)
     artifacts = []
@@ -283,16 +265,12 @@ def _cmd_eval(args) -> int:
             path = os.path.join(out, f"grid_{m}_B{b}.txt")
             data.write_atomic(path, evaluation.render_grid(reports, m, b))
             artifacts.append(path)
-    args.seed = seed
-    _write_manifest(out, "eval", args, inputs, artifacts)
-    print(f"wrote {len(artifacts)} report/grid files to {out}")
-    return 0
+    return inputs, artifacts, f"wrote {len(artifacts)} report/grid files to {out}"
 
 
-def _cmd_fim_probe(args) -> int:
-    seed = _resolve_seed(args.seed)
+def _cmd_fim_probe(args):
     model = M.load_model(args.model)
-    root = Rng(seed)
+    root = Rng(args.seed)
     if args.layers:
         layers = [p.strip() for p in args.layers.split(",") if p.strip()]
     else:
@@ -317,12 +295,9 @@ def _cmd_fim_probe(args) -> int:
         "diag_mean": diag_mean,
         "offdiag_mean": offdiag_mean,
     }))
-    args.seed = seed
-    _write_manifest(out, "fim-probe", args, [args.model],
-                    [raw_path, norm_path, side_path])
-    print(f"probed layers {layers}: diag mean {diag_mean:.4f}, "
-          f"off-diagonal mean {offdiag_mean:.4f}")
-    return 0
+    return [args.model], [raw_path, norm_path, side_path], (
+        f"probed layers {layers}: diag mean {diag_mean:.4f}, "
+        f"off-diagonal mean {offdiag_mean:.4f}")
 
 
 def _make_transform(name: str, dim: int, rng: Rng, args):
@@ -337,10 +312,9 @@ def _make_transform(name: str, dim: int, rng: Rng, args):
     raise DomainError(f"unknown transform '{name}'")
 
 
-def _cmd_invariance_check(args) -> int:
-    seed = _resolve_seed(args.seed)
+def _cmd_invariance_check(args):
     model = M.load_model(args.model)
-    root = Rng(seed)
+    root = Rng(args.seed)
     transform = _make_transform(args.transform, model.dim, root.child(1), args)
     points = M.sample(model, root.child(2), args.n_points)
     report = R.check_gradient_invariance(model, transform, points)
@@ -358,15 +332,13 @@ def _cmd_invariance_check(args) -> int:
         "max_loglik_residual": report["max_loglik_residual"],
         "pass": passed,
     }))
-    args.seed = seed
-    _write_manifest(out, "invariance-check", args, [args.model], [path])
-    print(f"invariance under {args.transform}: "
-          f"grad discrepancy {report['max_grad_discrepancy']:.3e}, "
-          f"{'PASS' if passed else 'FAIL'}")
-    return 0
+    return [args.model], [path], (
+        f"invariance under {args.transform}: "
+        f"grad discrepancy {report['max_grad_discrepancy']:.3e}, "
+        f"{'PASS' if passed else 'FAIL'}")
 
 
-def _cmd_tv_volume(args) -> int:
+def _cmd_tv_volume(args):
     log_vol = R.tv_log_volume(args.alpha, args.d)
     obj = {
         "alpha": args.alpha,
@@ -375,17 +347,13 @@ def _cmd_tv_volume(args) -> int:
         "log10_volume": log_vol / math.log(10.0),
     }
     if args.mc:
-        seed = _resolve_seed(args.seed)
-        vol, se = R.tv_volume_mc(args.alpha, args.d, Rng(seed), args.mc)
+        vol, se = R.tv_volume_mc(args.alpha, args.d, Rng(args.seed), args.mc)
         obj["mc_volume"] = vol
         obj["mc_se"] = se
-        args.seed = seed
     text = _json_text(obj)
-    sys.stdout.write(text)
     if args.out:
         data.write_atomic(args.out, text)
-        _write_manifest(args.out, "tv-volume", args, [], [args.out])
-    return 0
+    return [], [args.out], text.rstrip("\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -453,14 +421,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="DMAT file of points")
     p.add_argument("--batch-size", type=int, default=5)
-    p.add_argument("--floor", type=float, default=gradfeatures.DEFAULT_FLOOR)
     p.add_argument("--out", required=True, help="output CSV path")
     seeded(p)
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("fit", help="fit the Gaussian detector on features")
     p.add_argument("--features", required=True)
-    p.add_argument("--floor", type=float, default=None)
     p.add_argument("--out", required=True, help="output detector JSON path")
     seeded(p)
     p.set_defaults(func=_cmd_fit)
@@ -558,11 +524,13 @@ def main(argv=None) -> int:
             argv = [argv[0]] + cfg_flags + argv[1:at] + argv[at + 2:]
         parser = _build_parser()
         args = parser.parse_args(argv)
-        return args.func(args)
-    except FimscoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        args.seed = _resolve_seed(args.seed)
+        inputs, artifacts, summary = args.func(args)
+        if args.out:
+            _write_manifest(args, inputs, artifacts)
+        print(summary)
+        return 0
+    except (FimscoreError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

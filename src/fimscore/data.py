@@ -16,10 +16,9 @@ never mix into training.
 
 The on-disk matrix format is DMAT: magic "DMAT", little-endian u32
 version (=1), u64 rows, u64 cols, then rows*cols float64 values in
-row-major order. Round-trips are exact, and a non-finite cell is
-rejected at load time with its row and column. CSV (header row, numeric
-cells) is supported for interchange and reports parse failures with row
-and column numbers.
+row-major order. Round-trips are exact. CSV (header row, numeric cells)
+is supported for interchange. Both loaders reject a malformed or
+non-finite cell with its row and column.
 
 Every artifact the package writes goes through ``write_atomic``, so a
 reader never sees a half-written file.
@@ -207,14 +206,19 @@ def load_dmat(path: str) -> np.ndarray:
             f"{rows}x{cols}"
         )
     data = np.frombuffer(blob, dtype="<f8", offset=24).reshape(rows, cols)
+    _check_finite(path, data, first_row=0)
+    return data.astype(np.float64)
+
+
+def _check_finite(path: str, data: np.ndarray, first_row: int) -> None:
+    """Locate the first non-finite cell; data row 0 is file row first_row."""
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         r, c = (int(i) for i in bad[0])
         raise DatasetFormatError(
-            f"'{path}' has non-finite value {data[r, c]} (rows and columns "
-            f"count from 0)", row=r, col=c
+            f"'{path}' has non-finite value {data[r, c]} (data rows count "
+            f"from {first_row}, columns from 0)", row=r + first_row, col=c
         )
-    return data.astype(np.float64)
 
 
 def save_csv(path: str, matrix: np.ndarray, header=None) -> None:
@@ -253,7 +257,9 @@ def load_csv(path: str) -> np.ndarray:
                     f"cannot parse {part!r} as float", row=r, col=c
                 ) from exc
         out.append(vals)
-    return np.asarray(out, dtype=np.float64)
+    matrix = np.asarray(out, dtype=np.float64)
+    _check_finite(path, matrix, first_row=1)
+    return matrix
 
 
 def _check_n_noise(n: int, noise: float) -> None:

@@ -9,6 +9,9 @@ over layers; higher means more anomalous.
 A second combination rule treats each layer as a two-sided z-test and
 combines tail probabilities Fisher-style: q_j = min(Phi(z_j), 1 -
 Phi(z_j)) clamped to at least 1e-300, score = -sum_j ln q_j.
+
+Log features use gradfeatures' one fixed FLOOR, so a saved detector
+records no floor, and load_detector ignores the floor entry of older files.
 """
 
 from __future__ import annotations
@@ -33,11 +36,9 @@ class DetectorModel:
     sigma2: np.ndarray
     n_fit: int
     model_checksum: str = ""
-    floor_used: float = 0.0
 
 
-def fit_detector(log_feats: np.ndarray, model_checksum: str = "",
-                 floor_used: float = 0.0) -> DetectorModel:
+def fit_detector(log_feats: np.ndarray, model_checksum: str = "") -> DetectorModel:
     """Per-layer Gaussian fit; requires at least 2 fit batches."""
     f = np.asarray(log_feats, dtype=np.float64)
     if f.ndim != 2:
@@ -50,7 +51,7 @@ def fit_detector(log_feats: np.ndarray, model_checksum: str = "",
         raise DomainError("log features must be finite")
     mu = f.mean(axis=0)
     sigma2 = np.maximum(f.var(axis=0), VAR_FLOOR)
-    return DetectorModel(mu, sigma2, int(f.shape[0]), model_checksum, floor_used)
+    return DetectorModel(mu, sigma2, int(f.shape[0]), model_checksum)
 
 
 def _checked(det: DetectorModel, log_feats: np.ndarray) -> np.ndarray:
@@ -90,7 +91,6 @@ def save_detector(det: DetectorModel, path: str) -> None:
         "sigma2": [float(v) for v in det.sigma2],
         "n_fit": det.n_fit,
         "model_checksum": det.model_checksum,
-        "floor_used": det.floor_used,
     }
     write_atomic(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
@@ -101,16 +101,16 @@ def load_detector(path: str) -> DetectorModel:
             obj = json.load(fh)
         mu = np.asarray(obj["mu"], dtype=np.float64)
         sigma2 = np.asarray(obj["sigma2"], dtype=np.float64)
-        det = DetectorModel(
-            mu, sigma2, int(obj["n_fit"]),
-            str(obj.get("model_checksum", "")), float(obj.get("floor_used", 0.0)),
-        )
+        det = DetectorModel(mu, sigma2, int(obj["n_fit"]),
+                            str(obj.get("model_checksum", "")))
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"detector file is not valid JSON: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"malformed detector file: {exc}") from exc
     if mu.shape != sigma2.shape or mu.ndim != 1:
         raise DatasetFormatError("mu and sigma2 must be equal-length vectors")
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma2))):
+        raise DatasetFormatError("mu and sigma2 entries must be finite")
     if np.any(sigma2 <= 0.0):
         raise DatasetFormatError("sigma2 entries must be positive")
     return det

@@ -155,9 +155,7 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
                     )
                 logf_fit = gradfeatures.log_features(
                     gradfeatures.feature_matrix(model, fit_batches))
-                det = detector.fit_detector(
-                    logf_fit, model_checksum(model), gradfeatures.DEFAULT_FLOOR
-                )
+                det = detector.fit_detector(logf_fit, model_checksum(model))
                 h_hat = baselines.fit_typicality(model, fit_rows)
                 in_scores = _method_scores(
                     model, det, h_hat, eval_batches(train_name, b_idx))

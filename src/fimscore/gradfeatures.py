@@ -8,7 +8,7 @@ parameter layer, of the gradient of the batch-summed log-likelihood:
 One grouped backward pass over a (batches, batch size, dim) array
 produces every feature at once. Scoring happens on ln f_j; exact zeros
 (they occur, for instance, in the mean layer of a Gaussian at its MLE)
-are floored before the log so downstream Gaussians stay finite.
+are raised to FLOOR before the log so downstream Gaussians stay finite.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .data import load_csv, save_csv, write_atomic
 from .errors import DatasetFormatError, DomainError
 
-DEFAULT_FLOOR = 1e-300
+FLOOR = 1e-300
 
 
 def gradient_features(model, batch: np.ndarray) -> np.ndarray:
@@ -29,14 +29,12 @@ def gradient_features(model, batch: np.ndarray) -> np.ndarray:
     return feature_matrix(model, np.asarray(batch, dtype=np.float64)[None])[0]
 
 
-def log_features(features: np.ndarray, floor: float = DEFAULT_FLOOR) -> np.ndarray:
-    """Elementwise ln(max(f, floor)); keeps exact-zero features finite."""
-    if not floor > 0.0:
-        raise DomainError(f"floor must be positive, got {floor}")
+def log_features(features: np.ndarray) -> np.ndarray:
+    """Elementwise ln(max(f, FLOOR)); keeps exact-zero features finite."""
     features = np.asarray(features, dtype=np.float64)
     if np.any(features < 0.0):
         raise DomainError("squared norms cannot be negative")
-    return np.log(np.maximum(features, floor))
+    return np.log(np.maximum(features, FLOOR))
 
 
 def feature_matrix(model, batches) -> np.ndarray:

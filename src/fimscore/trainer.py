@@ -8,8 +8,9 @@ comes from child streams of the same seed, so two runs with identical
 config and data produce bit-identical parameters.
 
 Optimization is Adam run as ascent on the mean log-likelihood of each
-batch. Only full batches are used each epoch; the remainder rows simply
-wait for the next epoch's shuffle.
+batch, with the fixed settings BETA1, BETA2 and EPS. Only full batches
+are used each epoch, so the train split must hold at least one; the
+remainder rows simply wait for the next epoch's shuffle.
 """
 
 from __future__ import annotations
@@ -23,15 +24,16 @@ from .errors import DegenerateDataError, DomainError, InsufficientDataError, Non
 from .models import DiagGaussianModel
 from .numcore import Rng
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
     epochs: int = 200
     batch_size: int = 128
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     fit_fraction: float = 0.1
     seed: int = 0
 
@@ -46,8 +48,6 @@ class TrainConfig:
             raise DomainError(
                 f"fit_fraction must be in (0, 1), got {self.fit_fraction}"
             )
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise DomainError("Adam betas must lie in [0, 1)")
 
 
 @dataclass
@@ -83,13 +83,12 @@ def train(model, data: np.ndarray, config: TrainConfig) -> TrainResult:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise DomainError(f"training data must be 2-D, got shape {data.shape}")
-    if data.shape[0] < 2 * config.batch_size:
-        raise InsufficientDataError(
-            f"need at least 2 * batch_size = {2 * config.batch_size} rows, "
-            f"got {data.shape[0]}"
-        )
     root = Rng(config.seed)
     train_rows, fit_rows = split_rows(data, config.fit_fraction, root)
+    n_train = train_rows.shape[0]
+    if n_train < config.batch_size:
+        raise InsufficientDataError(f"the train split holds {n_train} rows, fewer "
+                                    f"than one batch of {config.batch_size}")
 
     theta = model.params.flat()
     work = model.with_params(model.params.from_flat(theta))
@@ -99,7 +98,6 @@ def train(model, data: np.ndarray, config: TrainConfig) -> TrainResult:
     v = np.zeros_like(theta)
     step = 0
     curve = []
-    n_train = train_rows.shape[0]
     n_batches = n_train // config.batch_size
     for epoch in range(config.epochs):
         order = root.child(1 + epoch).permutation(n_train)
@@ -114,11 +112,11 @@ def train(model, data: np.ndarray, config: TrainConfig) -> TrainResult:
                 raise NonFiniteError(f"{exc} at epoch {epoch}, batch {b}") from exc
             g = grad.flat() / config.batch_size
             step += 1
-            m = config.beta1 * m + (1.0 - config.beta1) * g
-            v = config.beta2 * v + (1.0 - config.beta2) * g * g
-            m_hat = m / (1.0 - config.beta1 ** step)
-            v_hat = v / (1.0 - config.beta2 ** step)
-            theta = theta + config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+            m = BETA1 * m + (1.0 - BETA1) * g
+            v = BETA2 * v + (1.0 - BETA2) * g * g
+            m_hat = m / (1.0 - BETA1 ** step)
+            v_hat = v / (1.0 - BETA2 ** step)
+            theta = theta + config.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
             work = model.with_params(model.params.from_flat(theta))
         curve.append(float(np.mean(work.log_likelihood_batch(train_rows))))
     return TrainResult(work, train_rows, fit_rows, curve, initial)

@@ -140,6 +140,75 @@ def test_score_checksum_mismatch(pipeline, tmp_path, capsys):
     assert "checksum mismatch" in capsys.readouterr().err
 
 
+def _manifest_path(out):
+    return os.path.join(out, "manifest.json") if os.path.isdir(out) \
+        else out + ".manifest.json"
+
+
+def _run_for_manifest(command, pipeline, out):
+    """Run ``command`` on the pipeline's artifacts, or reuse the run the
+    fixture made; returns the --out path whose manifest to read."""
+    made = {"gen-data": "data", "train": "model", "features": "feats",
+            "fit": "det", "score": "scores"}
+    if command in made:
+        return pipeline[made[command]]
+    model = os.path.join(pipeline["model"], "model.json")
+    argv = {
+        "eval": ["--train", f"a={model}:"
+                 f"{os.path.join(pipeline['model'], 'fit_split.dmat')}",
+                 "--eval", f"a={os.path.join(pipeline['data'], 'eval.dmat')}",
+                 "--eval", f"b={os.path.join(pipeline['data'], 'train.dmat')}",
+                 "--batch-sizes", "2", "--n-batches", 5],
+        "fim-probe": ["--model", model, "--n", 64],
+        "invariance-check": ["--model", model, "--n-points", 5],
+        "tv-volume": ["--alpha", 1.0, "--d", 2],
+    }[command]
+    assert run([command, *argv, "--out", out]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", [
+    "gen-data", "train", "features", "fit", "score", "eval", "fim-probe",
+    "invariance-check", "tv-volume",
+])
+def test_every_manifest_records_seed_and_hashes(pipeline, tmp_path, command):
+    out = _run_for_manifest(command, pipeline, str(tmp_path / "out"))
+    manifest = read_json(_manifest_path(out))
+    assert manifest["command"] == command
+    seed = manifest["config"]["seed"]
+    assert isinstance(seed, int) and not isinstance(seed, bool)
+    assert manifest["artifacts"]
+    for path, digest in {**manifest["inputs"], **manifest["artifacts"]}.items():
+        assert cli._sha256(path) == digest
+
+
+def test_train_split_without_a_full_batch_exits_1(pipeline, tmp_path, capsys):
+    out = tmp_path / "m"
+    assert run(["train", "--data", pipeline["data"], "--model", "gaussian",
+                "--epochs", 2, "--batch-size", 128, "--fit-fraction", 0.9,
+                "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "128" in err
+
+
+def test_score_rejects_nan_feature_cell(pipeline, tmp_path, capsys):
+    feats = str(tmp_path / "nan.csv")
+    with open(pipeline["feats"]) as fh:
+        lines = fh.read().splitlines()
+    cells = lines[2].split(",")
+    lines[2] = ",".join(cells[:-1] + ["nan"])
+    with open(feats, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    out = tmp_path / "s.csv"
+    assert run(["score", "--detector", pipeline["det"], "--features", feats,
+                "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "row 2" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--split", "0.8,abc,0.1"),
     ("--batch-sizes", "1,x"),

@@ -196,3 +196,10 @@ def test_csv_error_locations(tmp_path):
         fh.write("a,b\n")
     with pytest.raises(DatasetFormatError):
         load_csv(path)
+
+    for cell in ("nan", "inf", "-inf"):
+        with open(path, "w") as fh:
+            fh.write(f"a,b\n1.0,2.0\n3.0,{cell}\n")
+        with pytest.raises(DatasetFormatError) as exc:
+            load_csv(path)
+        assert exc.value.row == 2 and exc.value.col == 1

@@ -140,7 +140,7 @@ def test_scores_increase_with_distance():
 
 def test_save_load_roundtrip(tmp_path):
     det = DetectorModel(np.array([0.5, -1.0]), np.array([2.0, 0.25]), 7,
-                        model_checksum="deadbeef", floor_used=1e-300)
+                        model_checksum="deadbeef")
     path = str(tmp_path / "det.json")
     save_detector(det, path)
     back = load_detector(path)
@@ -148,7 +148,22 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(back.sigma2, det.sigma2)
     assert back.n_fit == 7
     assert back.model_checksum == "deadbeef"
-    assert back.floor_used == 1e-300
+
+
+def test_load_detector_with_floor_used_key(tmp_path):
+    """A detector file with a "floor_used" entry, as older files have,
+    loads and scores as the detector it was written from."""
+    f = Rng(4).normals(40).reshape(10, 4)
+    det = fit_detector(f, "cafe")
+    path = str(tmp_path / "old.json")
+    with open(path, "w") as fh:
+        json.dump({"mu": det.mu.tolist(), "sigma2": det.sigma2.tolist(),
+                   "n_fit": 10, "model_checksum": "cafe",
+                   "floor_used": 1e-300}, fh, indent=1, sort_keys=True)
+    back = load_detector(path)
+    assert back.model_checksum == "cafe" and back.n_fit == 10
+    for scorer in (ood_score, fisher_method_score):
+        assert np.array_equal(scorer(back, f), scorer(det, f))
 
 
 def test_load_detector_errors(tmp_path):
@@ -161,6 +176,9 @@ def test_load_detector_errors(tmp_path):
         {"mu": [0.0], "sigma2": [1.0, 2.0], "n_fit": 2},
         {"mu": [0.0], "sigma2": [0.0], "n_fit": 2},
         {"mu": [0.0]},
+        {"mu": [float("nan")], "sigma2": [1.0], "n_fit": 2},
+        {"mu": [0.0], "sigma2": [float("inf")], "n_fit": 2},
+        {"mu": [0.0], "sigma2": [float("nan")], "n_fit": 2},
     ):
         with open(path, "w") as fh:
             json.dump(obj, fh)

