@@ -145,9 +145,7 @@ def _cmd_train(args):
         # child(0) is never touched by the trainer (it uses the root for the
         # split and children 1..epochs for batch order), so it seeds the init
         model = M.CouplingFlowModel.init_random(
-            dim, Rng(args.seed).child(0), n_blocks=args.n_blocks,
-            hidden=args.hidden, clamp=args.clamp,
-        )
+            dim, Rng(args.seed).child(0), n_blocks=args.n_blocks, hidden=args.hidden)
     cfg = trainer.TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size,
         learning_rate=args.learning_rate, fit_fraction=args.fit_fraction,
@@ -277,8 +275,7 @@ def _cmd_fim_probe(args):
         names = model.params.names
         k = min(2, len(names))
         layers = [names[int(i)] for i in root.child(0).permutation(len(names))[:k]]
-    sl = fim.mc_fim_slice(model, layers, root, args.n,
-                          max_per_layer=args.max_per_layer)
+    sl = fim.mc_fim_slice(model, layers, root, args.n)
     normalized = fim.normalize_fim(sl.matrix)
     diag_mean, offdiag_mean = fim.diag_dominance(normalized)
     out = _ensure_dir(args.out)
@@ -300,13 +297,13 @@ def _cmd_fim_probe(args):
         f"off-diagonal mean {offdiag_mean:.4f}")
 
 
-def _make_transform(name: str, dim: int, rng: Rng, args):
+def _make_transform(name: str, dim: int, rng: Rng):
     if name == "identity":
         return R.identity_transform(dim)
     if name == "scale_shift":
-        return R.scale_shift_transform(dim, args.scale, args.shift)
+        return R.scale_shift_transform(dim)
     if name == "affine":
-        return R.random_affine(dim, rng, args.jitter)
+        return R.random_affine(dim, rng)
     if name in ("exp", "tanh_warp"):
         return R.ElementwiseMonotone(name)
     raise DomainError(f"unknown transform '{name}'")
@@ -315,7 +312,7 @@ def _make_transform(name: str, dim: int, rng: Rng, args):
 def _cmd_invariance_check(args):
     model = M.load_model(args.model)
     root = Rng(args.seed)
-    transform = _make_transform(args.transform, model.dim, root.child(1), args)
+    transform = _make_transform(args.transform, model.dim, root.child(1))
     points = M.sample(model, root.child(2), args.n_points)
     report = R.check_gradient_invariance(model, transform, points)
     tol_grad, tol_ll = 1e-10, 1e-9
@@ -412,7 +409,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit-fraction", type=float, default=0.1)
     p.add_argument("--n-blocks", type=int, default=6)
     p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--clamp", type=float, default=5.0)
     p.add_argument("--out", required=True)
     seeded(p)
     p.set_defaults(func=_cmd_train)
@@ -454,7 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", default="",
                    help="comma-separated layer names (default: 2 seeded picks)")
     p.add_argument("--n", type=int, default=1024)
-    p.add_argument("--max-per-layer", type=int, default=50)
     p.add_argument("--out", required=True)
     seeded(p)
     p.set_defaults(func=_cmd_fim_probe)
@@ -466,9 +461,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("identity", "scale_shift", "affine", "exp",
                             "tanh_warp"))
     p.add_argument("--n-points", type=int, default=20)
-    p.add_argument("--scale", type=float, default=2.0)
-    p.add_argument("--shift", type=float, default=1.0)
-    p.add_argument("--jitter", type=float, default=0.3)
     p.add_argument("--out", required=True)
     seeded(p)
     p.set_defaults(func=_cmd_invariance_check)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,11 +122,8 @@ GENERATORS = {
 
 @dataclass
 class Dataset:
-    name: str
     points: np.ndarray
     tags: np.ndarray
-    seed: int = 0
-    params: dict = field(default_factory=dict)
 
     def rows(self, tag: str) -> np.ndarray:
         if tag not in TAG_NAMES:
@@ -158,7 +155,7 @@ def generate(dist: str, n: int, seed: int, split=(0.8, 0.1, 0.1),
     tags = np.full(n, TAG_EVAL, dtype=np.uint8)
     tags[perm[:n_train]] = TAG_TRAIN
     tags[perm[n_train : min(n, n_train + n_fit)]] = TAG_FIT
-    return Dataset(dist, points, tags, seed, dict(params))
+    return Dataset(points, tags)
 
 
 def write_atomic(path: str, contents) -> None:

@@ -92,12 +92,21 @@ def save_features(path: str, features: np.ndarray, meta: dict) -> None:
 
 
 def load_features(path: str):
-    """Inverse of save_features; returns (matrix, meta or None)."""
+    """Inverse of save_features; returns (matrix, meta or None).
+
+    A sidecar that is not a JSON object is a DatasetFormatError."""
     with open(path, "r", encoding="utf-8") as fh:
         if not fh.readline().startswith("batch_id"):
             raise DatasetFormatError(f"'{path}' is not a feature CSV", row=0)
     meta = None
-    if os.path.exists(path + ".json"):
-        with open(path + ".json", "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
+    side = path + ".json"
+    if os.path.exists(side):
+        with open(side, "r", encoding="utf-8") as fh:
+            try:
+                meta = json.load(fh)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise DatasetFormatError(
+                    f"feature sidecar '{side}' is not valid JSON: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise DatasetFormatError(f"feature sidecar '{side}' must hold a JSON object")
     return load_csv(path)[:, 1:], meta

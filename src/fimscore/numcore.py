@@ -25,6 +25,7 @@ _MASK64 = (1 << 64) - 1
 _PCG_MULT = 6364136223846793005
 _INV_2_53 = 1.0 / (1 << 53)
 _SQRT2 = math.sqrt(2.0)
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _splitmix64(z: int) -> int:
@@ -168,19 +169,13 @@ def lgamma(x: float) -> float:
 
 
 def std_normal_cdf(z):
-    """Standard normal CDF via erfc, accurate in both tails.
+    """Standard normal CDF 0.5 erfc(-z / sqrt 2), accurate in both tails.
 
-    Accepts a scalar or an ndarray; arrays are evaluated elementwise
-    (sizes here are small: one value per model layer).
+    Accepts a scalar or an ndarray and is evaluated elementwise by the C
+    library's erfc.
     """
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return 0.5 * math.erfc(-float(z) / _SQRT2)
-    arr = np.asarray(z, dtype=np.float64)
-    flat = arr.reshape(-1)
-    out = np.fromiter(
-        (0.5 * math.erfc(-v / _SQRT2) for v in flat), dtype=np.float64, count=flat.size
-    )
-    return out.reshape(arr.shape)
+    return 0.5 * np.asarray(_ERFC(-np.asarray(z, dtype=np.float64) / _SQRT2),
+                            dtype=np.float64)
 
 
 def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -9,6 +9,9 @@ round-tripping points through the transform. Likelihood VALUES shift by
 the log-det, which is why the likelihood baseline is not representation
 invariant while gradient features are.
 
+Every transform maps one point (d,) or an array of rows (n, d); its
+logdet gives one value per row, of shape ``x.shape[:-1]``.
+
 Transforms provided: dense affine maps (log-det from numpy's slogdet),
 named elementwise monotone maps with analytic derivatives, and a
 pixelwise RGB-to-HSV conversion. For HSV the per-pixel 3x3 Jacobian is
@@ -55,13 +58,13 @@ class AffineTransform:
             raise SingularMatrixError(f"affine matrix of shape {self.a.shape} is singular")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.a @ np.asarray(x, dtype=np.float64) + self.b
+        return np.asarray(x, dtype=np.float64) @ self.a.T + self.b
 
     def inverse(self, t: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.a, np.asarray(t, dtype=np.float64) - self.b)
+        return np.linalg.solve(self.a, (np.asarray(t, dtype=np.float64) - self.b).T).T
 
-    def logdet(self, x: np.ndarray) -> float:
-        return float(self._logdet)
+    def logdet(self, x: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(x)[:-1], self._logdet)
 
 
 class DiagonalAffine:
@@ -92,8 +95,8 @@ class DiagonalAffine:
     def inverse(self, t: np.ndarray) -> np.ndarray:
         return (np.asarray(t, dtype=np.float64) - self.shift) / self.scale
 
-    def logdet(self, x: np.ndarray) -> float:
-        return self._logdet
+    def logdet(self, x: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(x)[:-1], self._logdet)
 
 
 class ElementwiseMonotone:
@@ -129,15 +132,16 @@ class ElementwiseMonotone:
                 raise DomainError("exp inverse requires strictly positive input")
             return np.log(t)
         x = t.copy()
+        tol = 1e-15 * np.maximum(1.0, np.max(np.abs(t), axis=-1))
         for _ in range(60):
             resid = self.forward(x) - t
-            if np.max(np.abs(resid)) <= 1e-15 * max(1.0, float(np.max(np.abs(t)))):
+            if np.all(np.max(np.abs(resid), axis=-1) <= tol):
                 break
             x = x - resid / self._deriv(x)
         return x
 
-    def logdet(self, x: np.ndarray) -> float:
-        return float(np.sum(np.log(self._deriv(np.asarray(x, dtype=np.float64)))))
+    def logdet(self, x: np.ndarray) -> np.ndarray:
+        return np.sum(np.log(self._deriv(np.asarray(x, dtype=np.float64))), axis=-1)
 
 
 def rgb_to_hsv(pixels: np.ndarray) -> np.ndarray:
@@ -211,26 +215,30 @@ def rgb_hsv_jacobian(pixel: np.ndarray) -> np.ndarray:
 
 def rgb_hsv_logdet(pixels: np.ndarray) -> float:
     """Sum over pixels of ln |det J| = -sum ln(6 V C); exact and vectorized."""
-    p = _pixels(pixels)
-    v = p.max(axis=1)
-    c = v - p.min(axis=1)
+    return float(np.sum(_pixel_logdets(_pixels(pixels))))
+
+
+def _pixel_logdets(p: np.ndarray) -> np.ndarray:
+    """-ln(6 V C) of each pixel on the last axis of p."""
+    v = p.max(axis=-1)
+    c = v - p.min(axis=-1)
     _require_nonsingular(v, c)
-    return float(-np.sum(np.log(6.0 * v * c)))
+    return -np.log(6.0 * v * c)
 
 
 class RgbHsvPixelwise:
-    """Flat (3n,) RGB vector -> flat HSV vector, pixel by pixel."""
+    """Flat RGB rows (..., 3k) -> flat HSV rows, pixel by pixel."""
 
     name = "rgb_hsv"
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return rgb_to_hsv(_flat_pixels(x)).reshape(-1)
+        return rgb_to_hsv(_flat_pixels(x).reshape(-1, 3)).reshape(np.shape(x))
 
     def inverse(self, t: np.ndarray) -> np.ndarray:
-        return hsv_to_rgb(_flat_pixels(t)).reshape(-1)
+        return hsv_to_rgb(_flat_pixels(t).reshape(-1, 3)).reshape(np.shape(t))
 
-    def logdet(self, x: np.ndarray) -> float:
-        return rgb_hsv_logdet(_flat_pixels(x))
+    def logdet(self, x: np.ndarray) -> np.ndarray:
+        return np.sum(_pixel_logdets(_flat_pixels(x)), axis=-1)
 
 
 def _pixels(pixels: np.ndarray) -> np.ndarray:
@@ -241,12 +249,13 @@ def _pixels(pixels: np.ndarray) -> np.ndarray:
 
 
 def _flat_pixels(x: np.ndarray) -> np.ndarray:
+    """(..., 3k) flat pixel rows as a (..., k, 3) view."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size % 3 != 0:
+    if x.ndim == 0 or x.shape[-1] % 3 != 0:
         raise DomainError(
             f"flat pixel vector length must be a multiple of 3, got {x.shape}"
         )
-    return x.reshape(-1, 3)
+    return x.reshape(x.shape[:-1] + (-1, 3))
 
 
 def _require_nonsingular(v: np.ndarray, c: np.ndarray) -> None:
@@ -268,50 +277,43 @@ def scale_shift_transform(dim: int, scale: float = 2.0,
     return DiagonalAffine(scale * np.ones(dim), shift * np.ones(dim))
 
 
-def random_affine(dim: int, rng: Rng, jitter: float = 0.3) -> AffineTransform:
-    """Well-conditioned seeded affine map: I plus scaled Gaussian noise."""
-    a = np.eye(dim) + jitter * rng.normals(dim * dim).reshape(dim, dim) / math.sqrt(dim)
+def random_affine(dim: int, rng: Rng) -> AffineTransform:
+    """Well-conditioned seeded affine map: I plus 0.3 / sqrt(dim) times
+    standard Gaussian noise."""
+    a = np.eye(dim) + 0.3 * rng.normals(dim * dim).reshape(dim, dim) / math.sqrt(dim)
     b = rng.normals(dim)
     return AffineTransform(a, b)
-
-
-def apply_with_logdet(transform, x: np.ndarray):
-    """(T(x), log |det dT/dx|) in one call."""
-    x = np.asarray(x, dtype=np.float64)
-    return transform.forward(x), transform.logdet(x)
 
 
 def check_gradient_invariance(model, transform, points: np.ndarray) -> dict:
     """Compare the score with the gradient of the pushed-forward objective.
 
-    For each point: map it forward, recover the preimage, and evaluate
-    the parameter gradient there (the log-det term has no parameter
+    Map every point forward, recover the preimages, and evaluate the
+    parameter gradient there (the log-det term has no parameter
     dependence, so that IS the pushed-forward gradient). Also check that
     likelihood values shift by exactly the log-det. Both discrepancies
-    are zero up to arithmetic rounding. Transforms act on one point at a
-    time; the model runs once over all points and once over all
-    preimages.
+    are zero up to arithmetic rounding. Nothing loops over points: the
+    transform and the model each take all points, or all preimages, in
+    one call.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[None, :]
     if pts.shape[0] == 0:
         raise DomainError("gradient invariance needs at least one point")
-    lds, backs, lds_back = [], [], []
-    for x in pts:
-        t, ld = apply_with_logdet(transform, x)
-        lds.append(float(ld))
-        backs.append(transform.inverse(t))
-        # evaluate the transformed-space density entirely from t: invert,
-        # then use the log-det at the recovered preimage, so the identity
-        # is not assumed by construction
-        lds_back.append(transform.logdet(backs[-1]))
+    lds = transform.logdet(pts)
+    backs = transform.inverse(transform.forward(pts))
+    # evaluate the transformed-space density entirely from t: invert,
+    # then use the log-det at the recovered preimage, so the identity
+    # is not assumed by construction
+    lds_back = transform.logdet(backs)
     g_direct, ll_x = model.grad_groups(pts, 1)
-    g_pushed, ll_back = model.grad_groups(np.array(backs), 1)
+    g_pushed, ll_back = model.grad_groups(backs, 1)
     grad_disc = np.max(np.abs(g_direct - g_pushed), axis=1)
-    ll_resid = np.abs((ll_x - (ll_back - np.array(lds_back))) - np.array(lds))
+    ll_resid = np.abs((ll_x - (ll_back - lds_back)) - lds)
     per_point = [{"grad_discrepancy": gd, "loglik_residual": lr, "logdet": ld}
-                 for gd, lr, ld in zip(grad_disc.tolist(), ll_resid.tolist(), lds)]
+                 for gd, lr, ld in zip(grad_disc.tolist(), ll_resid.tolist(),
+                                       lds.tolist())]
     return {
         "max_grad_discrepancy": float(grad_disc.max()),
         "max_loglik_residual": float(ll_resid.max()),

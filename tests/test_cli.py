@@ -1,14 +1,24 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import fimscore
 from fimscore import cli
 from fimscore.data import load_csv, load_dmat
+
+
+def src_env():
+    """os.environ with this package's src directory first on PYTHONPATH,
+    so a child interpreter imports the same fimscore without an install."""
+    src = os.path.dirname(os.path.dirname(fimscore.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def run(argv):
@@ -209,6 +219,24 @@ def test_score_rejects_nan_feature_cell(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sidecar", ['{"batch_size": 2', "[1]"],
+                         ids=["truncated", "list"])
+@pytest.mark.parametrize("command", ["fit", "score"])
+def test_malformed_features_sidecar_exits_1(pipeline, tmp_path, capsys,
+                                            command, sidecar):
+    feats = str(tmp_path / "f.csv")
+    shutil.copyfile(pipeline["feats"], feats)
+    with open(feats + ".json", "w") as fh:
+        fh.write(sidecar)
+    out = tmp_path / "o"
+    argv = ["fit"] if command == "fit" else ["score", "--detector", pipeline["det"]]
+    assert run(argv + ["--features", feats, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "f.csv.json" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--split", "0.8,abc,0.1"),
     ("--batch-sizes", "1,x"),
@@ -399,7 +427,7 @@ def test_console_entry_point(tmp_path):
     out = subprocess.run(
         [sys.executable, "-m", "fimscore.cli", "tv-volume", "--alpha", "1.0",
          "--d", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=src_env())
     assert out.returncode == 0
     obj = json.loads(out.stdout)
     assert abs(obj["log_volume"] - math.log(2.0)) < 1e-12

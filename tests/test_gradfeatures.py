@@ -169,6 +169,14 @@ def test_load_features_errors(tmp_path):
         load_features(path)
     assert exc.value.row == 1
 
+    with open(path, "w") as fh:
+        fh.write("batch_id,layer_0\n0,1.0\n")
+    for sidecar in (b'{"batch_size": 2', b"[1]", b"\xff\xfe"):
+        with open(path + ".json", "wb") as fh:
+            fh.write(sidecar)
+        with pytest.raises(DatasetFormatError, match="f.csv.json"):
+            load_features(path)
+
 
 def test_missing_sidecar_gives_none_meta(tmp_path):
     path = str(tmp_path / "bare.csv")

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 import hashlib
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fimscore
 from fimscore.errors import DomainError
 from fimscore.numcore import Rng, finite_diff_grad, lgamma, std_normal_cdf
 
@@ -46,8 +48,11 @@ def test_cross_process_reproducibility():
         "import hashlib; from fimscore.numcore import Rng;"
         f"print(hashlib.sha256(Rng(2024)._bulk_u32({n}).tobytes()).hexdigest())"
     )
+    src = os.path.dirname(os.path.dirname(fimscore.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
+                         text=True, check=True, env=env)
     assert out.stdout.strip() == here
 
 

@@ -12,7 +12,6 @@ from fimscore.representation import (
     DiagonalAffine,
     ElementwiseMonotone,
     RgbHsvPixelwise,
-    apply_with_logdet,
     check_gradient_invariance,
     dequantize,
     hsv_to_rgb,
@@ -39,9 +38,9 @@ def test_affine_logdet_constant():
     t = AffineTransform(2.0 * np.eye(3), np.ones(3))
     assert abs(t.logdet(np.zeros(3)) - 3 * math.log(2.0)) < 1e-14
     x = np.array([0.5, -1.0, 2.0])
-    out, ld = apply_with_logdet(t, x)
+    out, ld = t.forward(x), t.logdet(x)
     assert np.allclose(out, 2.0 * x + 1.0)
-    assert ld == t.logdet(x)
+    assert ld == t.logdet(np.zeros(3))
     # a permutation has determinant -1: the log-det is of its absolute value
     swap = AffineTransform(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))
     assert abs(swap.logdet(np.zeros(2))) < 1e-14
@@ -87,6 +86,29 @@ def test_roundtrips_all_transforms():
     for t in transforms:
         back = t.inverse(t.forward(x))
         assert np.max(np.abs(back - x)) < 1e-9
+
+
+ROWS = Rng(20).normals(30).reshape(5, 6)
+
+
+@pytest.mark.parametrize("transform,x", [
+    (identity_transform(6), ROWS),
+    (scale_shift_transform(6, 1.7, -0.4), ROWS),
+    (random_affine(6, Rng(7)), ROWS),
+    (ElementwiseMonotone("exp"), ROWS),
+    (ElementwiseMonotone("tanh_warp", 0.5), ROWS),
+    (RgbHsvPixelwise(), random_pixels(Rng(21), 10).reshape(5, 6)),
+], ids=["identity", "scale_shift", "random_affine", "exp", "tanh_warp", "rgb_hsv"])
+def test_transforms_map_rows_like_single_points(transform, x):
+    t = transform.forward(x)
+    back = transform.inverse(t)
+    ld = transform.logdet(x)
+    assert t.shape == back.shape == x.shape
+    assert ld.shape == (5,)
+    for i in range(5):
+        assert np.max(np.abs(t[i] - transform.forward(x[i]))) <= 1e-12
+        assert np.max(np.abs(back[i] - transform.inverse(t[i]))) <= 1e-12
+        assert abs(ld[i] - transform.logdet(x[i])) <= 1e-12
 
 
 def test_elementwise_monotone_logdet():
@@ -197,12 +219,26 @@ def test_gradient_invariance_report():
     assert len(rep["per_point"]) == 10
 
 
+def test_gradient_invariance_rgb_hsv():
+    """Flat RGB rows of two non-gray pixels each, D = 6."""
+    m = DiagGaussianModel(np.full(6, 0.5), np.full(6, math.log(0.5)))
+    pts = random_pixels(Rng(22), 40).reshape(20, 6)
+    rep = check_gradient_invariance(m, RgbHsvPixelwise(), pts)
+    assert rep["n_points"] == 20
+    assert rep["max_grad_discrepancy"] <= 1e-10
+    assert rep["max_loglik_residual"] <= 1e-9
+    got = [(r["grad_discrepancy"], r["loglik_residual"], r["logdet"])
+           for r in rep["per_point"]]
+    want = _pointwise_invariance(m, RgbHsvPixelwise(), pts)
+    assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-12
+
+
 def _pointwise_invariance(model, transform, pts):
     """(grad discrepancy, loglik residual, logdet) per point, one point
     and four model calls at a time."""
     rows = []
     for x in pts:
-        t, ld = apply_with_logdet(transform, x)
+        t, ld = transform.forward(x), transform.logdet(x)
         x_back = transform.inverse(t)
         gd = np.max(np.abs(score(model, x).flat() - score(model, x_back).flat()))
         ll_t = model.log_likelihood_batch(x_back)[0] - transform.logdet(x_back)
