@@ -192,7 +192,9 @@ def _cmd_features(args):
 def _cmd_fit(args):
     feats, meta = gradfeatures.load_features(args.features)
     logf = gradfeatures.log_features(feats)
-    det = detector.fit_detector(logf, (meta or {}).get("model_checksum", ""))
+    meta = meta or {}
+    det = detector.fit_detector(logf, meta.get("model_checksum", ""),
+                                meta.get("layer_names"))
     detector.save_detector(det, args.out)
     return [args.features], [args.out], \
         f"fit detector on {det.n_fit} batches -> {args.out}"
@@ -201,12 +203,17 @@ def _cmd_fit(args):
 def _cmd_score(args):
     det = detector.load_detector(args.detector)
     feats, meta = gradfeatures.load_features(args.features)
-    feat_sum = (meta or {}).get("model_checksum", "")
+    meta = meta or {}
+    feat_sum = meta.get("model_checksum", "")
     if det.model_checksum and feat_sum and det.model_checksum != feat_sum:
         raise DomainError(
             "model checksum mismatch between detector and features; they were "
             "built from different checkpoints"
         )
+    names = meta.get("layer_names")
+    if det.layer_names is not None and names is not None and det.layer_names != names:
+        raise DomainError(f"layer names differ: the detector was fit on "
+                          f"{det.layer_names}, the features have {names}")
     logf = gradfeatures.log_features(feats)
     scorer = detector.ood_score if args.method == "ours" \
         else detector.fisher_method_score
@@ -297,22 +304,20 @@ def _cmd_fim_probe(args):
         f"off-diagonal mean {offdiag_mean:.4f}")
 
 
-def _make_transform(name: str, dim: int, rng: Rng):
-    if name == "identity":
-        return R.identity_transform(dim)
-    if name == "scale_shift":
-        return R.scale_shift_transform(dim)
-    if name == "affine":
-        return R.random_affine(dim, rng)
-    if name in ("exp", "tanh_warp"):
-        return R.ElementwiseMonotone(name)
-    raise DomainError(f"unknown transform '{name}'")
+# --transform name -> constructor of the transform from (dim, rng)
+_TRANSFORMS = {
+    "identity": lambda dim, rng: R.identity_transform(dim),
+    "scale_shift": lambda dim, rng: R.scale_shift_transform(dim),
+    "affine": R.random_affine,
+    "exp": lambda dim, rng: R.ElementwiseMonotone("exp"),
+    "tanh_warp": lambda dim, rng: R.ElementwiseMonotone("tanh_warp"),
+}
 
 
 def _cmd_invariance_check(args):
     model = M.load_model(args.model)
     root = Rng(args.seed)
-    transform = _make_transform(args.transform, model.dim, root.child(1))
+    transform = _TRANSFORMS[args.transform](model.dim, root.child(1))
     points = M.sample(model, root.child(2), args.n_points)
     report = R.check_gradient_invariance(model, transform, points)
     tol_grad, tol_ll = 1e-10, 1e-9
@@ -457,9 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariance-check",
                        help="verify gradients ignore re-parameterization")
     p.add_argument("--model", required=True)
-    p.add_argument("--transform", default="affine",
-                   choices=("identity", "scale_shift", "affine", "exp",
-                            "tanh_warp"))
+    p.add_argument("--transform", default="affine", choices=tuple(_TRANSFORMS))
     p.add_argument("--n-points", type=int, default=20)
     p.add_argument("--out", required=True)
     seeded(p)

@@ -12,6 +12,9 @@ Phi(z_j)) clamped to at least 1e-300, score = -sum_j ln q_j.
 
 Log features use gradfeatures' one fixed FLOOR, so a saved detector
 records no floor, and load_detector ignores the floor entry of older files.
+A detector records the model checksum and the layer names of the features
+it was fit on, when they are known, so scoring can refuse features built
+otherwise; files written before layer names were recorded still load.
 """
 
 from __future__ import annotations
@@ -36,9 +39,11 @@ class DetectorModel:
     sigma2: np.ndarray
     n_fit: int
     model_checksum: str = ""
+    layer_names: list | None = None
 
 
-def fit_detector(log_feats: np.ndarray, model_checksum: str = "") -> DetectorModel:
+def fit_detector(log_feats: np.ndarray, model_checksum: str = "",
+                 layer_names: list | None = None) -> DetectorModel:
     """Per-layer Gaussian fit; requires at least 2 fit batches."""
     f = np.asarray(log_feats, dtype=np.float64)
     if f.ndim != 2:
@@ -49,9 +54,12 @@ def fit_detector(log_feats: np.ndarray, model_checksum: str = "") -> DetectorMod
         )
     if not np.all(np.isfinite(f)):
         raise DomainError("log features must be finite")
+    if layer_names is not None and len(layer_names) != f.shape[1]:
+        raise DomainError(f"{len(layer_names)} layer names for {f.shape[1]} "
+                          f"feature columns")
     mu = f.mean(axis=0)
     sigma2 = np.maximum(f.var(axis=0), VAR_FLOOR)
-    return DetectorModel(mu, sigma2, int(f.shape[0]), model_checksum)
+    return DetectorModel(mu, sigma2, int(f.shape[0]), model_checksum, layer_names)
 
 
 def _checked(det: DetectorModel, log_feats: np.ndarray) -> np.ndarray:
@@ -91,6 +99,7 @@ def save_detector(det: DetectorModel, path: str) -> None:
         "sigma2": [float(v) for v in det.sigma2],
         "n_fit": det.n_fit,
         "model_checksum": det.model_checksum,
+        "layer_names": det.layer_names,
     }
     write_atomic(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
@@ -102,7 +111,7 @@ def load_detector(path: str) -> DetectorModel:
         mu = np.asarray(obj["mu"], dtype=np.float64)
         sigma2 = np.asarray(obj["sigma2"], dtype=np.float64)
         det = DetectorModel(mu, sigma2, int(obj["n_fit"]),
-                            str(obj.get("model_checksum", "")))
+                            str(obj.get("model_checksum", "")), obj.get("layer_names"))
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"detector file is not valid JSON: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
@@ -113,4 +122,8 @@ def load_detector(path: str) -> DetectorModel:
         raise DatasetFormatError("mu and sigma2 entries must be finite")
     if np.any(sigma2 <= 0.0):
         raise DatasetFormatError("sigma2 entries must be positive")
+    names = det.layer_names
+    if names is not None and not (isinstance(names, list) and len(names) == mu.size
+                                  and all(isinstance(n, str) for n in names)):
+        raise DatasetFormatError(f"layer_names must be {mu.size} strings, one per layer")
     return det

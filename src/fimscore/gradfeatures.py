@@ -94,7 +94,9 @@ def save_features(path: str, features: np.ndarray, meta: dict) -> None:
 def load_features(path: str):
     """Inverse of save_features; returns (matrix, meta or None).
 
-    A sidecar that is not a JSON object is a DatasetFormatError."""
+    A sidecar that is not a JSON object, or whose ``model_checksum`` is
+    not a string or ``layer_names`` not a list of strings, is a
+    DatasetFormatError."""
     with open(path, "r", encoding="utf-8") as fh:
         if not fh.readline().startswith("batch_id"):
             raise DatasetFormatError(f"'{path}' is not a feature CSV", row=0)
@@ -109,4 +111,11 @@ def load_features(path: str):
                     f"feature sidecar '{side}' is not valid JSON: {exc}") from exc
         if not isinstance(meta, dict):
             raise DatasetFormatError(f"feature sidecar '{side}' must hold a JSON object")
+        if not isinstance(meta.get("model_checksum", ""), str):
+            raise DatasetFormatError(
+                f"feature sidecar '{side}': model_checksum must be a string")
+        names = meta.get("layer_names", [])
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise DatasetFormatError(
+                f"feature sidecar '{side}': layer_names must be a list of strings")
     return load_csv(path)[:, 1:], meta

@@ -248,25 +248,29 @@ class CouplingFlowModel:
             return slice(0, half), slice(half, self.dim)
         return slice(half, self.dim), slice(0, half)
 
+    def _hidden(self, k: int, cond: np.ndarray) -> np.ndarray:
+        """tanh(cond @ w_in.T + b_in) of block k, built in one buffer."""
+        w_in, b_in, _, _ = self._block_params(k)
+        h = np.dot(cond, w_in.T)  # np.matmul is slow on dim 2's outer product
+        return np.tanh(np.add(h, b_in, out=h), out=h)
+
     def _forward(self, x: np.ndarray):
         """Data-to-base pass; caches per-block intermediates for backward."""
-        b = x.shape[0]
         half = self.dim // 2
         z = np.array(x, dtype=np.float64)
-        logdet = np.zeros(b)
+        logdet = np.zeros(x.shape[0])
         cache = []
         for k in range(self.n_blocks):
-            w_in, b_in, w_out, b_out = self._block_params(k)
+            _, _, w_out, b_out = self._block_params(k)
             tsl, csl = self._halves(k)
             act = z[:, tsl].copy()
             cond = z[:, csl].copy()
-            h = np.tanh(cond @ w_in.T + b_in)
-            o = h @ w_out.T + b_out
+            o = np.dot(self._hidden(k, cond), w_out.T)
+            o += b_out
             s_raw = o[:, :half]
-            t = o[:, half:]
             s = np.clip(s_raw, -self.clamp, self.clamp)
             es = np.exp(s)
-            z[:, tsl] = act * es + t
+            z[:, tsl] = act * es + o[:, half:]
             logdet += s.sum(axis=1)
             cache.append((act, cond, s_raw, es))
         return z, logdet, cache
@@ -296,10 +300,10 @@ class CouplingFlowModel:
         loglik = -0.5 * self.dim * _LOG_2PI - 0.5 * np.sum(z * z, axis=1) + logdet
         g = -z
         for k in range(self.n_blocks - 1, -1, -1):
-            w_in, b_in, w_out, _ = self._block_params(k)
+            w_in, _, w_out, _ = self._block_params(k)
             tsl, csl = self._halves(k)
             act, cond, s_raw, es = cache.pop()
-            h = np.tanh(cond @ w_in.T + b_in)
+            h = self._hidden(k, cond)
             g_act_out = g[:, tsl]
             ds = (g_act_out * act * es + 1.0) * (np.abs(s_raw) < self.clamp)
             do = np.concatenate([ds, g_act_out], axis=1)
@@ -325,11 +329,10 @@ class CouplingFlowModel:
         half = self.dim // 2
         z = rng.normals(n * self.dim).reshape(n, self.dim)
         for k in range(self.n_blocks - 1, -1, -1):
-            w_in, b_in, w_out, b_out = self._block_params(k)
+            _, _, w_out, b_out = self._block_params(k)
             tsl, csl = self._halves(k)
-            cond = z[:, csl]
-            h = np.tanh(cond @ w_in.T + b_in)
-            o = h @ w_out.T + b_out
+            o = np.dot(self._hidden(k, z[:, csl]), w_out.T)
+            o += b_out
             s = np.clip(o[:, :half], -self.clamp, self.clamp)
             z[:, tsl] = (z[:, tsl] - o[:, half:]) * np.exp(-s)
         return z

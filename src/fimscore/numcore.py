@@ -139,14 +139,11 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n); consumes n-1 randint draws."""
-        perm = np.arange(n)
-        if n <= 1:
-            return perm
-        js = self.uniforms(n - 1)
-        for k, i in enumerate(range(n - 1, 0, -1)):
-            j = int(js[k] * (i + 1))
+        js = (self.uniforms(n - 1) * np.arange(n, 1, -1)).astype(np.int64).tolist()
+        perm = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), js):
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)
 
     def shuffled(self, rows: np.ndarray) -> np.ndarray:
         """Rows of a 2-D array in permuted order (copy; input untouched)."""

@@ -219,8 +219,9 @@ def test_score_rejects_nan_feature_cell(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sidecar", ['{"batch_size": 2', "[1]"],
-                         ids=["truncated", "list"])
+@pytest.mark.parametrize("sidecar", ['{"batch_size": 2', "[1]", '{"model_checksum": 5}',
+                                     '{"layer_names": "ab"}'],
+                         ids=["truncated", "list", "int_checksum", "string_names"])
 @pytest.mark.parametrize("command", ["fit", "score"])
 def test_malformed_features_sidecar_exits_1(pipeline, tmp_path, capsys,
                                             command, sidecar):
@@ -235,6 +236,49 @@ def test_malformed_features_sidecar_exits_1(pipeline, tmp_path, capsys,
     assert err.startswith("error:") and "Traceback" not in err
     assert "f.csv.json" in err
     assert not out.exists()
+
+
+def _features_with_meta(pipeline, tmp_path, **changes):
+    """A copy of the pipeline's features whose sidecar has ``changes``."""
+    feats = str(tmp_path / "f.csv")
+    shutil.copyfile(pipeline["feats"], feats)
+    meta = {**read_json(pipeline["feats"] + ".json"), **changes}
+    with open(feats + ".json", "w") as fh:
+        json.dump(meta, fh)
+    return feats
+
+
+def test_fit_records_layer_names_and_score_accepts_matching_ones(pipeline, tmp_path):
+    assert read_json(pipeline["det"])["layer_names"] == ["mu", "log_sigma"]
+    feats = _features_with_meta(pipeline, tmp_path, layer_names=["mu", "log_sigma"])
+    out = tmp_path / "s.csv"
+    assert run(["score", "--detector", pipeline["det"], "--features", feats,
+                "--out", out]) == 0
+    assert np.array_equal(load_csv(str(out)), load_csv(pipeline["scores"]))
+
+
+def test_score_rejects_reordered_layer_names(pipeline, tmp_path, capsys):
+    feats = _features_with_meta(pipeline, tmp_path, layer_names=["log_sigma", "mu"])
+    out = tmp_path / "s.csv"
+    assert run(["score", "--detector", pipeline["det"], "--features", feats,
+                "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "layer names differ" in err
+    assert not out.exists()
+
+
+def test_score_with_detector_file_without_layer_names(pipeline, tmp_path):
+    """A detector written before layer names were recorded still scores."""
+    obj = read_json(pipeline["det"])
+    del obj["layer_names"]
+    det = str(tmp_path / "old.json")
+    with open(det, "w") as fh:
+        json.dump(obj, fh)
+    feats = _features_with_meta(pipeline, tmp_path, layer_names=["log_sigma", "mu"])
+    out = tmp_path / "s.csv"
+    assert run(["score", "--detector", det, "--features", feats, "--out", out]) == 0
+    assert np.array_equal(load_csv(str(out)), load_csv(pipeline["scores"]))
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -150,6 +150,29 @@ def test_save_load_roundtrip(tmp_path):
     assert back.model_checksum == "deadbeef"
 
 
+def test_layer_names_roundtrip_and_old_files(tmp_path):
+    f = Rng(5).normals(20).reshape(10, 2)
+    det = fit_detector(f, "cafe", ["a", "b"])
+    path = str(tmp_path / "det.json")
+    save_detector(det, path)
+    assert load_detector(path).layer_names == ["a", "b"]
+    with open(path) as fh:
+        obj = json.load(fh)
+    del obj["layer_names"]  # as files written before the key existed
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    back = load_detector(path)
+    assert back.layer_names is None
+    assert np.array_equal(ood_score(back, f), ood_score(det, f))
+    with pytest.raises(DomainError):
+        fit_detector(f, "cafe", ["a"])
+    for bad in ("ab", ["a"], ["a", 2]):
+        with open(path, "w") as fh:
+            json.dump({**obj, "layer_names": bad}, fh)
+        with pytest.raises(DatasetFormatError):
+            load_detector(path)
+
+
 def test_load_detector_with_floor_used_key(tmp_path):
     """A detector file with a "floor_used" entry, as older files have,
     loads and scores as the detector it was written from."""

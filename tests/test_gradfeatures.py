@@ -178,6 +178,19 @@ def test_load_features_errors(tmp_path):
             load_features(path)
 
 
+def test_load_features_rejects_mistyped_sidecar_fields(tmp_path):
+    """A checksum that is not a string would be stored in the detector as
+    given and read back as a string, so the same features would later fail
+    the checksum check; names that are not a list of strings would make a
+    detector file that does not load. Such sidecars are refused when read."""
+    path = str(tmp_path / "f.csv")
+    for meta in ({"model_checksum": 5}, {"model_checksum": None},
+                 {"layer_names": "ab"}, {"layer_names": ["a", 1]}):
+        save_features(path, np.ones((2, 2)), meta)
+        with pytest.raises(DatasetFormatError, match="f.csv.json"):
+            load_features(path)
+
+
 def test_missing_sidecar_gives_none_meta(tmp_path):
     path = str(tmp_path / "bare.csv")
     save_features(path, np.ones((2, 2)), {"k": 1})

@@ -228,6 +228,27 @@ def test_grad_groups_rows_are_group_sums():
                 m.grad_groups(x, size)
 
 
+@pytest.mark.parametrize("dim", [4, 6])
+def test_flow_gradients_beyond_dim_2(dim):
+    """Past dim 2 the conditioner input has several columns, so the input
+    product sums over them. Grouped gradients still match central
+    differences, and samples have a finite log-likelihood."""
+    m = warped_flow(seed=14, dim=dim, n_blocks=3, hidden=5)
+    x = sample(m, Rng(42), 6)
+    assert np.all(np.isfinite(m.log_likelihood_batch(x)))
+    flat0 = m.params.flat()
+    for size in (1, 3):
+        grads, _ = m.grad_groups(x, size)
+        for g, row in enumerate(grads):
+
+            def obj(flat, xg=x[g * size : (g + 1) * size]):
+                return float(m.with_params(m.params.from_flat(flat))
+                             .log_likelihood_batch(xg).sum())
+
+            fd = finite_diff_grad(obj, flat0, h=1e-6)
+            assert np.max(np.abs(row - fd) / np.maximum(np.abs(fd), 1.0)) < 1e-6
+
+
 def test_checkpoint_roundtrip_bit_identical(tmp_path):
     for m in (DiagGaussianModel(np.array([0.25]), np.array([-0.5])),
               warped_flow(seed=13)):

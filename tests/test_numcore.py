@@ -93,6 +93,23 @@ def test_permutation_is_bijection(seed, n):
     assert sorted(p.tolist()) == list(range(n))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 257, 8100])
+def test_permutation_matches_scalar_fisher_yates(n):
+    """The permutation is Fisher-Yates from the top with one randint(i + 1)
+    draw per swap, and leaves the generator where that scalar loop does.
+    Every trained model depends on this stream."""
+    for seed in (0, 9):
+        fast, slow = Rng(seed), Rng(seed)
+        got = fast.permutation(n)
+        want = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = slow.randint(i + 1)
+            want[i], want[j] = want[j], want[i]
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        assert fast.next_u32() == slow.next_u32()
+
+
 def test_shuffled_preserves_rows():
     rows = Rng(1).normals(60).reshape(20, 3)
     out = Rng(2).shuffled(rows)
