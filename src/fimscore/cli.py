@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import difflib
 import hashlib
-import json
 import math
 import os
 import sys
@@ -57,11 +56,7 @@ def _write_manifest(args: argparse.Namespace, inputs, artifacts) -> None:
     }
     path = os.path.join(args.out, "manifest.json") if os.path.isdir(args.out) \
         else args.out + ".manifest.json"
-    data.write_atomic(path, _json_text(manifest))
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+    data.write_atomic(path, data.json_text(manifest))
 
 
 def _parse_list(text: str, kind, flag: str) -> list:
@@ -128,16 +123,17 @@ def _cmd_gen_data(args):
     return [], artifacts, f"wrote {', '.join(artifacts)}"
 
 
-def _load_training_rows(path: str) -> np.ndarray:
+def _load_training_rows(path: str):
+    """(rows, input paths): a gen-data directory's train and fit splits
+    stacked, or the one DMAT file at ``path``."""
     if os.path.isdir(path):
-        parts = [data.load_dmat(os.path.join(path, f"{t}.dmat"))
-                 for t in ("train", "fit")]
-        return np.vstack(parts)
-    return data.load_dmat(path)
+        paths = [os.path.join(path, f"{t}.dmat") for t in ("train", "fit")]
+        return np.vstack([data.load_dmat(p) for p in paths]), paths
+    return data.load_dmat(path), [path]
 
 
 def _cmd_train(args):
-    rows = _load_training_rows(args.data)
+    rows, inputs = _load_training_rows(args.data)
     dim = rows.shape[1]
     if args.model == "gaussian":
         model = M.DiagGaussianModel.standard(dim)
@@ -164,9 +160,6 @@ def _cmd_train(args):
     fit_path = os.path.join(out, "fit_split.dmat")
     data.save_dmat(train_path, result.train_rows)
     data.save_dmat(fit_path, result.fit_rows)
-    inputs = [args.data] if os.path.isfile(args.data) else [
-        os.path.join(args.data, "train.dmat"), os.path.join(args.data, "fit.dmat")
-    ]
     final = result.loss_curve[-1] if result.loss_curve else result.initial_loglik
     return inputs, [model_path, curve_path, train_path, fit_path], (
         f"trained {args.model}: mean log-likelihood "
@@ -291,7 +284,7 @@ def _cmd_fim_probe(args):
     data.save_csv(raw_path, sl.matrix)
     data.save_csv(norm_path, normalized)
     side_path = os.path.join(out, "fim.json")
-    data.write_atomic(side_path, _json_text({
+    data.write_atomic(side_path, data.json_text({
         "layers": layers,
         "weight_map": [[name, idx] for name, idx in sl.weight_map],
         "n_samples": sl.n_samples,
@@ -325,7 +318,7 @@ def _cmd_invariance_check(args):
               and report["max_loglik_residual"] <= tol_ll)
     out = _ensure_dir(args.out)
     path = os.path.join(out, "invariance.json")
-    data.write_atomic(path, _json_text({
+    data.write_atomic(path, data.json_text({
         "model_checksum": M.model_checksum(model),
         "transform": args.transform,
         "n_points": args.n_points,
@@ -352,27 +345,23 @@ def _cmd_tv_volume(args):
         vol, se = R.tv_volume_mc(args.alpha, args.d, Rng(args.seed), args.mc)
         obj["mc_volume"] = vol
         obj["mc_se"] = se
-    text = _json_text(obj)
+    text = data.json_text(obj)
     if args.out:
         data.write_atomic(args.out, text)
     return [], [args.out], text.rstrip("\n")
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors (exit 2) suggest the closest known flag."""
-
-    suggest_pool = ()
+    """Usage errors (exit 2) suggest the closest known flag from
+    ``suggest_pool``, which _build_parser sets on every parser."""
 
     def error(self, message):
         if "unrecognized arguments:" in message:
             bad = message.split("unrecognized arguments:")[1].split()
-            pool = list(self.suggest_pool) or sorted(
-                {s for a in self._actions for s in a.option_strings}
-            )
             hints = []
             for token in bad:
                 if token.startswith("--"):
-                    near = difflib.get_close_matches(token, pool, n=1)
+                    near = difflib.get_close_matches(token, self.suggest_pool, n=1)
                     if near:
                         hints.append(f"did you mean {near[0]}?")
             if hints:
@@ -490,17 +479,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config_args(path: str) -> list:
     """Translate a flat key=value file into synthetic CLI flags."""
     flags = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(
-                    f"{path}:{lineno}: expected key=value, got {line!r}"
-                )
-            key, val = (part.strip() for part in line.split("=", 1))
-            flags += ["--" + key.replace("_", "-"), val]
+    for lineno, raw in enumerate(data.read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        flags += ["--" + key.replace("_", "-"), val]
     return flags
 
 

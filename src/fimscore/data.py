@@ -18,14 +18,19 @@ The on-disk matrix format is DMAT: magic "DMAT", little-endian u32
 version (=1), u64 rows, u64 cols, then rows*cols float64 values in
 row-major order. Round-trips are exact. CSV (header row, numeric cells)
 is supported for interchange. Both loaders reject a malformed or
-non-finite cell with its row and column.
+non-finite cell with its row and column. JSON artifacts share one
+format, ``json_text``.
 
 Every artifact the package writes goes through ``write_atomic``, so a
-reader never sees a half-written file.
+reader never sees a half-written file, and every text artifact it reads
+goes through ``read_text`` or ``read_json``, so undecodable bytes, bad
+JSON or a JSON top level other than an object fail as a
+DatasetFormatError naming the file.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import struct
@@ -177,6 +182,31 @@ def write_atomic(path: str, contents) -> None:
         raise
 
 
+def read_text(path: str) -> str:
+    """The UTF-8 text of ``path``, with universal newlines."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"'{path}' is not UTF-8 text: {exc}") from exc
+
+
+def read_json(path: str) -> dict:
+    """The JSON object stored in ``path``."""
+    try:
+        obj = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DatasetFormatError(f"'{path}' is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DatasetFormatError(f"'{path}' must hold a JSON object")
+    return obj
+
+
+def json_text(obj) -> str:
+    """The artifact form of ``obj``: indent 1, sorted keys, final newline."""
+    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+
 def save_dmat(path: str, matrix: np.ndarray) -> None:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
@@ -232,9 +262,7 @@ def save_csv(path: str, matrix: np.ndarray, header=None) -> None:
 
 def load_csv(path: str) -> np.ndarray:
     """Numeric CSV with one header row; errors carry row/column locations."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
+    lines = [ln for ln in read_text(path).split("\n") if ln.strip()]
     if len(lines) < 2:
         raise DatasetFormatError(f"'{path}' has no data rows", row=0)
     width = len(lines[0].split(","))

@@ -19,13 +19,12 @@ otherwise; files written before layer names were recorded still load.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import write_atomic
+from .data import json_text, read_json, write_atomic
 from .errors import DatasetFormatError, DomainError, InsufficientDataError
 from .numcore import std_normal_cdf
 
@@ -101,21 +100,18 @@ def save_detector(det: DetectorModel, path: str) -> None:
         "model_checksum": det.model_checksum,
         "layer_names": det.layer_names,
     }
-    write_atomic(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
+    write_atomic(path, json_text(obj))
 
 
 def load_detector(path: str) -> DetectorModel:
+    obj = read_json(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
         mu = np.asarray(obj["mu"], dtype=np.float64)
         sigma2 = np.asarray(obj["sigma2"], dtype=np.float64)
         det = DetectorModel(mu, sigma2, int(obj["n_fit"]),
                             str(obj.get("model_checksum", "")), obj.get("layer_names"))
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"detector file is not valid JSON: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetFormatError(f"malformed detector file: {exc}") from exc
+        raise DatasetFormatError(f"malformed detector file '{path}': {exc}") from exc
     if mu.shape != sigma2.shape or mu.ndim != 1:
         raise DatasetFormatError("mu and sigma2 must be equal-length vectors")
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma2))):

@@ -23,12 +23,12 @@ produce byte-identical report JSON.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import baselines, detector, gradfeatures
+from .data import json_text
 from .errors import DomainError, FimscoreError, InsufficientDataError
 from .models import model_checksum
 from .numcore import Rng
@@ -60,8 +60,8 @@ class PairingReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        obj = {"train": self.train, "rows": self.rows, "metadata": self.metadata}
-        return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+        return json_text({"train": self.train, "rows": self.rows,
+                          "metadata": self.metadata})
 
 
 def _method_scores(model, det, h_hat, batches):
@@ -155,7 +155,7 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
                     )
                 logf_fit = gradfeatures.log_features(
                     gradfeatures.feature_matrix(model, fit_batches))
-                det = detector.fit_detector(logf_fit, model_checksum(model))
+                det = detector.fit_detector(logf_fit)
                 h_hat = baselines.fit_typicality(model, fit_rows)
                 in_scores = _method_scores(
                     model, det, h_hat, eval_batches(train_name, b_idx))

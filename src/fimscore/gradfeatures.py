@@ -13,12 +13,11 @@ are raised to FLOOR before the log so downstream Gaussians stay finite.
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 
-from .data import load_csv, save_csv, write_atomic
+from .data import json_text, load_csv, read_json, read_text, save_csv, write_atomic
 from .errors import DatasetFormatError, DomainError
 
 FLOOR = 1e-300
@@ -88,7 +87,7 @@ def save_features(path: str, features: np.ndarray, meta: dict) -> None:
     f = np.asarray(features, dtype=np.float64)
     table = np.column_stack([np.arange(f.shape[0], dtype=np.float64), f])
     save_csv(path, table, ["batch_id"] + [f"layer_{j}" for j in range(f.shape[1])])
-    write_atomic(path + ".json", json.dumps(meta, indent=1, sort_keys=True) + "\n")
+    write_atomic(path + ".json", json_text(meta))
 
 
 def load_features(path: str):
@@ -97,20 +96,12 @@ def load_features(path: str):
     A sidecar that is not a JSON object, or whose ``model_checksum`` is
     not a string or ``layer_names`` not a list of strings, is a
     DatasetFormatError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        if not fh.readline().startswith("batch_id"):
-            raise DatasetFormatError(f"'{path}' is not a feature CSV", row=0)
+    if not read_text(path).startswith("batch_id"):
+        raise DatasetFormatError(f"'{path}' is not a feature CSV", row=0)
     meta = None
     side = path + ".json"
     if os.path.exists(side):
-        with open(side, "r", encoding="utf-8") as fh:
-            try:
-                meta = json.load(fh)
-            except ValueError as exc:  # bad JSON or bad UTF-8
-                raise DatasetFormatError(
-                    f"feature sidecar '{side}' is not valid JSON: {exc}") from exc
-        if not isinstance(meta, dict):
-            raise DatasetFormatError(f"feature sidecar '{side}' must hold a JSON object")
+        meta = read_json(side)
         if not isinstance(meta.get("model_checksum", ""), str):
             raise DatasetFormatError(
                 f"feature sidecar '{side}': model_checksum must be a string")

@@ -14,8 +14,9 @@ tape. Each model has one gradient routine, ``grad_groups(x, group_size)``,
 giving one flat gradient row per group of consecutive rows: per-sample
 scores are groups of one row, a batch-summed gradient is one group.
 
-Checkpoints are canonical JSON (type, dims, hyper, named layers with
-shapes and row-major values). Python's shortest-repr float serialization
+Checkpoints are JSON (type, dims, hyper, named layers with shapes and
+row-major values), written and read through ``data``; the checksum hashes
+a compact sorted-key form. Python's shortest-repr float serialization
 makes save/load round-trips bit-for-bit.
 """
 
@@ -28,7 +29,7 @@ import math
 
 import numpy as np
 
-from .data import write_atomic
+from .data import json_text, read_json, write_atomic
 from .errors import DatasetFormatError, DomainError, NonFiniteError
 from .numcore import Rng
 
@@ -391,7 +392,7 @@ def model_checksum(model) -> str:
 
 
 def save_model(model, path: str) -> None:
-    write_atomic(path, json.dumps(checkpoint_dict(model), indent=1) + "\n")
+    write_atomic(path, json_text(checkpoint_dict(model)))
 
 
 def model_from_dict(obj: dict):
@@ -399,6 +400,8 @@ def model_from_dict(obj: dict):
         mtype = obj["type"]
         dims = int(obj["dims"])
         hyper = obj.get("hyper", {})
+        n_blocks, hidden = int(hyper.get("K", 6)), int(hyper.get("H", 32))
+        clamp = float(hyper.get("c", 5.0))
         layers = obj["layers"]
         items = []
         for entry in layers:
@@ -410,7 +413,7 @@ def model_from_dict(obj: dict):
                     f"shape {shape}"
                 )
             items.append((entry["name"], values.reshape(shape)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         if isinstance(exc, DatasetFormatError):
             raise
         raise DatasetFormatError(f"malformed checkpoint: {exc}") from exc
@@ -423,21 +426,11 @@ def model_from_dict(obj: dict):
                 raise DatasetFormatError(f"checkpoint has no '{name}' layer")
         model = DiagGaussianModel(params["mu"], params["log_sigma"])
     else:
-        model = CouplingFlowModel(
-            dims, params,
-            n_blocks=int(hyper.get("K", 6)),
-            hidden=int(hyper.get("H", 32)),
-            clamp=float(hyper.get("c", 5.0)),
-        )
+        model = CouplingFlowModel(dims, params, n_blocks, hidden, clamp)
     if model.dim != dims:
         raise DatasetFormatError(f"dims field {dims} disagrees with layers")
     return model
 
 
 def load_model(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"checkpoint is not valid JSON: {exc}") from exc
-    return model_from_dict(obj)
+    return model_from_dict(read_json(path))

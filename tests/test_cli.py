@@ -219,15 +219,16 @@ def test_score_rejects_nan_feature_cell(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sidecar", ['{"batch_size": 2', "[1]", '{"model_checksum": 5}',
-                                     '{"layer_names": "ab"}'],
-                         ids=["truncated", "list", "int_checksum", "string_names"])
+@pytest.mark.parametrize("sidecar", [b'{"batch_size": 2', b"[1]", b'{"model_checksum": 5}',
+                                     b'{"layer_names": "ab"}', b"\xff\xfe"],
+                         ids=["truncated", "list", "int_checksum", "string_names",
+                              "undecodable"])
 @pytest.mark.parametrize("command", ["fit", "score"])
 def test_malformed_features_sidecar_exits_1(pipeline, tmp_path, capsys,
                                             command, sidecar):
     feats = str(tmp_path / "f.csv")
     shutil.copyfile(pipeline["feats"], feats)
-    with open(feats + ".json", "w") as fh:
+    with open(feats + ".json", "wb") as fh:
         fh.write(sidecar)
     out = tmp_path / "o"
     argv = ["fit"] if command == "fit" else ["score", "--detector", pipeline["det"]]
@@ -235,6 +236,33 @@ def test_malformed_features_sidecar_exits_1(pipeline, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert "f.csv.json" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("artifact,contents", [
+    ("model", b"\xff\xfe"), ("model", b"[1]"),
+    ("detector", b"\xff\xfe"), ("detector", b"[1]"),
+    ("features", b"\xff\xfe"), ("config", b"\xff\xfe"),
+], ids=["model-bytes", "model-array", "detector-bytes", "detector-array",
+        "features-bytes", "config-bytes"])
+def test_malformed_artifact_exits_1(pipeline, tmp_path, capsys, artifact, contents):
+    """Undecodable bytes or a JSON array in a file a command reads is a
+    located error, not a traceback (the features sidecar has its own test)."""
+    bad = str(tmp_path / f"{artifact}.in")
+    with open(bad, "wb") as fh:
+        fh.write(contents)
+    argv = {
+        "model": ["features", "--model", bad,
+                  "--data", os.path.join(pipeline["model"], "fit_split.dmat")],
+        "detector": ["score", "--detector", bad, "--features", pipeline["feats"]],
+        "features": ["fit", "--features", bad],
+        "config": ["fit", "--config", bad, "--features", pipeline["feats"]],
+    }[artifact]
+    out = tmp_path / "o"
+    assert run(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert bad in err
     assert not out.exists()
 
 

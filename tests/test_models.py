@@ -299,6 +299,20 @@ def test_malformed_checkpoints(tmp_path):
             load_model(path)
 
 
+@pytest.mark.parametrize("hyper", [[], {"K": "x"}, {"K": None}, {"K": float("inf")}],
+                         ids=["list", "string", "null", "inf"])
+def test_malformed_checkpoint_hyper(tmp_path, hyper):
+    path = str(tmp_path / "model.json")
+    save_model(zero_flow(n_blocks=2), path)
+    with open(path) as fh:
+        obj = json.load(fh)
+    obj["hyper"] = hyper
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    with pytest.raises(DatasetFormatError, match="malformed checkpoint"):
+        load_model(path)
+
+
 def test_layered_params_invariants():
     p = LayeredParams([("a", np.ones((2, 2))), ("b", np.zeros(3))])
     assert p.n_params == 7
