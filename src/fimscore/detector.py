@@ -113,13 +113,14 @@ def load_detector(path: str) -> DetectorModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"malformed detector file '{path}': {exc}") from exc
     if mu.shape != sigma2.shape or mu.ndim != 1:
-        raise DatasetFormatError("mu and sigma2 must be equal-length vectors")
+        raise DatasetFormatError(f"'{path}': mu and sigma2 must be equal-length vectors")
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma2))):
-        raise DatasetFormatError("mu and sigma2 entries must be finite")
+        raise DatasetFormatError(f"'{path}': mu and sigma2 entries must be finite")
     if np.any(sigma2 <= 0.0):
-        raise DatasetFormatError("sigma2 entries must be positive")
+        raise DatasetFormatError(f"'{path}': sigma2 entries must be positive")
     names = det.layer_names
     if names is not None and not (isinstance(names, list) and len(names) == mu.size
                                   and all(isinstance(n, str) for n in names)):
-        raise DatasetFormatError(f"layer_names must be {mu.size} strings, one per layer")
+        raise DatasetFormatError(f"'{path}': layer_names must be {mu.size} strings, "
+                                 "one per layer")
     return det

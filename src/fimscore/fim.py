@@ -8,9 +8,13 @@ average outer products of the restricted score over n model draws,
 
     F_hat = (1/n) sum_i s_i s_i^T.
 
-Normalizing by the diagonal turns a slice into a correlation-like
-matrix whose off-diagonal mass measures how far from diagonal the true
-FIM is.
+Per-sample scores are swept in chunks of at most 2^20 gradient floats,
+keeping only the k probed columns, so a slice needs O(2^20 + n k)
+floats. Past one chunk, results differ from one whole-array sweep by up
+to about 1e-14 relative, as BLAS rounding depends on the rows per call;
+reruns stay byte-identical. Normalizing by the diagonal turns a slice
+into a correlation-like matrix whose off-diagonal mass measures how far
+from diagonal the true FIM is.
 
 For the diagonal Gaussian the Rao score test s^T F^{-1} s is computed
 with the exact information matrix rather than an estimate: per
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError, NonFiniteError
-from .models import sample
+from .models import reduce_grad_groups, sample
 from .numcore import Rng
 
 
@@ -79,15 +83,16 @@ def mc_fim_slice(model, layer_names, rng: Rng, n: int,
     """Monte Carlo FIM estimate restricted to a seeded weight subset.
 
     Consumes from ``rng`` in a fixed order: one permutation per probed
-    layer for weight selection, then the model draws.
+    layer for weight selection, then the model draws. Memory is
+    O(2^20 + n k) floats for k probed weights. Past one chunk, BLAS
+    rounding moves results up to about 1e-14 relative from one whole-array
+    ``grad_groups(x, 1)``; one chunk is bit-identical to it.
     """
-    if n < 1:
-        raise DomainError(f"sample count must be >= 1, got {n}")
     weight_map = select_weights(model.params, layer_names, rng, max_per_layer)
     draws = sample(model, rng, n)
-    grads = dict(model.score_batch(draws))
-    cols = [grads[name].reshape(n, -1)[:, idx] for name, idx in weight_map]
-    s = np.stack(cols, axis=1)
+    start = dict(zip(model.params.names, model.params.offsets.tolist()))
+    cols = [start[name] + idx for name, idx in weight_map]
+    s = reduce_grad_groups(model, draws, 1, lambda grads: grads[:, cols], len(cols))
     return FimSlice(matrix=(s.T @ s) / n, weight_map=weight_map, n_samples=n)
 
 

@@ -30,10 +30,11 @@ import math
 import numpy as np
 
 from .data import json_text, read_json, write_atomic
-from .errors import DatasetFormatError, DomainError, NonFiniteError
+from .errors import DatasetFormatError, DomainError, FimscoreError, NonFiniteError
 from .numcore import Rng
 
 _LOG_2PI = math.log(2.0 * math.pi)
+CHUNK_FLOATS = 1 << 20  # gradient floats one reduce_grad_groups chunk may hold
 
 
 class LayeredParams:
@@ -358,6 +359,19 @@ def _as_batch(x: np.ndarray, dim: int, group_size: int = 1) -> np.ndarray:
     return x
 
 
+def reduce_grad_groups(model, x: np.ndarray, group_size: int, reduce, width: int):
+    """(groups, width) array of ``reduce(grads)``, ``grads`` from ``grad_groups``
+    on consecutive chunks of whole groups: at most CHUNK_FLOATS gradient floats
+    (and at least one group) a chunk, each dropped before the next is made."""
+    x = _as_batch(x, model.dim, group_size)
+    step = max(1, CHUNK_FLOATS // model.params.n_params)
+    out = np.empty((len(x) // group_size, width))
+    for start in range(0, len(out), step):
+        rows = x[start * group_size:(start + step) * group_size]
+        out[start:start + step] = reduce(model.grad_groups(rows, group_size)[0])
+    return out
+
+
 def score(model, x) -> LayeredParams:
     """Parameter gradient of log-likelihood at a single point."""
     return model.params.from_flat(model.grad_groups(x, 1)[0][0])
@@ -433,4 +447,8 @@ def model_from_dict(obj: dict):
 
 
 def load_model(path: str):
-    return model_from_dict(read_json(path))
+    obj = read_json(path)
+    try:
+        return model_from_dict(obj)
+    except FimscoreError as exc:
+        raise type(exc)(f"'{path}': {exc}") from exc

@@ -266,6 +266,30 @@ def test_malformed_artifact_exits_1(pipeline, tmp_path, capsys, artifact, conten
     assert not out.exists()
 
 
+@pytest.mark.parametrize("artifact,contents,message", [
+    ("model", {"type": "diag_gaussian"}, "malformed checkpoint: 'dims'"),
+    ("detector", {"mu": [1, 2], "sigma2": [1], "n_fit": 3},
+     "mu and sigma2 must be equal-length vectors"),
+], ids=["model-no-dims", "detector-unequal"])
+def test_invalid_parsed_artifact_names_file(pipeline, tmp_path, capsys, artifact,
+                                            contents, message):
+    """A model or detector file that parses as JSON but fails validation
+    is reported with its path."""
+    bad = str(tmp_path / f"{artifact}.json")
+    with open(bad, "w") as fh:
+        json.dump(contents, fh)
+    argv = {
+        "model": ["fim-probe", "--model", bad],
+        "detector": ["score", "--detector", bad, "--features", pipeline["feats"]],
+    }[artifact]
+    out = tmp_path / "o"
+    assert run(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert bad in err and message in err
+    assert not out.exists()
+
+
 def _features_with_meta(pipeline, tmp_path, **changes):
     """A copy of the pipeline's features whose sidecar has ``changes``."""
     feats = str(tmp_path / "f.csv")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,3 +208,27 @@ def test_nonfinite_gradient_names_layer():
         with pytest.raises(NonFiniteError) as exc:
             gradient_features(m, np.array([[3.0]]))
     assert "mu" in str(exc.value)
+
+
+@pytest.mark.parametrize("batch_size", [1, 2])
+def test_feature_matrix_chunk_boundaries_match_one_chunk(chunk_spy, batch_size):
+    m = CouplingFlowModel.init_random(2, Rng(0), n_blocks=2, hidden=8)
+    batches = Rng(6).normals(20 * batch_size).reshape(10, batch_size, 2)
+    whole = feature_matrix(m, batches)
+    sizes = chunk_spy(m, 3)
+    chunked = feature_matrix(m, batches)
+    assert sizes == [3, 3, 3, 1]
+    np.testing.assert_allclose(chunked, whole, rtol=1e-10, atol=0)
+
+
+def test_feature_matrix_memory_is_bounded_by_the_chunk():
+    """10,000 single-row batches of the K = 6, H = 32 flow (P = 780): the
+    (rows, P) gradient matrix alone would be 62 MB; chunked rows keep the
+    peak under 24 MB."""
+    m = CouplingFlowModel.init_random(2, Rng(0), n_blocks=6, hidden=32)
+    batches = Rng(7).normals(20_000).reshape(10_000, 1, 2)
+    tracemalloc.start()
+    feature_matrix(m, batches)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak <= 24e6
