@@ -223,6 +223,8 @@ def _parse_named(items, what: str, parts: int):
         bits = item.split("=", 1)
         if len(bits) != 2 or not bits[0]:
             raise DomainError(f"--{what} expects NAME=..., got {item!r}")
+        if bits[0] in out:
+            raise DomainError(f"--{what} names {bits[0]!r} twice")
         paths = bits[1].split(":")
         if len(paths) != parts:
             raise DomainError(

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetFormatError, DomainError
+from .errors import DatasetFormatError, DomainError, NonFiniteError
 from .numcore import Rng
 
 DMAT_MAGIC = b"DMAT"
@@ -203,14 +203,19 @@ def read_json(path: str) -> dict:
 
 
 def json_text(obj) -> str:
-    """The artifact form of ``obj``: indent 1, sorted keys, final newline."""
-    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+    """The artifact form of ``obj``: indent 1, sorted keys, final newline.
+    NaN and infinity are not JSON, so a non-finite number is an error."""
+    try:
+        return json.dumps(obj, indent=1, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFiniteError(f"artifact holds a non-finite number: {exc}") from exc
 
 
 def save_dmat(path: str, matrix: np.ndarray) -> None:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise DomainError(f"DMAT stores 2-D matrices, got shape {m.shape}")
+    _check_finite(path, m, first_row=0)
     header = DMAT_MAGIC + struct.pack("<IQQ", DMAT_VERSION, *m.shape)
     write_atomic(path, header + np.ascontiguousarray(m, dtype="<f8").tobytes())
 
@@ -290,5 +295,5 @@ def load_csv(path: str) -> np.ndarray:
 def _check_n_noise(n: int, noise: float) -> None:
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if noise < 0:
+    if not noise >= 0:
         raise DomainError(f"noise must be >= 0, got {noise}")

@@ -2,7 +2,8 @@
 
 Every error raised by library code derives from FimscoreError so the CLI
 can map domain failures to a single exit code. Subclasses carry enough
-context (row/column, epoch/batch) to be actionable.
+context (row/column, epoch/batch) to be actionable. reject_repeats is the
+one check for list arguments whose entries must be distinct.
 """
 
 
@@ -40,3 +41,10 @@ class DatasetFormatError(FimscoreError, ValueError):
         if row is not None:
             loc = f" at row {row}" + (f", column {col}" if col is not None else "")
         super().__init__(message + loc)
+
+
+def reject_repeats(values, what: str) -> None:
+    """DomainError naming the first entry that ``values`` lists twice."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise DomainError(f"{what} must be distinct, {v!r} repeats")

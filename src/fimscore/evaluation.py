@@ -13,7 +13,8 @@ becomes a row. For each column, each method is calibrated on that
 model's held-out fit split (detectors on gradient features of disjoint
 contiguous fit batches, typicality on per-sample log-likelihoods), then
 all eval batches of every row are scored and each off-diagonal cell gets
-an AUROC against the column's own eval scores.
+an AUROC against the column's own eval scores. A cell that cannot be
+scored is skipped with the first error that stopped it (``auroc`` None).
 
 Batches are reproducible: the eval split of distribution d at batch
 size B is shuffled once with a child stream derived from (seed, d, B),
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import baselines, detector, gradfeatures
 from .data import json_text
-from .errors import DomainError, FimscoreError, InsufficientDataError
+from .errors import DomainError, FimscoreError, InsufficientDataError, reject_repeats
 from .models import model_checksum
 from .numcore import Rng
 
@@ -89,6 +90,8 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
         raise DomainError(f"unknown methods: {unknown}")
     if any(b < 1 for b in batch_sizes):
         raise DomainError(f"batch sizes must be >= 1, got {list(batch_sizes)}")
+    reject_repeats(batch_sizes, "batch sizes")
+    reject_repeats(methods, "methods")
     if n_eval_batches < 1:
         raise DomainError(f"eval batch count must be >= 1, got {n_eval_batches}")
     missing = [n for n in train_entries if n not in eval_splits]
@@ -117,67 +120,45 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
     for train_name in sorted(train_entries):
         model, fit_rows = train_entries[train_name]
         fit_rows = np.asarray(fit_rows, dtype=np.float64)
-        report = PairingReport(
-            train=train_name,
-            metadata={
-                "seed": seed,
-                "batch_sizes": list(batch_sizes),
-                "methods": list(methods),
-                "n_eval_batches": n_eval_batches,
-                "model_checksum": "" if model is None else model_checksum(model),
-                "n_fit_rows": int(fit_rows.shape[0]),
-            },
-        )
-        tests = [t for t in eval_names if t != train_name]
-
-        def skip_cells(reason, bsz, only_test=None):
-            for test_name in tests if only_test is None else [only_test]:
-                for m in methods:
-                    report.rows.append({
-                        "test": test_name, "method": m, "batch_size": bsz,
-                        "auroc": None, "skipped": reason,
-                    })
-
-        if model is None:
-            for bsz in batch_sizes:
-                skip_cells("missing checkpoint", bsz)
-            reports.append(report)
-            continue
+        report = PairingReport(train=train_name, metadata={
+            "seed": seed, "batch_sizes": list(batch_sizes), "methods": list(methods),
+            "n_eval_batches": n_eval_batches, "model_checksum": model_checksum(model),
+            "n_fit_rows": int(fit_rows.shape[0])})
         for b_idx, bsz in enumerate(batch_sizes):
-            # a bad column (thin fit or eval split, non-finite gradients)
-            # skips its cells with a reason instead of killing the whole grid run
+            # a bad column (thin fit or eval split, non-finite gradients) or
+            # a thin test split skips its cells with the first error that
+            # stopped them, instead of killing the whole grid run
             try:
                 fit_batches = gradfeatures.batch_view(fit_rows, bsz)
                 if len(fit_batches) < 2:
                     raise InsufficientDataError(
                         f"fit split of '{train_name}' yields "
-                        f"{len(fit_batches)} batches of size {bsz}; need >= 2"
-                    )
-                logf_fit = gradfeatures.log_features(
-                    gradfeatures.feature_matrix(model, fit_batches))
-                det = detector.fit_detector(logf_fit)
+                        f"{len(fit_batches)} batches of size {bsz}; need >= 2")
+                det = detector.fit_detector(gradfeatures.log_features(
+                    gradfeatures.feature_matrix(model, fit_batches)))
                 h_hat = baselines.fit_typicality(model, fit_rows)
                 in_scores = _method_scores(
                     model, det, h_hat, eval_batches(train_name, b_idx))
+                column_error = None
             except FimscoreError as exc:
-                skip_cells(str(exc), bsz)
-                continue
-            for test_name in tests:
-                try:
-                    out_scores = _method_scores(
-                        model, det, h_hat, eval_batches(test_name, b_idx))
-                except FimscoreError as exc:
-                    skip_cells(str(exc), bsz, only_test=test_name)
-                    continue
+                column_error = str(exc)
+            for test_name in (t for t in eval_names if t != train_name):
+                error = column_error
+                if error is None:
+                    try:
+                        out_scores = _method_scores(
+                            model, det, h_hat, eval_batches(test_name, b_idx))
+                    except FimscoreError as exc:
+                        error = str(exc)
                 for m in methods:
-                    report.rows.append({
-                        "test": test_name,
-                        "method": m,
-                        "batch_size": bsz,
-                        "auroc": auroc(in_scores[m], out_scores[m]),
-                        "n_in": int(in_scores[m].size),
-                        "n_out": int(out_scores[m].size),
-                    })
+                    row = {"test": test_name, "method": m, "batch_size": bsz}
+                    if error is None:
+                        row.update(auroc=auroc(in_scores[m], out_scores[m]),
+                                   n_in=int(in_scores[m].size),
+                                   n_out=int(out_scores[m].size))
+                    else:
+                        row.update(auroc=None, skipped=error)
+                    report.rows.append(row)
         reports.append(report)
     return reports
 

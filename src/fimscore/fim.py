@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, DomainError, NonFiniteError
+from .errors import DegenerateDataError, DomainError, NonFiniteError, reject_repeats
 from .models import reduce_grad_groups, sample
 from .numcore import Rng
 
@@ -65,6 +65,7 @@ def select_weights(params, layer_names, rng: Rng, max_per_layer: int = 50):
         raise DomainError(
             f"probe supports 1 to {MAX_PROBE_LAYERS} layers, got {len(layer_names)}"
         )
+    reject_repeats(layer_names, "probe layers")
     if max_per_layer < 1:
         raise DomainError(f"max_per_layer must be >= 1, got {max_per_layer}")
     weight_map = []

@@ -343,11 +343,12 @@ def tv_log_volume(alpha: float, d: int) -> float:
     unit-determinant map from increments back to values, hence the
     cross-polytope volume (2 alpha)^d / d!.
     """
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
-    return d * math.log(2.0 * alpha) - lgamma(d + 1.0)
+    # ln 2 + ln alpha, not ln(2 alpha): 2 alpha overflows above ~9e307
+    return d * (math.log(2.0) + math.log(alpha)) - lgamma(d + 1.0)
 
 
 def tv_volume_mc(alpha: float, d: int, rng: Rng, n: int = 200000):

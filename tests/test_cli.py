@@ -43,6 +43,17 @@ def test_tv_volume_reference_case(capsys):
     assert abs(obj["log10_volume"] - (-116.76204304591401)) < 1e-9
 
 
+@pytest.mark.parametrize("argv", [
+    ["--alpha", "inf", "--d", 3],
+    ["--alpha", 1e308, "--d", 3, "--mc", 100],  # (2 alpha)^d overflows
+])
+def test_tv_volume_non_finite_exits_1(tmp_path, capsys, argv):
+    out = tmp_path / "vol.json"
+    assert run(["tv-volume", *argv, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert os.listdir(tmp_path) == []
+
+
 def test_tv_volume_mc_and_out(tmp_path, capsys):
     out = str(tmp_path / "vol.json")
     assert run(["tv-volume", "--alpha", 1.0, "--d", 2, "--mc", 50000,
@@ -53,6 +64,21 @@ def test_tv_volume_mc_and_out(tmp_path, capsys):
     manifest = read_json(out + ".manifest.json")
     assert manifest["command"] == "tv-volume"
     assert out in manifest["artifacts"]
+
+
+@pytest.mark.parametrize("dist,param", [
+    ("two_moons", "noise=nan"),
+    ("two_moons", "noise=inf"),
+    ("uniform_square", "side=inf"),
+    ("rings", "radii=1:inf"),
+])
+def test_gen_data_non_finite_exits_1(tmp_path, capsys, dist, param):
+    out = tmp_path / "d"
+    assert run(["gen-data", "--dist", dist, "--n", 100, "--param", param,
+                "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not [f for _, _, files in os.walk(tmp_path) for f in files
+                if f.endswith(".dmat")]
 
 
 def test_gen_data_artifacts_and_manifest(tmp_path):
@@ -337,7 +363,11 @@ def test_score_with_detector_file_without_layer_names(pipeline, tmp_path):
     ("--split", "0.8,abc,0.1"),
     ("--batch-sizes", "1,x"),
     ("--batch-sizes", "0"),
+    ("--batch-sizes", "5,5"),
+    ("--methods", "ours,ours"),
     ("--n-batches", "0"),
+    ("--train", "a={model}:{fit}"),  # each name may appear once
+    ("--eval", "b={ev}"),
 ])
 def test_bad_list_values_exit_1(pipeline, tmp_path, capsys, flag, value):
     if flag == "--split":
@@ -348,6 +378,7 @@ def test_bad_list_values_exit_1(pipeline, tmp_path, capsys, flag, value):
         ev = os.path.join(pipeline["data"], "eval.dmat")
         argv = ["eval", "--train", f"a={model}:{fit}", "--eval", f"a={ev}",
                 "--eval", f"b={ev}"]
+        value = value.format(model=model, fit=fit, ev=ev)
     assert run(argv + [flag, value, "--out", tmp_path / "o"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err

@@ -12,6 +12,7 @@ from fimscore.data import (
     checkerboard,
     gauss_grid,
     generate,
+    json_text,
     load_csv,
     load_dmat,
     rings,
@@ -20,7 +21,7 @@ from fimscore.data import (
     two_moons,
     uniform_square,
 )
-from fimscore.errors import DatasetFormatError, DomainError
+from fimscore.errors import DatasetFormatError, DomainError, NonFiniteError
 from fimscore.numcore import Rng
 
 
@@ -76,6 +77,8 @@ def test_generator_parameter_validation():
         two_moons(0, Rng(0))
     with pytest.raises(DomainError):
         two_moons(10, Rng(0), noise=-0.1)
+    with pytest.raises(DomainError):
+        two_moons(10, Rng(0), noise=float("nan"))
     with pytest.raises(DomainError):
         rings(10, Rng(0), radii=(0.0, 1.0))
     with pytest.raises(DomainError):
@@ -161,11 +164,22 @@ def test_dmat_error_messages(tmp_path):
     for bad in (np.nan, np.inf, -np.inf):
         m = np.ones((4, 2))
         m[2, 1] = bad
-        save_dmat(path, m)
-        with pytest.raises(DatasetFormatError) as exc:
+        with pytest.raises(DatasetFormatError) as saved:
+            save_dmat(path, m)
+        with open(path, "wb") as fh:  # the bytes save_dmat refused to write
+            fh.write(blob[:24] + m.astype("<f8").tobytes())
+        with pytest.raises(DatasetFormatError) as loaded:
             load_dmat(path)
-        assert (exc.value.row, exc.value.col) == (2, 1)
-        assert "non-finite" in str(exc.value)
+        for exc in (saved, loaded):
+            assert (exc.value.row, exc.value.col) == (2, 1)
+            assert "non-finite" in str(exc.value)
+
+
+def test_json_text_rejects_non_finite():
+    assert json_text({"b": [1.5], "a": None}) == '{\n "a": null,\n "b": [\n  1.5\n ]\n}\n'
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFiniteError):
+            json_text({"x": [1.0, {"y": bad}]})
 
 
 def test_csv_roundtrip(tmp_path):

@@ -112,18 +112,6 @@ def test_run_pairings_deterministic_and_order_free():
     assert [r.to_json() for r in a] == [r.to_json() for r in b]
 
 
-def test_run_pairings_missing_checkpoint_skips_cells():
-    entries, evals = _two_gaussian_setup()
-    entries["near"] = (None, entries["near"][1])
-    reports = run_pairings(entries, evals, batch_sizes=[1], n_eval_batches=10)
-    near = [r for r in reports if r.train == "near"][0]
-    assert near.metadata["model_checksum"] == ""
-    assert all(row["auroc"] is None for row in near.rows)
-    assert all(row["skipped"] == "missing checkpoint" for row in near.rows)
-    far = [r for r in reports if r.train == "far"][0]
-    assert all(row["auroc"] is not None for row in far.rows)
-
-
 def test_run_pairings_thin_fit_split_skips_column():
     entries, evals = _two_gaussian_setup()
     model, fit = entries["near"]
@@ -183,6 +171,10 @@ def test_run_pairings_validation():
     missing = {"near": evals["near"], "other": evals["near"]}
     with pytest.raises(DomainError):
         run_pairings(entries, missing)
+    with pytest.raises(DomainError, match="batch sizes must be distinct, 5 repeats"):
+        run_pairings(entries, evals, batch_sizes=[5, 1, 5])
+    with pytest.raises(DomainError, match="methods must be distinct, 'ours' repeats"):
+        run_pairings(entries, evals, methods=("ours", "ours"))
 
 
 def test_run_pairings_rejects_eval_batch_count_below_one():
@@ -194,7 +186,8 @@ def test_run_pairings_rejects_eval_batch_count_below_one():
 
 def test_render_grid_contents():
     entries, evals = _two_gaussian_setup()
-    entries["near"] = (None, entries["near"][1])
+    model, fit = entries["near"]
+    entries["near"] = (model, fit[:1])  # one fit batch: too thin to calibrate
     reports = run_pairings(entries, evals, batch_sizes=[1], n_eval_batches=10)
     grid = render_grid(reports, "likelihood", 1)
     assert "method=likelihood B=1" in grid

@@ -48,6 +48,8 @@ def test_select_weights_errors():
         select_weights(m.params, too_many, Rng(0))
     with pytest.raises(DomainError):
         select_weights(m.params, ["nope"], Rng(0))
+    with pytest.raises(DomainError, match="'mu' repeats"):
+        select_weights(m.params, ["mu", "mu"], Rng(0))
     with pytest.raises(DomainError):
         select_weights(m.params, ["mu"], Rng(0), max_per_layer=0)
 

@@ -297,6 +297,12 @@ def test_tv_log_volume_small_cases():
         tv_log_volume(0.0, 3)
     with pytest.raises(DomainError):
         tv_log_volume(1.0, 0)
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            tv_log_volume(alpha, 3)
+    # 2 alpha overflows here, ln 2 + ln alpha does not
+    assert tv_log_volume(1e308, 3) == pytest.approx(
+        3 * (math.log(2.0) + 308 * math.log(10.0)) - math.log(6.0), rel=1e-15)
 
 
 def test_tv_log_volume_reference_value():
