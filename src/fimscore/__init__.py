@@ -3,62 +3,8 @@
 Feature extraction squares layer-wise gradient norms of the model's
 log-likelihood, a detector fits one Gaussian per layer to the log
 features, and probes estimate Fisher information structure by Monte
-Carlo. Everything is deterministic given a seed.
+Carlo. Everything is deterministic given a seed. Each name is imported
+from its own module, e.g. ``from fimscore.trainer import train``.
 """
-
-from .detector import DetectorModel, fisher_method_score, fit_detector, ood_score
-from .errors import (
-    DatasetFormatError,
-    DegenerateDataError,
-    DomainError,
-    FimscoreError,
-    InsufficientDataError,
-    NonFiniteError,
-    SingularMatrixError,
-)
-from .evaluation import auroc, run_pairings
-from .fim import mc_fim_slice, sherman_morrison_score
-from .gradfeatures import feature_matrix, gradient_features, log_features
-from .models import (
-    CouplingFlowModel,
-    DiagGaussianModel,
-    LayeredParams,
-    load_model,
-    model_checksum,
-    save_model,
-)
-from .numcore import Rng
-from .trainer import TrainConfig, train
-
-__all__ = [
-    "CouplingFlowModel",
-    "DatasetFormatError",
-    "DegenerateDataError",
-    "DetectorModel",
-    "DiagGaussianModel",
-    "DomainError",
-    "FimscoreError",
-    "InsufficientDataError",
-    "LayeredParams",
-    "NonFiniteError",
-    "Rng",
-    "SingularMatrixError",
-    "TrainConfig",
-    "auroc",
-    "feature_matrix",
-    "fisher_method_score",
-    "fit_detector",
-    "gradient_features",
-    "load_model",
-    "log_features",
-    "mc_fim_slice",
-    "model_checksum",
-    "ood_score",
-    "run_pairings",
-    "save_model",
-    "sherman_morrison_score",
-    "train",
-    "__version__",
-]
 
 __version__ = "0.1.0"

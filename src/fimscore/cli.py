@@ -59,15 +59,6 @@ def _write_manifest(args: argparse.Namespace, inputs, artifacts) -> None:
     data.write_atomic(path, data.json_text(manifest))
 
 
-def _parse_list(text: str, kind, flag: str) -> list:
-    """Comma-separated values of ``kind``; a bad item is a DomainError."""
-    try:
-        return [kind(p) for p in text.split(",")]
-    except ValueError as exc:
-        raise DomainError(f"{flag} expects comma-separated {kind.__name__} "
-                          f"values, got {text!r}") from exc
-
-
 def _resolve_seed(value) -> int:
     if value is not None:
         return int(value)
@@ -109,9 +100,8 @@ def _cmd_gen_data(args):
             raise DomainError(f"--param expects KEY=VALUE, got {item!r}")
         key, val = item.split("=", 1)
         params[key.strip()] = _parse_value(val.strip())
-    split = _parse_list(args.split, float, "--split")
     try:
-        ds = data.generate(args.dist, args.n, args.seed, split=split, **params)
+        ds = data.generate(args.dist, args.n, args.seed, **params)
     except TypeError as exc:
         raise DomainError(f"bad parameters for '{args.dist}': {exc}") from exc
     out = _ensure_dir(args.out)
@@ -144,8 +134,7 @@ def _cmd_train(args):
             dim, Rng(args.seed).child(0), n_blocks=args.n_blocks, hidden=args.hidden)
     cfg = trainer.TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size,
-        learning_rate=args.learning_rate, fit_fraction=args.fit_fraction,
-        seed=args.seed,
+        learning_rate=args.learning_rate, seed=args.seed,
     )
     result = trainer.train(model, rows, cfg)
     out = _ensure_dir(args.out)
@@ -248,7 +237,11 @@ def _cmd_eval(args):
     for name, path in evals.items():
         eval_splits[name] = data.load_dmat(path)
         inputs.append(path)
-    batch_sizes = _parse_list(args.batch_sizes, int, "--batch-sizes")
+    try:
+        batch_sizes = [int(p) for p in args.batch_sizes.split(",")]
+    except ValueError as exc:
+        raise DomainError(f"--batch-sizes expects comma-separated int values, "
+                          f"got {args.batch_sizes!r}") from exc
     methods = tuple(m.strip() for m in args.methods.split(","))
     reports = evaluation.run_pairings(
         train_entries, eval_splits, batch_sizes=batch_sizes,
@@ -275,7 +268,7 @@ def _cmd_fim_probe(args):
         layers = [p.strip() for p in args.layers.split(",") if p.strip()]
     else:
         names = model.params.names
-        k = min(2, len(names))
+        k = min(fim.MAX_PROBE_LAYERS, len(names))
         layers = [names[int(i)] for i in root.child(0).permutation(len(names))[:k]]
     sl = fim.mc_fim_slice(model, layers, root, args.n)
     normalized = fim.normalize_fim(sl.matrix)
@@ -387,8 +380,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="sample a synthetic distribution")
     p.add_argument("--dist", required=True, choices=sorted(data.GENERATORS))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--split", default="0.8,0.1,0.1",
-                   help="train,fit,eval fractions")
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
                    help="generator parameter; tuples as v1:v2")
     p.add_argument("--out", required=True)
@@ -402,7 +393,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--fit-fraction", type=float, default=0.1)
     p.add_argument("--n-blocks", type=int, default=6)
     p.add_argument("--hidden", type=int, default=32)
     p.add_argument("--out", required=True)

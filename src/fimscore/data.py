@@ -11,8 +11,8 @@ dataset bit-for-bit:
   uniform_square 2n coordinate uniforms
 
 ``generate`` additionally tags each row train/fit/eval by a shuffled
-partition (the permutation is drawn after the points), so eval rows
-never mix into training.
+partition in the fractions of ``SPLIT`` (the permutation is drawn after
+the points), so eval rows never mix into training.
 
 The on-disk matrix format is DMAT: magic "DMAT", little-endian u32
 version (=1), u64 rows, u64 cols, then rows*cols float64 values in
@@ -46,6 +46,7 @@ DMAT_VERSION = 1
 
 TAG_TRAIN, TAG_FIT, TAG_EVAL = 0, 1, 2
 TAG_NAMES = {"train": TAG_TRAIN, "fit": TAG_FIT, "eval": TAG_EVAL}
+SPLIT = (0.8, 0.1, 0.1)  # train, fit, eval fractions of a generated dataset
 
 
 def two_moons(n: int, rng: Rng, noise: float = 0.1) -> np.ndarray:
@@ -136,27 +137,23 @@ class Dataset:
         return self.points[self.tags == TAG_NAMES[tag]]
 
 
-def generate(dist: str, n: int, seed: int, split=(0.8, 0.1, 0.1),
-             **params) -> Dataset:
+def generate(dist: str, n: int, seed: int, **params) -> Dataset:
     """Sample a named distribution and tag rows train/fit/eval.
 
     One Rng(seed) drives everything: the generator's documented draws
     first, then one permutation that assigns the first ceil(train*n)
     shuffled positions to train, the next ceil(fit*n) to fit, and the
-    rest to eval.
+    rest to eval, with the fractions of SPLIT.
     """
     if dist not in GENERATORS:
         raise DomainError(
             f"unknown distribution '{dist}'; choose from {sorted(GENERATORS)}"
         )
-    frac = tuple(float(f) for f in split)
-    if len(frac) != 3 or not all(f >= 0 for f in frac) or not abs(sum(frac) - 1.0) <= 1e-9:
-        raise DomainError(f"split fractions must be 3 nonnegatives summing to 1, got {split}")
     rng = Rng(seed)
     points = GENERATORS[dist](n, rng, **params)
     perm = rng.permutation(n)
-    n_train = math.ceil(frac[0] * n)
-    n_fit = math.ceil(frac[1] * n)
+    n_train = math.ceil(SPLIT[0] * n)
+    n_fit = math.ceil(SPLIT[1] * n)
     tags = np.full(n, TAG_EVAL, dtype=np.uint8)
     tags[perm[:n_train]] = TAG_TRAIN
     tags[perm[n_train : min(n, n_train + n_fit)]] = TAG_FIT

@@ -3,7 +3,7 @@
 The Fisher information matrix of a model is E[s s^T] with s the
 parameter score at a model sample. Full matrices are out of reach for
 real models, so probes work on slices: pick one or two layers, take a
-seeded subset of at most ``max_per_layer`` weights from each, and
+seeded subset of at most ``MAX_PER_LAYER`` weights from each, and
 average outer products of the restricted score over n model draws,
 
     F_hat = (1/n) sum_i s_i s_i^T.
@@ -56,31 +56,29 @@ class FimSlice:
 
 
 MAX_PROBE_LAYERS = 2
+MAX_PER_LAYER = 50
 
 
-def select_weights(params, layer_names, rng: Rng, max_per_layer: int = 50):
-    """Seeded subset of flat weight indices: min(max_per_layer, size) per
+def select_weights(params, layer_names, rng: Rng):
+    """Seeded subset of flat weight indices: min(MAX_PER_LAYER, size) per
     layer, drawn without replacement, listed in ascending index order."""
     if not 1 <= len(layer_names) <= MAX_PROBE_LAYERS:
         raise DomainError(
             f"probe supports 1 to {MAX_PROBE_LAYERS} layers, got {len(layer_names)}"
         )
     reject_repeats(layer_names, "probe layers")
-    if max_per_layer < 1:
-        raise DomainError(f"max_per_layer must be >= 1, got {max_per_layer}")
     weight_map = []
     for name in layer_names:
         if name not in params.names:
             raise DomainError(f"model has no layer named '{name}'")
         size = params[name].size
-        k = min(max_per_layer, size)
+        k = min(MAX_PER_LAYER, size)
         chosen = sorted(int(i) for i in rng.permutation(size)[:k])
         weight_map.extend((name, idx) for idx in chosen)
     return weight_map
 
 
-def mc_fim_slice(model, layer_names, rng: Rng, n: int,
-                 max_per_layer: int = 50) -> FimSlice:
+def mc_fim_slice(model, layer_names, rng: Rng, n: int) -> FimSlice:
     """Monte Carlo FIM estimate restricted to a seeded weight subset.
 
     Consumes from ``rng`` in a fixed order: one permutation per probed
@@ -89,7 +87,7 @@ def mc_fim_slice(model, layer_names, rng: Rng, n: int,
     rounding moves results up to about 1e-14 relative from one whole-array
     ``grad_groups(x, 1)``; one chunk is bit-identical to it.
     """
-    weight_map = select_weights(model.params, layer_names, rng, max_per_layer)
+    weight_map = select_weights(model.params, layer_names, rng)
     draws = sample(model, rng, n)
     start = dict(zip(model.params.names, model.params.offsets.tolist()))
     cols = [start[name] + idx for name, idx in weight_map]

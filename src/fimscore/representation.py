@@ -51,8 +51,8 @@ class AffineTransform:
             raise DomainError(
                 f"offset shape {self.b.shape} does not match matrix {self.a.shape}"
             )
-        if not np.all(np.isfinite(self.a)):
-            raise DomainError("affine matrix entries must be finite")
+        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
+            raise DomainError("affine matrix and offset entries must be finite")
         sign, self._logdet = np.linalg.slogdet(self.a)
         if sign == 0.0:
             raise SingularMatrixError(f"affine matrix of shape {self.a.shape} is singular")
@@ -85,6 +85,8 @@ class DiagonalAffine:
                 f"scale and shift must be equal-length vectors, got "
                 f"{self.scale.shape} and {self.shift.shape}"
             )
+        if not (np.all(np.isfinite(self.scale)) and np.all(np.isfinite(self.shift))):
+            raise DomainError("diagonal scales and shifts must be finite")
         if np.any(self.scale == 0.0):
             raise DomainError("diagonal scales must be nonzero")
         self._logdet = float(np.sum(np.log(np.abs(self.scale))))
@@ -272,8 +274,6 @@ def identity_transform(dim: int) -> AffineTransform:
 
 def scale_shift_transform(dim: int, scale: float = 2.0,
                           shift: float = 1.0) -> DiagonalAffine:
-    if scale == 0.0:
-        raise DomainError("scale must be nonzero")
     return DiagonalAffine(scale * np.ones(dim), shift * np.ones(dim))
 
 
@@ -362,10 +362,15 @@ def tv_volume_mc(alpha: float, d: int, rng: Rng, n: int = 200000):
         raise DomainError("Monte Carlo cross-check is meant for small d (<= 8)")
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
+    try:
+        cube = (2.0 * alpha) ** d
+    except OverflowError:
+        cube = math.inf
+    if not math.isfinite(cube):
+        raise DomainError(f"the enclosing cube volume (2 * {alpha})^{d} is not finite")
     u = rng.uniforms(n * d).reshape(n, d)
     pts = (2.0 * u - 1.0) * alpha
     tvs = np.abs(pts[:, 0]) + np.sum(np.abs(np.diff(pts, axis=1)), axis=1)
     frac = float(np.mean(tvs <= alpha))
-    cube = (2.0 * alpha) ** d
     se = cube * math.sqrt(max(frac * (1.0 - frac), 1e-12) / n)
     return cube * frac, se

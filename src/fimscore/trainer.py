@@ -1,7 +1,7 @@
 """Deterministic maximum-likelihood training with a held-out fit split.
 
 The split convention matters downstream: the rows are shuffled once with
-the config seed and the last ceil(fit_fraction * n) rows become the fit
+the config seed and the last ceil(FIT_FRACTION * n) rows become the fit
 split. Those rows are reserved for calibrating detectors and typicality
 constants and never reach an optimizer update. Per-epoch batch order
 comes from child streams of the same seed, so two runs with identical
@@ -27,6 +27,7 @@ from .numcore import Rng
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+FIT_FRACTION = 0.1
 
 
 @dataclass
@@ -34,7 +35,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 128
     learning_rate: float = 1e-3
-    fit_fraction: float = 0.1
     seed: int = 0
 
     def validate(self) -> None:
@@ -42,12 +42,9 @@ class TrainConfig:
             raise DomainError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0:
-            raise DomainError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0.0 < self.fit_fraction < 1.0:
+        if not 0 < self.learning_rate < math.inf:
             raise DomainError(
-                f"fit_fraction must be in (0, 1), got {self.fit_fraction}"
-            )
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
 
 
 @dataclass
@@ -59,11 +56,11 @@ class TrainResult:
     initial_loglik: float = float("nan")
 
 
-def split_rows(data: np.ndarray, fit_fraction: float, rng: Rng):
-    """Shuffle rows once, reserve the last ceil(fit_fraction * n) as fit."""
+def split_rows(data: np.ndarray, rng: Rng):
+    """Shuffle rows once, reserve the last ceil(FIT_FRACTION * n) as fit."""
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
-    n_fit = math.ceil(fit_fraction * n)
+    n_fit = math.ceil(FIT_FRACTION * n)
     if n_fit < 1 or n_fit >= n:
         raise InsufficientDataError(
             f"cannot carve a fit split of {n_fit} rows out of {n}"
@@ -84,7 +81,7 @@ def train(model, data: np.ndarray, config: TrainConfig) -> TrainResult:
     if data.ndim != 2:
         raise DomainError(f"training data must be 2-D, got shape {data.shape}")
     root = Rng(config.seed)
-    train_rows, fit_rows = split_rows(data, config.fit_fraction, root)
+    train_rows, fit_rows = split_rows(data, root)
     n_train = train_rows.shape[0]
     if n_train < config.batch_size:
         raise InsufficientDataError(f"the train split holds {n_train} rows, fewer "

@@ -10,7 +10,7 @@ import pytest
 
 import fimscore
 from fimscore import cli
-from fimscore.data import load_csv, load_dmat
+from fimscore.data import load_csv, load_dmat, save_dmat
 
 
 def src_env():
@@ -219,13 +219,25 @@ def test_every_manifest_records_seed_and_hashes(pipeline, tmp_path, command):
 
 
 def test_train_split_without_a_full_batch_exits_1(pipeline, tmp_path, capsys):
+    """140 rows keep 14 for fit and leave 126 to train on, short of one
+    batch of 128."""
+    rows = str(tmp_path / "thin.dmat")
+    save_dmat(rows, load_dmat(os.path.join(pipeline["data"], "train.dmat"))[:140])
     out = tmp_path / "m"
-    assert run(["train", "--data", pipeline["data"], "--model", "gaussian",
-                "--epochs", 2, "--batch-size", 128, "--fit-fraction", 0.9,
-                "--out", out]) == 1
+    assert run(["train", "--data", rows, "--model", "gaussian",
+                "--epochs", 2, "--batch-size", 128, "--out", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert "128" in err
+    assert "126 rows" in err and "128" in err
+
+
+def test_train_rejects_an_infinite_learning_rate(pipeline, tmp_path, capsys):
+    out = tmp_path / "m"
+    assert run(["train", "--data", pipeline["data"], "--model", "gaussian",
+                "--learning-rate", "inf", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "learning_rate" in err
+    assert not out.exists()
 
 
 def test_score_rejects_nan_feature_cell(pipeline, tmp_path, capsys):
@@ -360,7 +372,6 @@ def test_score_with_detector_file_without_layer_names(pipeline, tmp_path):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--split", "0.8,abc,0.1"),
     ("--batch-sizes", "1,x"),
     ("--batch-sizes", "0"),
     ("--batch-sizes", "5,5"),
@@ -370,15 +381,12 @@ def test_score_with_detector_file_without_layer_names(pipeline, tmp_path):
     ("--eval", "b={ev}"),
 ])
 def test_bad_list_values_exit_1(pipeline, tmp_path, capsys, flag, value):
-    if flag == "--split":
-        argv = ["gen-data", "--dist", "rings", "--n", 50]
-    else:
-        model = os.path.join(pipeline["model"], "model.json")
-        fit = os.path.join(pipeline["model"], "fit_split.dmat")
-        ev = os.path.join(pipeline["data"], "eval.dmat")
-        argv = ["eval", "--train", f"a={model}:{fit}", "--eval", f"a={ev}",
-                "--eval", f"b={ev}"]
-        value = value.format(model=model, fit=fit, ev=ev)
+    model = os.path.join(pipeline["model"], "model.json")
+    fit = os.path.join(pipeline["model"], "fit_split.dmat")
+    ev = os.path.join(pipeline["data"], "eval.dmat")
+    argv = ["eval", "--train", f"a={model}:{fit}", "--eval", f"a={ev}",
+            "--eval", f"b={ev}"]
+    value = value.format(model=model, fit=fit, ev=ev)
     assert run(argv + [flag, value, "--out", tmp_path / "o"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err

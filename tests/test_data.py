@@ -108,10 +108,6 @@ def test_generate_validation():
     with pytest.raises(DomainError):
         generate("nope", 100, seed=0)
     with pytest.raises(DomainError):
-        generate("rings", 100, seed=0, split=(0.5, 0.5, 0.5))
-    with pytest.raises(DomainError):
-        generate("rings", 100, seed=0, split=(0.5, 0.5, float("nan")))
-    with pytest.raises(DomainError):
         a = generate("rings", 100, seed=0)
         a.rows("test")
 

@@ -6,6 +6,7 @@ import pytest
 
 from fimscore.errors import DegenerateDataError, DomainError, NonFiniteError
 from fimscore.fim import (
+    MAX_PER_LAYER,
     MAX_PROBE_LAYERS,
     diag_dominance,
     exact_score_test_gaussian,
@@ -20,23 +21,26 @@ from fimscore.numcore import Rng
 
 
 def test_select_weights_constraints():
-    m = CouplingFlowModel.init_random(2, Rng(0), n_blocks=2, hidden=8)
-    wm = select_weights(m.params, ["block0.w_in"], Rng(1), max_per_layer=5)
-    assert len(wm) == 5
+    # w_out of the H = 32 flow holds 2 * 32 = 64 weights, over the cap
+    m = CouplingFlowModel.init_random(2, Rng(0), n_blocks=2, hidden=32)
+    wm = select_weights(m.params, ["block0.w_out"], Rng(1))
+    assert len(wm) == MAX_PER_LAYER == 50
     idxs = [i for _, i in wm]
     assert idxs == sorted(idxs)
-    assert len(set(idxs)) == 5
-    assert all(0 <= i < 8 for i in idxs)
+    assert len(set(idxs)) == MAX_PER_LAYER
+    assert all(0 <= i < 64 for i in idxs)
     # a layer smaller than the cap contributes all of its weights
-    wm2 = select_weights(m.params, ["block0.b_out"], Rng(1), max_per_layer=50)
+    wm2 = select_weights(m.params, ["block0.b_out"], Rng(1))
     assert len(wm2) == 2
 
 
 def test_select_weights_is_seeded():
-    m = CouplingFlowModel.init_random(2, Rng(0), n_blocks=2, hidden=8)
-    a = select_weights(m.params, ["block0.w_in", "block1.w_in"], Rng(3), 4)
-    b = select_weights(m.params, ["block0.w_in", "block1.w_in"], Rng(3), 4)
+    m = CouplingFlowModel.init_random(2, Rng(0), n_blocks=2, hidden=32)
+    a = select_weights(m.params, ["block0.w_out", "block1.w_out"], Rng(3))
+    b = select_weights(m.params, ["block0.w_out", "block1.w_out"], Rng(3))
     assert a == b
+    c = select_weights(m.params, ["block0.w_out", "block1.w_out"], Rng(4))
+    assert a != c
 
 
 def test_select_weights_errors():
@@ -50,8 +54,6 @@ def test_select_weights_errors():
         select_weights(m.params, ["nope"], Rng(0))
     with pytest.raises(DomainError, match="'mu' repeats"):
         select_weights(m.params, ["mu", "mu"], Rng(0))
-    with pytest.raises(DomainError):
-        select_weights(m.params, ["mu"], Rng(0), max_per_layer=0)
 
 
 def test_slice_rejects_empty_sample():
@@ -63,7 +65,7 @@ def test_slice_rejects_empty_sample():
 
 def test_single_draw_slice_is_rank_one():
     m = DiagGaussianModel(np.array([0.5, -1.0]), np.array([0.2, -0.4]))
-    sl = mc_fim_slice(m, ["mu"], Rng(7), n=1, max_per_layer=2)
+    sl = mc_fim_slice(m, ["mu"], Rng(7), n=1)
     # replicate the documented rng consumption order by hand
     r = Rng(7)
     r.permutation(2)
@@ -88,12 +90,11 @@ def test_gaussian_slice_matches_analytic_diagonal():
 
 
 def test_slice_is_symmetric_psd():
-    m = CouplingFlowModel.init_random(2, Rng(1), n_blocks=2, hidden=8)
-    sl = mc_fim_slice(m, ["block0.w_in", "block1.w_out"], Rng(2), n=500,
-                      max_per_layer=10)
+    m = CouplingFlowModel.init_random(2, Rng(1), n_blocks=2, hidden=32)
+    sl = mc_fim_slice(m, ["block0.b_in", "block1.w_out"], Rng(2), n=500)
     f = sl.matrix
-    # w_in has hidden * (dim/2) = 8 weights, w_out is capped at 10
-    assert f.shape == (18, 18)
+    # b_in has hidden = 32 weights, w_out's dim * hidden = 64 are capped at 50
+    assert f.shape == (82, 82)
     assert np.max(np.abs(f - f.T)) < 1e-14
     # PSD up to roundoff; eigvalsh used as an independent oracle
     assert np.linalg.eigvalsh(f).min() > -1e-10

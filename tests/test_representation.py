@@ -49,6 +49,10 @@ def test_affine_logdet_constant():
 def test_affine_singular_matrix_raises():
     with pytest.raises(SingularMatrixError):
         AffineTransform(np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros(2))
+    for a, b in ((np.array([[1.0, 0.0], [0.0, math.nan]]), np.zeros(2)),
+                 (np.eye(2), np.array([math.inf, 0.0]))):
+        with pytest.raises(DomainError, match="finite"):
+            AffineTransform(a, b)
 
 
 def test_identity_transform_is_noop():
@@ -64,8 +68,10 @@ def test_scale_shift_uses_diagonal_form():
     x = Rng(2).normals(3072)
     assert abs(t.logdet(x) - 3072 * math.log(2.0)) < 1e-9
     assert np.max(np.abs(t.inverse(t.forward(x)) - x)) < 1e-12
-    with pytest.raises(DomainError):
-        scale_shift_transform(3, scale=0.0)
+    for bad in ({"scale": 0.0}, {"scale": math.nan}, {"scale": math.inf},
+                {"shift": -math.inf}):
+        with pytest.raises(DomainError):
+            scale_shift_transform(3, **bad)
 
 
 def test_diagonal_affine_negative_scale():
@@ -317,3 +323,5 @@ def test_tv_volume_mc_agrees_with_closed_form():
         assert abs(vol - want) < 3.0 * se
     with pytest.raises(DomainError):
         tv_volume_mc(1.0, 9, Rng(0))
+    with pytest.raises(DomainError, match="not finite"):
+        tv_volume_mc(1e308, 3, Rng(0), n=100)  # (2 alpha)^d overflows

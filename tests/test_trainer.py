@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,7 @@ def test_analytic_mle_consistency():
 
 def test_split_sizes_and_content():
     data = np.arange(25.0).reshape(25, 1)
-    train_rows, fit_rows = split_rows(data, 0.1, Rng(0))
+    train_rows, fit_rows = split_rows(data, Rng(0))
     assert fit_rows.shape[0] == 3  # ceil(0.1 * 25)
     assert train_rows.shape[0] == 22
     merged = sorted(np.concatenate([train_rows, fit_rows]).ravel().tolist())
@@ -56,9 +58,11 @@ def test_split_sizes_and_content():
 
 
 def test_split_rejects_degenerate_fractions():
-    data = np.zeros((3, 1))
-    with pytest.raises(InsufficientDataError):
-        split_rows(data, 0.99, Rng(0))
+    """ceil(0.1 * n) fit rows leave none to train on at n = 1, and carve
+    none at n = 0."""
+    for n in (0, 1):
+        with pytest.raises(InsufficientDataError):
+            split_rows(np.zeros((n, 1)), Rng(0))
 
 
 def test_gaussian_training_recovers_parameters():
@@ -176,15 +180,14 @@ def test_nonfinite_gradient_names_epoch_batch_and_layer():
 
 
 def test_config_validation():
-    for bad in (
-        TrainConfig(epochs=-1),
-        TrainConfig(batch_size=0),
-        TrainConfig(learning_rate=0.0),
-        TrainConfig(fit_fraction=0.0),
-        TrainConfig(fit_fraction=1.0),
+    for field, value in (
+        ("epochs", -1),
+        ("batch_size", 0),
+        ("learning_rate", 0.0),
+        ("learning_rate", math.inf),
     ):
-        with pytest.raises(DomainError):
-            bad.validate()
+        with pytest.raises(DomainError, match=field):
+            TrainConfig(**{field: value}).validate()
 
 
 def test_train_requires_enough_rows():
@@ -194,13 +197,13 @@ def test_train_requires_enough_rows():
 
 
 def test_train_split_must_hold_one_batch():
-    """fit_fraction 0.9 leaves 25 of 256 rows to train on: no full batch
+    """140 rows keep 14 for fit and leave 126 to train on: no full batch
     of 128, so no optimizer step could run."""
-    rows = Rng(7).normals(512).reshape(256, 2)
+    rows = Rng(7).normals(280).reshape(140, 2)
     with pytest.raises(InsufficientDataError) as exc:
         train(DiagGaussianModel.standard(2), rows,
-              TrainConfig(epochs=3, batch_size=128, fit_fraction=0.9))
-    assert "25 rows" in str(exc.value) and "128" in str(exc.value)
+              TrainConfig(epochs=3, batch_size=128))
+    assert "126 rows" in str(exc.value) and "128" in str(exc.value)
 
 
 def test_result_fields():
