@@ -1,24 +1,16 @@
 """Command-line pipeline: data, training, features, scoring, probes.
 
-main resolves the seed once and calls the subcommand, which returns
-(inputs, artifacts, summary line). main then writes a manifest under
---out (config echo, including the seed in effect, plus SHA-256 of every
-input and artifact) so a run can be audited and reproduced, and prints
-the summary. Exit codes: 0 success, 1 domain error (bad values, missing
-or malformed files), 2 usage error.
-
-A flat key=value config file can supply any flag of the invoked
-subcommand via --config; explicit command-line flags win over the file.
-Keys use the flag name without the leading dashes ('-' or '_' both
-accepted). Unknown keys are usage errors. The seed is resolved as:
---seed flag, then config, then the FIMSCORE_SEED environment variable,
-then 0.
+Flags are the only source of a value; --seed defaults to 0. main calls
+the subcommand, which returns (inputs, artifacts, summary line). main
+then writes a manifest under --out (every flag value, the seed included,
+plus SHA-256 of every input and artifact) so a run can be audited and
+reproduced, and prints the summary. Exit codes: 0 success, 1 domain
+error (bad values, missing or malformed files), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import difflib
 import hashlib
 import math
 import os
@@ -43,10 +35,7 @@ def _sha256(path: str) -> str:
 
 
 def _write_manifest(args: argparse.Namespace, inputs, artifacts) -> None:
-    config = {
-        k: v for k, v in sorted(vars(args).items())
-        if k not in ("func", "config") and not k.startswith("_")
-    }
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     manifest = {
         "command": args.command,
         "package_version": __version__,
@@ -57,18 +46,6 @@ def _write_manifest(args: argparse.Namespace, inputs, artifacts) -> None:
     path = os.path.join(args.out, "manifest.json") if os.path.isdir(args.out) \
         else args.out + ".manifest.json"
     data.write_atomic(path, data.json_text(manifest))
-
-
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("FIMSCORE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise DomainError(f"FIMSCORE_SEED must be an integer, got {env!r}") from exc
-    return 0
 
 
 def _ensure_dir(path: str) -> str:
@@ -98,8 +75,10 @@ def _cmd_gen_data(args):
     for item in args.param or []:
         if "=" not in item:
             raise DomainError(f"--param expects KEY=VALUE, got {item!r}")
-        key, val = item.split("=", 1)
-        params[key.strip()] = _parse_value(val.strip())
+        key, val = (part.strip() for part in item.split("=", 1))
+        if key in params:
+            raise DomainError(f"--param names {key!r} twice")
+        params[key] = _parse_value(val)
     try:
         ds = data.generate(args.dist, args.n, args.seed, **params)
     except TypeError as exc:
@@ -346,36 +325,15 @@ def _cmd_tv_volume(args):
     return [], [args.out], text.rstrip("\n")
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors (exit 2) suggest the closest known flag from
-    ``suggest_pool``, which _build_parser sets on every parser."""
-
-    def error(self, message):
-        if "unrecognized arguments:" in message:
-            bad = message.split("unrecognized arguments:")[1].split()
-            hints = []
-            for token in bad:
-                if token.startswith("--"):
-                    near = difflib.get_close_matches(token, self.suggest_pool, n=1)
-                    if near:
-                        hints.append(f"did you mean {near[0]}?")
-            if hints:
-                message += " (" + "; ".join(hints) + ")"
-        super().error(message)
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="fimscore",
         description="Gradient-based OOD detection toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def seeded(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="PRNG seed (default: FIMSCORE_SEED env or 0)")
-        p.add_argument("--config", default=None,
-                       help="flat key=value file supplying flag defaults")
+        p.add_argument("--seed", type=int, default=0, help="PRNG seed")
 
     p = sub.add_parser("gen-data", help="sample a synthetic distribution")
     p.add_argument("--dist", required=True, choices=sorted(data.GENERATORS))
@@ -457,47 +415,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     seeded(p)
     p.set_defaults(func=_cmd_tv_volume)
-
-    pool = sorted({
-        s for child in sub.choices.values()
-        for a in child._actions for s in a.option_strings
-    })
-    parser.suggest_pool = pool
-    for child in sub.choices.values():
-        child.suggest_pool = pool
     return parser
 
 
-def _load_config_args(path: str) -> list:
-    """Translate a flat key=value file into synthetic CLI flags."""
-    flags = []
-    for lineno, raw in enumerate(data.read_text(path).split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DomainError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        flags += ["--" + key.replace("_", "-"), val]
-    return flags
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        if "--config" in argv:
-            at = argv.index("--config")
-            if at + 1 >= len(argv):
-                raise DomainError("--config needs a file path")
-            if at == 0:
-                raise DomainError("--config must follow a subcommand")
-            cfg_flags = _load_config_args(argv[at + 1])
-            # config flags go right after the subcommand so explicit flags,
-            # parsed later, override them
-            argv = [argv[0]] + cfg_flags + argv[1:at] + argv[at + 2:]
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-        args.seed = _resolve_seed(args.seed)
+        args = _build_parser().parse_args(argv)
         inputs, artifacts, summary = args.func(args)
         if args.out:
             _write_manifest(args, inputs, artifacts)

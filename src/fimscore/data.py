@@ -47,6 +47,7 @@ DMAT_VERSION = 1
 TAG_TRAIN, TAG_FIT, TAG_EVAL = 0, 1, 2
 TAG_NAMES = {"train": TAG_TRAIN, "fit": TAG_FIT, "eval": TAG_EVAL}
 SPLIT = (0.8, 0.1, 0.1)  # train, fit, eval fractions of a generated dataset
+MAX_GRID_SIDE = 1 << 26  # k*k cell indices stay exact in float64 (< 2**53)
 
 
 def two_moons(n: int, rng: Rng, noise: float = 0.1) -> np.ndarray:
@@ -81,30 +82,36 @@ def gauss_grid(n: int, rng: Rng, k: int = 3, spacing: float = 1.5,
     """Mixture of k*k equal-weight Gaussians on a centered square grid."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if k < 1 or not spacing > 0 or not sigma > 0:
+    if (not isinstance(k, (int, np.integer)) or not 1 <= k <= MAX_GRID_SIDE
+            or not spacing > 0 or not sigma > 0):
         raise DomainError(f"invalid grid: k={k}, spacing={spacing}, sigma={sigma}")
+    # center c sits at grid row c // k, column c % k; only the chosen
+    # centers are built
     choice = (rng.uniforms(n) * (k * k)).astype(int)
-    offs = (np.arange(k) - (k - 1) / 2.0) * spacing
-    centers = np.stack(
-        [np.repeat(offs, k), np.tile(offs, k)], axis=1
-    )
-    return centers[choice] + sigma * rng.normals(2 * n).reshape(n, 2)
+    centers = (np.stack([choice // k, choice % k], axis=1) - (k - 1) / 2.0) * spacing
+    return centers + sigma * rng.normals(2 * n).reshape(n, 2)
 
 
 def checkerboard(n: int, rng: Rng, cells: int = 4, side: float = 4.0) -> np.ndarray:
     """Uniform on the black cells of a cells x cells board over a square."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if cells < 2 or not side > 0:
+    if (not isinstance(cells, (int, np.integer)) or not 2 <= cells <= MAX_GRID_SIDE
+            or not side > 0):
         raise DomainError(f"invalid board: cells={cells}, side={side}")
-    occupied = [(i, j) for i in range(cells) for j in range(cells)
-                if (i + j) % 2 == 0]
-    occ = np.asarray(occupied, dtype=np.float64)
-    pick = (rng.uniforms(n) * len(occupied)).astype(int)
+    # black cells (i + j even) in row-major order: each pair of rows holds
+    # `up` cells of the even row (j = 0, 2, ...) then the odd row's (j = 1,
+    # 3, ...); only the picked ones are built
+    up = (cells + 1) // 2
+    pick = (rng.uniforms(n) * ((cells * cells + 1) // 2)).astype(int)
+    pair, r = np.divmod(pick, cells)
+    odd = r >= up
+    i = 2 * pair + odd
+    j = np.where(odd, 2 * (r - up) + 1, 2 * r)
     ux = rng.uniforms(n)
     uy = rng.uniforms(n)
     cell = side / cells
-    base = occ[pick] * cell - side / 2.0
+    base = np.stack([i, j], axis=1).astype(np.float64) * cell - side / 2.0
     return base + np.stack([ux, uy], axis=1) * cell
 
 

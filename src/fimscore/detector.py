@@ -109,9 +109,11 @@ def load_detector(path: str) -> DetectorModel:
         mu = np.asarray(obj["mu"], dtype=np.float64)
         sigma2 = np.asarray(obj["sigma2"], dtype=np.float64)
         det = DetectorModel(mu, sigma2, int(obj["n_fit"]),
-                            str(obj.get("model_checksum", "")), obj.get("layer_names"))
+                            obj.get("model_checksum", ""), obj.get("layer_names"))
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"malformed detector file '{path}': {exc}") from exc
+    if not isinstance(det.model_checksum, str):
+        raise DatasetFormatError(f"'{path}': model_checksum must be a string")
     if mu.shape != sigma2.shape or mu.ndim != 1:
         raise DatasetFormatError(f"'{path}': mu and sigma2 must be equal-length vectors")
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma2))):

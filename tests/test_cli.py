@@ -280,9 +280,9 @@ def test_malformed_features_sidecar_exits_1(pipeline, tmp_path, capsys,
 @pytest.mark.parametrize("artifact,contents", [
     ("model", b"\xff\xfe"), ("model", b"[1]"),
     ("detector", b"\xff\xfe"), ("detector", b"[1]"),
-    ("features", b"\xff\xfe"), ("config", b"\xff\xfe"),
+    ("features", b"\xff\xfe"),
 ], ids=["model-bytes", "model-array", "detector-bytes", "detector-array",
-        "features-bytes", "config-bytes"])
+        "features-bytes"])
 def test_malformed_artifact_exits_1(pipeline, tmp_path, capsys, artifact, contents):
     """Undecodable bytes or a JSON array in a file a command reads is a
     located error, not a traceback (the features sidecar has its own test)."""
@@ -294,7 +294,6 @@ def test_malformed_artifact_exits_1(pipeline, tmp_path, capsys, artifact, conten
                   "--data", os.path.join(pipeline["model"], "fit_split.dmat")],
         "detector": ["score", "--detector", bad, "--features", pipeline["feats"]],
         "features": ["fit", "--features", bad],
-        "config": ["fit", "--config", bad, "--features", pipeline["feats"]],
     }[artifact]
     out = tmp_path / "o"
     assert run(argv + ["--out", out]) == 1
@@ -379,13 +378,18 @@ def test_score_with_detector_file_without_layer_names(pipeline, tmp_path):
     ("--n-batches", "0"),
     ("--train", "a={model}:{fit}"),  # each name may appear once
     ("--eval", "b={ev}"),
+    ("--param", "noise=0.3"),  # each generator parameter may appear once
 ])
 def test_bad_list_values_exit_1(pipeline, tmp_path, capsys, flag, value):
     model = os.path.join(pipeline["model"], "model.json")
     fit = os.path.join(pipeline["model"], "fit_split.dmat")
     ev = os.path.join(pipeline["data"], "eval.dmat")
-    argv = ["eval", "--train", f"a={model}:{fit}", "--eval", f"a={ev}",
-            "--eval", f"b={ev}"]
+    if flag == "--param":
+        argv = ["gen-data", "--dist", "two_moons", "--n", 50,
+                "--param", "noise=0.1"]
+    else:
+        argv = ["eval", "--train", f"a={model}:{fit}", "--eval", f"a={ev}",
+                "--eval", f"b={ev}"]
     value = value.format(model=model, fit=fit, ev=ev)
     assert run(argv + [flag, value, "--out", tmp_path / "o"]) == 1
     err = capsys.readouterr().err
@@ -488,52 +492,22 @@ def test_eval_grid_and_determinism(tmp_path):
         assert a == b
 
 
-def test_config_file_and_flag_precedence(tmp_path):
-    data_dir = str(tmp_path / "d")
-    run(["gen-data", "--dist", "uniform_square", "--n", 200, "--seed", 0,
-         "--out", data_dir])
-    cfg = str(tmp_path / "train.cfg")
-    with open(cfg, "w") as fh:
-        fh.write("# trainer settings\nepochs = 3\nbatch_size = 25\n"
-                 "model = gaussian\nlearning_rate = 0.05\n")
-    out1 = str(tmp_path / "m1")
-    assert run(["train", "--data", data_dir, "--config", cfg,
-                "--out", out1]) == 0
-    m1 = read_json(os.path.join(out1, "manifest.json"))
-    assert m1["config"]["epochs"] == 3
-    assert m1["config"]["batch_size"] == 25
-
-    out2 = str(tmp_path / "m2")
-    assert run(["train", "--data", data_dir, "--config", cfg, "--epochs", 1,
-                "--out", out2]) == 0
-    m2 = read_json(os.path.join(out2, "manifest.json"))
-    assert m2["config"]["epochs"] == 1  # explicit flag beats config
-    curve = load_csv(os.path.join(out2, "loss_curve.csv"))
-    assert curve.shape[0] == 2
-
-
-def test_config_file_errors(tmp_path, capsys):
-    cfg = str(tmp_path / "bad.cfg")
-    with open(cfg, "w") as fh:
-        fh.write("epochs\n")
-    assert run(["train", "--data", "x.dmat", "--config", cfg,
-                "--out", str(tmp_path / "o")]) == 1
-    assert "key=value" in capsys.readouterr().err
-
-
 def test_seed_resolution(tmp_path, monkeypatch):
-    monkeypatch.setenv("FIMSCORE_SEED", "11")
-    out = str(tmp_path / "env")
-    run(["gen-data", "--dist", "rings", "--n", 50, "--out", out])
-    assert read_json(os.path.join(out, "manifest.json"))["config"]["seed"] == 11
+    """--seed is the only source of the seed: 0 without the flag, and an
+    environment variable named like it changes nothing."""
+    out = str(tmp_path / "default")
+    assert run(["gen-data", "--dist", "rings", "--n", 50, "--out", out]) == 0
+    assert read_json(os.path.join(out, "manifest.json"))["config"]["seed"] == 0
 
     out2 = str(tmp_path / "flag")
-    run(["gen-data", "--dist", "rings", "--n", 50, "--seed", 3, "--out", out2])
+    assert run(["gen-data", "--dist", "rings", "--n", 50, "--seed", 3,
+                "--out", out2]) == 0
     assert read_json(os.path.join(out2, "manifest.json"))["config"]["seed"] == 3
 
     monkeypatch.setenv("FIMSCORE_SEED", "oops")
-    assert run(["gen-data", "--dist", "rings", "--n", 50,
-                "--out", str(tmp_path / "z")]) == 1
+    out3 = str(tmp_path / "env")
+    assert run(["gen-data", "--dist", "rings", "--n", 50, "--out", out3]) == 0
+    assert read_json(os.path.join(out3, "manifest.json"))["config"]["seed"] == 0
 
 
 def test_missing_file_is_exit_1(tmp_path, capsys):
@@ -544,12 +518,13 @@ def test_missing_file_is_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_unknown_flag_suggests_and_exits_2(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["gen-data", "--dist", "rings", "--n", "50",
-             "--out", str(tmp_path / "o"), "--seedd", "4"])
-    assert exc.value.code == 2
-    assert "did you mean --seed?" in capsys.readouterr().err
+def test_unknown_flag_exits_2(tmp_path, capsys):
+    for flag in ("--seedd", "--config"):
+        with pytest.raises(SystemExit) as exc:
+            run(["gen-data", "--dist", "rings", "--n", "50",
+                 "--out", str(tmp_path / "o"), flag, "x"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from fimscore.data import (
     GENERATORS,
+    MAX_GRID_SIDE,
     TAG_EVAL,
     TAG_FIT,
     TAG_TRAIN,
@@ -72,6 +73,32 @@ def test_checkerboard_occupancy():
     assert np.all(in_black)
 
 
+def test_grid_generators_build_only_the_chosen_cells():
+    """Both grid generators equal the full-table construction bit for bit
+    at small sizes, and a grid far too large to tabulate still yields n
+    rows."""
+    for k in range(1, 9):
+        rng = Rng(k)
+        choice = (rng.uniforms(300) * (k * k)).astype(int)
+        offs = (np.arange(k) - (k - 1) / 2.0) * 1.5
+        centers = np.stack([np.repeat(offs, k), np.tile(offs, k)], axis=1)
+        table = centers[choice] + 0.15 * rng.normals(600).reshape(300, 2)
+        assert np.array_equal(gauss_grid(300, Rng(k), k=k), table)
+    for cells in range(2, 12):
+        rng = Rng(cells)
+        occ = np.asarray([(i, j) for i in range(cells) for j in range(cells)
+                          if (i + j) % 2 == 0], dtype=np.float64)
+        pick = (rng.uniforms(300) * len(occ)).astype(int)
+        u = np.stack([rng.uniforms(300), rng.uniforms(300)], axis=1)
+        cell = 4.0 / cells
+        table = occ[pick] * cell - 2.0 + u * cell
+        assert np.array_equal(checkerboard(300, Rng(cells), cells=cells), table)
+    wide = gauss_grid(200, Rng(0), k=100_000)
+    board = checkerboard(200, Rng(0), cells=1_000_000)
+    assert wide.shape == board.shape == (200, 2) and np.all(np.isfinite(wide))
+    assert np.max(np.abs(board)) <= 2.0
+
+
 def test_generator_parameter_validation():
     with pytest.raises(DomainError):
         two_moons(0, Rng(0))
@@ -84,7 +111,15 @@ def test_generator_parameter_validation():
     with pytest.raises(DomainError):
         gauss_grid(10, Rng(0), k=0)
     with pytest.raises(DomainError):
+        gauss_grid(10, Rng(0), k=2.5)
+    with pytest.raises(DomainError):
+        gauss_grid(10, Rng(0), k=MAX_GRID_SIDE + 1)  # indices past 2**53
+    with pytest.raises(DomainError):
         checkerboard(10, Rng(0), cells=1)
+    with pytest.raises(DomainError):
+        checkerboard(10, Rng(0), cells=4.0)
+    with pytest.raises(DomainError):
+        checkerboard(10, Rng(0), cells=MAX_GRID_SIDE + 1)
     with pytest.raises(DomainError):
         uniform_square(10, Rng(0), side=-1.0)
 

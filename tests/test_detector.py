@@ -202,10 +202,12 @@ def test_load_detector_errors(tmp_path):
         {"mu": [float("nan")], "sigma2": [1.0], "n_fit": 2},
         {"mu": [0.0], "sigma2": [float("inf")], "n_fit": 2},
         {"mu": [0.0], "sigma2": [float("nan")], "n_fit": 2},
+        {"mu": [0.0], "sigma2": [1.0], "n_fit": 2, "model_checksum": None},
+        {"mu": [0.0], "sigma2": [1.0], "n_fit": 2, "model_checksum": 5},
     ):
         with open(path, "w") as fh:
             json.dump(obj, fh)
-        with pytest.raises(DatasetFormatError):
+        with pytest.raises(DatasetFormatError, match="det.json"):
             load_detector(path)
 
 
