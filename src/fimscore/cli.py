@@ -1,7 +1,9 @@
 """Command-line pipeline: data, training, features, scoring, probes.
 
 Flags are the only source of a value; --seed defaults to 0. main calls
-the subcommand, which returns (inputs, artifacts, summary line). main
+the subcommand, which returns (input digests, artifacts, summary line);
+it hashes its inputs right after loading them, before its first write,
+so an input that the run overwrites is recorded as it was read. main
 then writes a manifest under --out (every flag value, the seed included,
 plus SHA-256 of every input and artifact) so a run can be audited and
 reproduced, and prints the summary. Exit codes: 0 success, 1 domain
@@ -34,14 +36,18 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(args: argparse.Namespace, inputs, artifacts) -> None:
+def _digests(paths) -> dict:
+    return {p: _sha256(p) for p in paths}
+
+
+def _write_manifest(args: argparse.Namespace, inputs: dict, artifacts) -> None:
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     manifest = {
         "command": args.command,
         "package_version": __version__,
         "config": config,
-        "inputs": {p: _sha256(p) for p in sorted(set(inputs))},
-        "artifacts": {p: _sha256(p) for p in sorted(set(artifacts))},
+        "inputs": inputs,
+        "artifacts": _digests(artifacts),
     }
     path = os.path.join(args.out, "manifest.json") if os.path.isdir(args.out) \
         else args.out + ".manifest.json"
@@ -89,16 +95,16 @@ def _cmd_gen_data(args):
         path = os.path.join(out, f"{tag}.dmat")
         data.save_dmat(path, ds.rows(tag))
         artifacts.append(path)
-    return [], artifacts, f"wrote {', '.join(artifacts)}"
+    return {}, artifacts, f"wrote {', '.join(artifacts)}"
 
 
 def _load_training_rows(path: str):
-    """(rows, input paths): a gen-data directory's train and fit splits
+    """(rows, input digests): a gen-data directory's train and fit splits
     stacked, or the one DMAT file at ``path``."""
     if os.path.isdir(path):
         paths = [os.path.join(path, f"{t}.dmat") for t in ("train", "fit")]
-        return np.vstack([data.load_dmat(p) for p in paths]), paths
-    return data.load_dmat(path), [path]
+        return np.vstack([data.load_dmat(p) for p in paths]), _digests(paths)
+    return data.load_dmat(path), _digests([path])
 
 
 def _cmd_train(args):
@@ -137,52 +143,42 @@ def _cmd_train(args):
 def _cmd_features(args):
     model = M.load_model(args.model)
     rows = data.load_dmat(args.data)
+    inputs = _digests([args.model, args.data])
     feats = gradfeatures.feature_matrix(
         model, gradfeatures.batch_view(rows, args.batch_size))
-    meta = {
+    provenance = {
         "model_checksum": M.model_checksum(model),
         "batch_size": args.batch_size,
-        "n_batches": int(feats.shape[0]),
         "layer_names": list(model.params.names),
     }
-    gradfeatures.save_features(args.out, feats, meta)
-    return [args.model, args.data], [args.out, args.out + ".json"], (
+    gradfeatures.save_features(args.out, feats, provenance)
+    return inputs, [args.out, args.out + ".json"], (
         f"wrote {feats.shape[0]} x {feats.shape[1]} features to {args.out}")
 
 
 def _cmd_fit(args):
-    feats, meta = gradfeatures.load_features(args.features)
-    logf = gradfeatures.log_features(feats)
-    meta = meta or {}
-    det = detector.fit_detector(logf, meta.get("model_checksum", ""),
-                                meta.get("layer_names"))
-    detector.save_detector(det, args.out)
-    return [args.features], [args.out], \
-        f"fit detector on {det.n_fit} batches -> {args.out}"
+    feats, provenance = gradfeatures.load_features(args.features)
+    inputs = _digests([args.features, args.features + ".json"])
+    det = detector.fit_detector(gradfeatures.log_features(feats))
+    detector.save_detector(det, args.out, provenance)
+    return inputs, [args.out], f"fit detector on {det.n_fit} batches -> {args.out}"
 
 
 def _cmd_score(args):
-    det = detector.load_detector(args.detector)
-    feats, meta = gradfeatures.load_features(args.features)
-    meta = meta or {}
-    feat_sum = meta.get("model_checksum", "")
-    if det.model_checksum and feat_sum and det.model_checksum != feat_sum:
-        raise DomainError(
-            "model checksum mismatch between detector and features; they were "
-            "built from different checkpoints"
-        )
-    names = meta.get("layer_names")
-    if det.layer_names is not None and names is not None and det.layer_names != names:
-        raise DomainError(f"layer names differ: the detector was fit on "
-                          f"{det.layer_names}, the features have {names}")
+    det, fit_provenance = detector.load_detector(args.detector)
+    feats, provenance = gradfeatures.load_features(args.features)
+    inputs = _digests([args.detector, args.features, args.features + ".json"])
+    for key, want in fit_provenance.items():
+        if provenance[key] != want:
+            raise DomainError(f"{key} differs: the detector was fit on {want!r}, "
+                              f"the features have {provenance[key]!r}")
     logf = gradfeatures.log_features(feats)
     scorer = detector.ood_score if args.method == "ours" \
         else detector.fisher_method_score
     scores = scorer(det, logf)
     table = np.column_stack([np.arange(scores.size, dtype=np.float64), scores])
     data.save_csv(args.out, table, header=["batch_id", "score"])
-    return [args.detector, args.features], [args.out], \
-        f"scored {scores.shape[0]} batches with method={args.method}"
+    return inputs, [args.out], f"scored {scores.shape[0]} batches with method={args.method}"
 
 
 def _parse_named(items, what: str, parts: int):
@@ -207,15 +203,10 @@ def _cmd_eval(args):
     evals = _parse_named(args.eval, "eval", 1)
     if not trains or len(evals) < 2:
         raise DomainError("need at least one --train and two --eval entries")
-    train_entries = {}
-    inputs = []
-    for name, (model_path, fit_path) in trains.items():
-        train_entries[name] = (M.load_model(model_path), data.load_dmat(fit_path))
-        inputs += [model_path, fit_path]
-    eval_splits = {}
-    for name, path in evals.items():
-        eval_splits[name] = data.load_dmat(path)
-        inputs.append(path)
+    train_entries = {name: (M.load_model(model_path), data.load_dmat(fit_path))
+                     for name, (model_path, fit_path) in trains.items()}
+    eval_splits = {name: data.load_dmat(path) for name, path in evals.items()}
+    inputs = _digests([p for pair in trains.values() for p in pair] + list(evals.values()))
     try:
         batch_sizes = [int(p) for p in args.batch_sizes.split(",")]
     except ValueError as exc:
@@ -242,6 +233,7 @@ def _cmd_eval(args):
 
 def _cmd_fim_probe(args):
     model = M.load_model(args.model)
+    inputs = _digests([args.model])
     root = Rng(args.seed)
     if args.layers:
         layers = [p.strip() for p in args.layers.split(",") if p.strip()]
@@ -266,7 +258,7 @@ def _cmd_fim_probe(args):
         "diag_mean": diag_mean,
         "offdiag_mean": offdiag_mean,
     }))
-    return [args.model], [raw_path, norm_path, side_path], (
+    return inputs, [raw_path, norm_path, side_path], (
         f"probed layers {layers}: diag mean {diag_mean:.4f}, "
         f"off-diagonal mean {offdiag_mean:.4f}")
 
@@ -283,6 +275,7 @@ _TRANSFORMS = {
 
 def _cmd_invariance_check(args):
     model = M.load_model(args.model)
+    inputs = _digests([args.model])
     root = Rng(args.seed)
     transform = _TRANSFORMS[args.transform](model.dim, root.child(1))
     points = M.sample(model, root.child(2), args.n_points)
@@ -301,7 +294,7 @@ def _cmd_invariance_check(args):
         "max_loglik_residual": report["max_loglik_residual"],
         "pass": passed,
     }))
-    return [args.model], [path], (
+    return inputs, [path], (
         f"invariance under {args.transform}: "
         f"grad discrepancy {report['max_grad_discrepancy']:.3e}, "
         f"{'PASS' if passed else 'FAIL'}")
@@ -322,7 +315,7 @@ def _cmd_tv_volume(args):
     text = data.json_text(obj)
     if args.out:
         data.write_atomic(args.out, text)
-    return [], [args.out], text.rstrip("\n")
+    return {}, [args.out], text.rstrip("\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:

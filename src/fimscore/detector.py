@@ -11,10 +11,9 @@ combines tail probabilities Fisher-style: q_j = min(Phi(z_j), 1 -
 Phi(z_j)) clamped to at least 1e-300, score = -sum_j ln q_j.
 
 Log features use gradfeatures' one fixed FLOOR, so a saved detector
-records no floor, and load_detector ignores the floor entry of older files.
-A detector records the model checksum and the layer names of the features
-it was fit on, when they are known, so scoring can refuse features built
-otherwise; files written before layer names were recorded still load.
+records no floor. A detector file stores, beside the statistics, the
+provenance record of the features it was fit on (model checksum, layer
+names, batch size), so scoring can refuse features built otherwise.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ import numpy as np
 
 from .data import json_text, read_json, write_atomic
 from .errors import DatasetFormatError, DomainError, InsufficientDataError
+from .gradfeatures import read_provenance
 from .numcore import std_normal_cdf
 
 VAR_FLOOR = 1e-12
@@ -37,12 +37,9 @@ class DetectorModel:
     mu: np.ndarray
     sigma2: np.ndarray
     n_fit: int
-    model_checksum: str = ""
-    layer_names: list | None = None
 
 
-def fit_detector(log_feats: np.ndarray, model_checksum: str = "",
-                 layer_names: list | None = None) -> DetectorModel:
+def fit_detector(log_feats: np.ndarray) -> DetectorModel:
     """Per-layer Gaussian fit; requires at least 2 fit batches."""
     f = np.asarray(log_feats, dtype=np.float64)
     if f.ndim != 2:
@@ -53,12 +50,9 @@ def fit_detector(log_feats: np.ndarray, model_checksum: str = "",
         )
     if not np.all(np.isfinite(f)):
         raise DomainError("log features must be finite")
-    if layer_names is not None and len(layer_names) != f.shape[1]:
-        raise DomainError(f"{len(layer_names)} layer names for {f.shape[1]} "
-                          f"feature columns")
     mu = f.mean(axis=0)
     sigma2 = np.maximum(f.var(axis=0), VAR_FLOOR)
-    return DetectorModel(mu, sigma2, int(f.shape[0]), model_checksum, layer_names)
+    return DetectorModel(mu, sigma2, int(f.shape[0]))
 
 
 def _checked(det: DetectorModel, log_feats: np.ndarray) -> np.ndarray:
@@ -92,37 +86,30 @@ def fisher_method_score(det: DetectorModel, log_feats: np.ndarray):
     return -np.log(q).sum(axis=-1)
 
 
-def save_detector(det: DetectorModel, path: str) -> None:
+def save_detector(det: DetectorModel, path: str, provenance: dict) -> None:
+    """The statistics and the provenance record of the fit features, as JSON."""
     obj = {
+        **provenance,
         "mu": [float(v) for v in det.mu],
         "sigma2": [float(v) for v in det.sigma2],
         "n_fit": det.n_fit,
-        "model_checksum": det.model_checksum,
-        "layer_names": det.layer_names,
     }
     write_atomic(path, json_text(obj))
 
 
-def load_detector(path: str) -> DetectorModel:
+def load_detector(path: str):
+    """Inverse of save_detector; returns (detector, provenance)."""
     obj = read_json(path)
     try:
         mu = np.asarray(obj["mu"], dtype=np.float64)
         sigma2 = np.asarray(obj["sigma2"], dtype=np.float64)
-        det = DetectorModel(mu, sigma2, int(obj["n_fit"]),
-                            obj.get("model_checksum", ""), obj.get("layer_names"))
+        det = DetectorModel(mu, sigma2, int(obj["n_fit"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"malformed detector file '{path}': {exc}") from exc
-    if not isinstance(det.model_checksum, str):
-        raise DatasetFormatError(f"'{path}': model_checksum must be a string")
     if mu.shape != sigma2.shape or mu.ndim != 1:
         raise DatasetFormatError(f"'{path}': mu and sigma2 must be equal-length vectors")
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma2))):
         raise DatasetFormatError(f"'{path}': mu and sigma2 entries must be finite")
     if np.any(sigma2 <= 0.0):
         raise DatasetFormatError(f"'{path}': sigma2 entries must be positive")
-    names = det.layer_names
-    if names is not None and not (isinstance(names, list) and len(names) == mu.size
-                                  and all(isinstance(n, str) for n in names)):
-        raise DatasetFormatError(f"'{path}': layer_names must be {mu.size} strings, "
-                                 "one per layer")
-    return det
+    return det, read_provenance(obj, path, mu.size)

@@ -9,11 +9,11 @@ A grouped backward pass over a (batches, batch size, dim) array, swept
 in bounded chunks, produces every feature. Scoring happens on ln f_j;
 exact zeros (they occur, for instance, in the mean layer of a Gaussian
 at its MLE) are raised to FLOOR first so downstream Gaussians stay finite.
+A feature CSV has a required JSON sidecar: its provenance record (model
+checksum, layer names, batch size), which read_provenance validates.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -88,31 +88,35 @@ def layer_correlation_profile(features: np.ndarray):
     return profile, excluded
 
 
-def save_features(path: str, features: np.ndarray, meta: dict) -> None:
+def save_features(path: str, features: np.ndarray, provenance: dict) -> None:
     """CSV with header batch_id,layer_0,... plus a JSON sidecar at path.json."""
     f = np.asarray(features, dtype=np.float64)
     table = np.column_stack([np.arange(f.shape[0], dtype=np.float64), f])
     save_csv(path, table, ["batch_id"] + [f"layer_{j}" for j in range(f.shape[1])])
-    write_atomic(path + ".json", json_text(meta))
+    write_atomic(path + ".json", json_text(provenance))
+
+
+def read_provenance(obj: dict, path: str, width: int) -> dict:
+    """The provenance record in ``obj``: ``batch_size`` a positive int,
+    ``layer_names`` exactly ``width`` strings, ``model_checksum`` a string.
+    A missing or mistyped entry is a DatasetFormatError naming ``path``."""
+    size, names, checksum = (obj.get(k) for k in ("batch_size", "layer_names",
+                                                  "model_checksum"))
+    if type(size) is not int or size < 1:
+        raise DatasetFormatError(f"'{path}': batch_size must be a positive int")
+    if not (isinstance(names, list) and len(names) == width
+            and all(isinstance(n, str) for n in names)):
+        raise DatasetFormatError(f"'{path}': layer_names must be {width} strings")
+    if not isinstance(checksum, str):
+        raise DatasetFormatError(f"'{path}': model_checksum must be a string")
+    return {"batch_size": size, "layer_names": names, "model_checksum": checksum}
 
 
 def load_features(path: str):
-    """Inverse of save_features; returns (matrix, meta or None).
-
-    A sidecar that is not a JSON object, or whose ``model_checksum`` is
-    not a string or ``layer_names`` not a list of strings, is a
-    DatasetFormatError."""
+    """Inverse of save_features; returns (matrix, provenance). The sidecar
+    is required and checked by read_provenance against the CSV width."""
     if not read_text(path).startswith("batch_id"):
         raise DatasetFormatError(f"'{path}' is not a feature CSV", row=0)
-    meta = None
+    matrix = load_csv(path)[:, 1:]
     side = path + ".json"
-    if os.path.exists(side):
-        meta = read_json(side)
-        if not isinstance(meta.get("model_checksum", ""), str):
-            raise DatasetFormatError(
-                f"feature sidecar '{side}': model_checksum must be a string")
-        names = meta.get("layer_names", [])
-        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
-            raise DatasetFormatError(
-                f"feature sidecar '{side}': layer_names must be a list of strings")
-    return load_csv(path)[:, 1:], meta
+    return matrix, read_provenance(read_json(side), side, matrix.shape[1])

@@ -15,9 +15,10 @@ giving one flat gradient row per group of consecutive rows: per-sample
 scores are groups of one row, a batch-summed gradient is one group.
 
 Checkpoints are JSON (type, dims, hyper, named layers with shapes and
-row-major values), written and read through ``data``; the checksum hashes
-a compact sorted-key form. Python's shortest-repr float serialization
-makes save/load round-trips bit-for-bit.
+row-major values; a flow's hyper must give K, H and c, none defaulted),
+written and read through ``data``; the checksum hashes a compact
+sorted-key form. Python's shortest-repr float serialization makes
+save/load round-trips bit-for-bit.
 """
 
 from __future__ import annotations
@@ -413,9 +414,9 @@ def model_from_dict(obj: dict):
     try:
         mtype = obj["type"]
         dims = int(obj["dims"])
-        hyper = obj.get("hyper", {})
-        n_blocks, hidden = int(hyper.get("K", 6)), int(hyper.get("H", 32))
-        clamp = float(hyper.get("c", 5.0))
+        if mtype == CouplingFlowModel.type_name:
+            hyper = obj["hyper"]
+            n_blocks, hidden, clamp = int(hyper["K"]), int(hyper["H"]), float(hyper["c"])
         layers = obj["layers"]
         items = []
         for entry in layers:

@@ -173,7 +173,24 @@ def test_score_checksum_mismatch(pipeline, tmp_path, capsys):
     code = run(["score", "--detector", pipeline["det"],
                 "--features", other_feats, "--out", str(tmp_path / "s.csv")])
     assert code == 1
-    assert "checksum mismatch" in capsys.readouterr().err
+    assert "error: model_checksum differs" in capsys.readouterr().err
+
+
+def test_score_rejects_features_of_another_batch_size(pipeline, tmp_path, capsys):
+    """Feature norms grow with the batch size, so a detector fit on
+    batches of 5 says nothing about batches of 1."""
+    feats = {b: str(tmp_path / f"f{b}.csv") for b in (1, 5)}
+    for b, path in feats.items():
+        assert run(["features", "--model", os.path.join(pipeline["model"], "model.json"),
+                    "--data", os.path.join(pipeline["model"], "fit_split.dmat"),
+                    "--batch-size", b, "--out", path]) == 0
+    det = str(tmp_path / "det5.json")
+    assert run(["fit", "--features", feats[5], "--out", det]) == 0
+    out = tmp_path / "s.csv"
+    assert run(["score", "--detector", det, "--features", feats[1], "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "error: batch_size differs" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def _manifest_path(out):
@@ -216,6 +233,23 @@ def test_every_manifest_records_seed_and_hashes(pipeline, tmp_path, command):
     assert manifest["artifacts"]
     for path, digest in {**manifest["inputs"], **manifest["artifacts"]}.items():
         assert cli._sha256(path) == digest
+    if command in ("fit", "score"):
+        assert pipeline["feats"] + ".json" in manifest["inputs"]
+
+
+def test_manifest_hashes_an_input_as_read_before_the_run_overwrites_it(pipeline,
+                                                                      tmp_path):
+    out = str(tmp_path / "m")
+    assert run(["train", "--data", pipeline["data"], "--model", "gaussian",
+                "--epochs", 1, "--batch-size", 32, "--out", out]) == 0
+    split = os.path.join(out, "train_split.dmat")
+    read = cli._sha256(split)
+    assert run(["train", "--data", split, "--model", "gaussian",
+                "--epochs", 1, "--batch-size", 32, "--out", out]) == 0
+    manifest = read_json(os.path.join(out, "manifest.json"))
+    assert manifest["inputs"] == {split: read}
+    assert manifest["artifacts"][split] == cli._sha256(split)
+    assert cli._sha256(split) != read
 
 
 def test_train_split_without_a_full_batch_exits_1(pipeline, tmp_path, capsys):
@@ -257,17 +291,22 @@ def test_score_rejects_nan_feature_cell(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sidecar", [b'{"batch_size": 2', b"[1]", b'{"model_checksum": 5}',
-                                     b'{"layer_names": "ab"}', b"\xff\xfe"],
-                         ids=["truncated", "list", "int_checksum", "string_names",
-                              "undecodable"])
+@pytest.mark.parametrize("sidecar", [
+    b'{"batch_size": 2', b"[1]", b'{"model_checksum": 5}', b'{"layer_names": "ab"}',
+    b"\xff\xfe", None,
+    b'{"batch_size": 2, "layer_names": ["mu"], "model_checksum": "c"}',
+], ids=["truncated", "list", "int_checksum", "string_names", "undecodable", "missing",
+        "short_names"])
 @pytest.mark.parametrize("command", ["fit", "score"])
 def test_malformed_features_sidecar_exits_1(pipeline, tmp_path, capsys,
                                             command, sidecar):
+    """A features sidecar that is missing, undecodable or not a whole
+    provenance record for the CSV's columns is an error naming it."""
     feats = str(tmp_path / "f.csv")
     shutil.copyfile(pipeline["feats"], feats)
-    with open(feats + ".json", "wb") as fh:
-        fh.write(sidecar)
+    if sidecar is not None:
+        with open(feats + ".json", "wb") as fh:
+            fh.write(sidecar)
     out = tmp_path / "o"
     argv = ["fit"] if command == "fit" else ["score", "--detector", pipeline["det"]]
     assert run(argv + ["--features", feats, "--out", out]) == 1
@@ -307,7 +346,10 @@ def test_malformed_artifact_exits_1(pipeline, tmp_path, capsys, artifact, conten
     ("model", {"type": "diag_gaussian"}, "malformed checkpoint: 'dims'"),
     ("detector", {"mu": [1, 2], "sigma2": [1], "n_fit": 3},
      "mu and sigma2 must be equal-length vectors"),
-], ids=["model-no-dims", "detector-unequal"])
+    ("detector", {"mu": [1, 2], "sigma2": [1, 1], "n_fit": 3, "model_checksum": "c",
+                  "layer_names": ["mu", "log_sigma"]},
+     "batch_size must be a positive int"),
+], ids=["model-no-dims", "detector-unequal", "detector-no-batch-size"])
 def test_invalid_parsed_artifact_names_file(pipeline, tmp_path, capsys, artifact,
                                             contents, message):
     """A model or detector file that parses as JSON but fails validation
@@ -353,21 +395,8 @@ def test_score_rejects_reordered_layer_names(pipeline, tmp_path, capsys):
                 "--out", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert "layer names differ" in err
+    assert "layer_names differs" in err
     assert not out.exists()
-
-
-def test_score_with_detector_file_without_layer_names(pipeline, tmp_path):
-    """A detector written before layer names were recorded still scores."""
-    obj = read_json(pipeline["det"])
-    del obj["layer_names"]
-    det = str(tmp_path / "old.json")
-    with open(det, "w") as fh:
-        json.dump(obj, fh)
-    feats = _features_with_meta(pipeline, tmp_path, layer_names=["log_sigma", "mu"])
-    out = tmp_path / "s.csv"
-    assert run(["score", "--detector", det, "--features", feats, "--out", out]) == 0
-    assert np.array_equal(load_csv(str(out)), load_csv(pipeline["scores"]))
 
 
 @pytest.mark.parametrize("flag,value", [

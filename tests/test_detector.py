@@ -138,55 +138,18 @@ def test_scores_increase_with_distance():
     assert all(np.diff(nll) > 0) and all(np.diff(fis) > 0)
 
 
+RECORD = {"batch_size": 5, "layer_names": ["a", "b"], "model_checksum": "deadbeef"}
+
+
 def test_save_load_roundtrip(tmp_path):
-    det = DetectorModel(np.array([0.5, -1.0]), np.array([2.0, 0.25]), 7,
-                        model_checksum="deadbeef")
+    det = DetectorModel(np.array([0.5, -1.0]), np.array([2.0, 0.25]), 7)
     path = str(tmp_path / "det.json")
-    save_detector(det, path)
-    back = load_detector(path)
+    save_detector(det, path, RECORD)
+    back, record = load_detector(path)
     assert np.array_equal(back.mu, det.mu)
     assert np.array_equal(back.sigma2, det.sigma2)
     assert back.n_fit == 7
-    assert back.model_checksum == "deadbeef"
-
-
-def test_layer_names_roundtrip_and_old_files(tmp_path):
-    f = Rng(5).normals(20).reshape(10, 2)
-    det = fit_detector(f, "cafe", ["a", "b"])
-    path = str(tmp_path / "det.json")
-    save_detector(det, path)
-    assert load_detector(path).layer_names == ["a", "b"]
-    with open(path) as fh:
-        obj = json.load(fh)
-    del obj["layer_names"]  # as files written before the key existed
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
-    back = load_detector(path)
-    assert back.layer_names is None
-    assert np.array_equal(ood_score(back, f), ood_score(det, f))
-    with pytest.raises(DomainError):
-        fit_detector(f, "cafe", ["a"])
-    for bad in ("ab", ["a"], ["a", 2]):
-        with open(path, "w") as fh:
-            json.dump({**obj, "layer_names": bad}, fh)
-        with pytest.raises(DatasetFormatError):
-            load_detector(path)
-
-
-def test_load_detector_with_floor_used_key(tmp_path):
-    """A detector file with a "floor_used" entry, as older files have,
-    loads and scores as the detector it was written from."""
-    f = Rng(4).normals(40).reshape(10, 4)
-    det = fit_detector(f, "cafe")
-    path = str(tmp_path / "old.json")
-    with open(path, "w") as fh:
-        json.dump({"mu": det.mu.tolist(), "sigma2": det.sigma2.tolist(),
-                   "n_fit": 10, "model_checksum": "cafe",
-                   "floor_used": 1e-300}, fh, indent=1, sort_keys=True)
-    back = load_detector(path)
-    assert back.model_checksum == "cafe" and back.n_fit == 10
-    for scorer in (ood_score, fisher_method_score):
-        assert np.array_equal(scorer(back, f), scorer(det, f))
+    assert record == RECORD
 
 
 def test_load_detector_errors(tmp_path):
@@ -195,16 +158,25 @@ def test_load_detector_errors(tmp_path):
         fh.write("{broken")
     with pytest.raises(DatasetFormatError):
         load_detector(path)
-    for obj in (
-        {"mu": [0.0], "sigma2": [1.0, 2.0], "n_fit": 2},
-        {"mu": [0.0], "sigma2": [0.0], "n_fit": 2},
+    good = {"mu": [0.0, 1.0], "sigma2": [1.0, 2.0], "n_fit": 2, **RECORD}
+    missing = [{k: v for k, v in good.items() if k != key} for key in RECORD]
+    for obj in missing + [
+        {**good, "sigma2": [1.0]},
+        {**good, "sigma2": [0.0, 1.0]},
         {"mu": [0.0]},
-        {"mu": [float("nan")], "sigma2": [1.0], "n_fit": 2},
-        {"mu": [0.0], "sigma2": [float("inf")], "n_fit": 2},
-        {"mu": [0.0], "sigma2": [float("nan")], "n_fit": 2},
-        {"mu": [0.0], "sigma2": [1.0], "n_fit": 2, "model_checksum": None},
-        {"mu": [0.0], "sigma2": [1.0], "n_fit": 2, "model_checksum": 5},
-    ):
+        {**good, "mu": [float("nan"), 0.0]},
+        {**good, "sigma2": [float("inf"), 1.0]},
+        {**good, "sigma2": [float("nan"), 1.0]},
+        {**good, "model_checksum": None},
+        {**good, "model_checksum": 5},
+        {**good, "layer_names": "ab"},
+        {**good, "layer_names": ["a"]},
+        {**good, "layer_names": ["a", 2]},
+        {**good, "batch_size": 0},
+        {**good, "batch_size": True},
+        {**good, "batch_size": 5.0},
+        {**good, "batch_size": "5"},
+    ]:
         with open(path, "w") as fh:
             json.dump(obj, fh)
         with pytest.raises(DatasetFormatError, match="det.json"):

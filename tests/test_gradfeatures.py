@@ -137,17 +137,19 @@ def test_feature_scales_quadratically_under_reparameterization():
     assert abs(f_phi - 4.0 * f_mu) / (4.0 * f_mu) < 1e-5
 
 
+RECORD = {"batch_size": 5, "layer_names": ["a", "b", "c"], "model_checksum": "abc"}
+
+
 def test_save_load_roundtrip(tmp_path):
     path = str(tmp_path / "features.csv")
     f = np.abs(Rng(10).normals(12)).reshape(4, 3)
-    meta = {"batch_size": 5, "model_checksum": "abc", "n_batches": 4}
-    save_features(path, f, meta)
+    save_features(path, f, RECORD)
     with open(path) as fh:
         header = fh.readline().strip()
     assert header == "batch_id,layer_0,layer_1,layer_2"
-    back, meta_back = load_features(path)
+    back, record = load_features(path)
     assert np.array_equal(back, f)
-    assert meta_back == meta
+    assert record == RECORD
 
 
 def test_load_features_errors(tmp_path):
@@ -180,26 +182,20 @@ def test_load_features_errors(tmp_path):
 
 
 def test_load_features_rejects_mistyped_sidecar_fields(tmp_path):
-    """A checksum that is not a string would be stored in the detector as
-    given and read back as a string, so the same features would later fail
-    the checksum check; names that are not a list of strings would make a
-    detector file that does not load. Such sidecars are refused when read."""
+    """Each entry of the provenance record is checked: a sidecar with one
+    entry missing or mistyped, or a name count other than the CSV width,
+    is refused when read."""
     path = str(tmp_path / "f.csv")
-    for meta in ({"model_checksum": 5}, {"model_checksum": None},
-                 {"layer_names": "ab"}, {"layer_names": ["a", 1]}):
-        save_features(path, np.ones((2, 2)), meta)
+    bad = [{k: v for k, v in RECORD.items() if k != key} for key in RECORD]
+    for key, value in (("model_checksum", 5), ("model_checksum", None),
+                       ("layer_names", "abc"), ("layer_names", ["a", "b", 1]),
+                       ("layer_names", ["a", "b"]), ("batch_size", 0),
+                       ("batch_size", False), ("batch_size", 5.0)):
+        bad.append({**RECORD, key: value})
+    for record in bad:
+        save_features(path, np.ones((2, 3)), record)
         with pytest.raises(DatasetFormatError, match="f.csv.json"):
             load_features(path)
-
-
-def test_missing_sidecar_gives_none_meta(tmp_path):
-    path = str(tmp_path / "bare.csv")
-    save_features(path, np.ones((2, 2)), {"k": 1})
-    import os
-
-    os.remove(path + ".json")
-    back, meta = load_features(path)
-    assert meta is None and back.shape == (2, 2)
 
 
 def test_nonfinite_gradient_names_layer():

@@ -299,8 +299,9 @@ def test_malformed_checkpoints(tmp_path):
             load_model(path)
 
 
-@pytest.mark.parametrize("hyper", [[], {"K": "x"}, {"K": None}, {"K": float("inf")}],
-                         ids=["list", "string", "null", "inf"])
+@pytest.mark.parametrize("hyper", [[], {"K": "x"}, {"K": None}, {"K": float("inf")},
+                                   {}, {"K": 2, "H": 5}],
+                         ids=["list", "string", "null", "inf", "empty", "no_clamp"])
 def test_malformed_checkpoint_hyper(tmp_path, hyper):
     path = str(tmp_path / "model.json")
     save_model(zero_flow(n_blocks=2), path)
