@@ -145,7 +145,7 @@ def _cmd_features(args):
     rows = data.load_dmat(args.data)
     inputs = _digests([args.model, args.data])
     feats = gradfeatures.feature_matrix(
-        model, gradfeatures.batch_view(rows, args.batch_size))
+        model, gradfeatures.batch_view(rows, args.batch_size, f"--data '{args.data}'"))
     provenance = {
         "model_checksum": M.model_checksum(model),
         "batch_size": args.batch_size,

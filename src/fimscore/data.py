@@ -150,7 +150,8 @@ def generate(dist: str, n: int, seed: int, **params) -> Dataset:
     One Rng(seed) drives everything: the generator's documented draws
     first, then one permutation that assigns the first ceil(train*n)
     shuffled positions to train, the next ceil(fit*n) to fit, and the
-    rest to eval, with the fractions of SPLIT.
+    rest to eval, with the fractions of SPLIT. An n that leaves a split
+    with no row is a DomainError.
     """
     if dist not in GENERATORS:
         raise DomainError(
@@ -158,12 +159,15 @@ def generate(dist: str, n: int, seed: int, **params) -> Dataset:
         )
     rng = Rng(seed)
     points = GENERATORS[dist](n, rng, **params)
-    perm = rng.permutation(n)
     n_train = math.ceil(SPLIT[0] * n)
-    n_fit = math.ceil(SPLIT[1] * n)
+    n_fit = min(n - n_train, math.ceil(SPLIT[1] * n))
+    for tag, count in zip(TAG_NAMES, (n_train, n_fit, n - n_train - n_fit)):
+        if count == 0:
+            raise DomainError(f"n = {n} leaves the {tag} split empty at fractions {SPLIT}")
+    perm = rng.permutation(n)
     tags = np.full(n, TAG_EVAL, dtype=np.uint8)
     tags[perm[:n_train]] = TAG_TRAIN
-    tags[perm[n_train : min(n, n_train + n_fit)]] = TAG_FIT
+    tags[perm[n_train : n_train + n_fit]] = TAG_FIT
     return Dataset(points, tags)
 
 

@@ -15,7 +15,7 @@ class DomainError(FimscoreError, ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class SingularMatrixError(FimscoreError, ValueError):
+class SingularMatrixError(DomainError):
     """A matrix that must be invertible has determinant zero."""
 
 

@@ -106,14 +106,10 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
         # for one batch size skips only the cells that need it
         key = (name, batch_sizes[b_idx])
         if key not in batch_cache:
-            rows = np.asarray(eval_splits[name], dtype=np.float64)
             rng = root.child(1 + eval_names.index(name) * len(batch_sizes) + b_idx)
-            batches = gradfeatures.batch_view(rng.shuffled(rows), key[1])[:n_eval_batches]
-            if len(batches) == 0:
-                raise InsufficientDataError(
-                    f"eval split '{name}' with {len(rows)} rows yields no "
-                    f"batch of size {key[1]}")
-            batch_cache[key] = batches
+            batch_cache[key] = gradfeatures.batch_view(
+                rng.shuffled(eval_splits[name]), key[1],
+                f"eval split '{name}'")[:n_eval_batches]
         return batch_cache[key]
 
     reports = []
@@ -129,7 +125,8 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
             # a thin test split skips its cells with the first error that
             # stopped them, instead of killing the whole grid run
             try:
-                fit_batches = gradfeatures.batch_view(fit_rows, bsz)
+                fit_batches = gradfeatures.batch_view(
+                    fit_rows, bsz, f"fit split of '{train_name}'")
                 if len(fit_batches) < 2:
                     raise InsufficientDataError(
                         f"fit split of '{train_name}' yields "

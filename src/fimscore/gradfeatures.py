@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import json_text, load_csv, read_json, read_text, save_csv, write_atomic
-from .errors import DatasetFormatError, DomainError
+from .errors import DatasetFormatError, DomainError, InsufficientDataError
 from .models import reduce_grad_groups
 
 FLOOR = 1e-300
@@ -52,13 +52,17 @@ def feature_matrix(model, batches) -> np.ndarray:
                               len(offsets))
 
 
-def batch_view(rows: np.ndarray, batch_size: int) -> np.ndarray:
+def batch_view(rows: np.ndarray, batch_size: int, source: str = "rows") -> np.ndarray:
     """Disjoint contiguous batches of the given size as one
-    (batches, batch size, dim) view of ``rows``; remainder dropped."""
+    (batches, batch size, dim) view of ``rows``; remainder dropped. Rows
+    too few for one batch are an InsufficientDataError naming ``source``."""
     rows = np.asarray(rows, dtype=np.float64)
     if batch_size < 1:
         raise DomainError(f"batch size must be >= 1, got {batch_size}")
     n = rows.shape[0] // batch_size
+    if n == 0:
+        raise InsufficientDataError(f"{source} with {rows.shape[0]} rows yields no "
+                                    f"batch of size {batch_size}")
     return rows[: n * batch_size].reshape(n, batch_size, rows.shape[1])
 
 

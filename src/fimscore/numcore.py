@@ -1,4 +1,4 @@
-"""Deterministic numeric kernels: PRNG and special functions.
+"""Deterministic numeric kernels: PRNG, normal CDF, finite differences.
 
 The random generator is PCG32 (64-bit LCG state, xorshift-rotate output)
 so that streams are reproducible bit-for-bit across platforms and runs.
@@ -9,8 +9,7 @@ Bulk generation uses the closed form of the LCG orbit,
 evaluated with wrapping uint64 cumulative products/sums, and is exactly
 the sequence the scalar stepper produces.
 
-Special functions defer to the C library through ``math`` where that
-meets the accuracy contract.
+The normal CDF defers to the C library's erfc through ``math``.
 """
 
 from __future__ import annotations
@@ -156,13 +155,6 @@ class Rng:
             raise DomainError(f"child index must be >= 0, got {index}")
         k = _splitmix64(self._derive_key ^ _splitmix64(index + 1))
         return Rng(seed=_splitmix64(k), stream=_splitmix64(k ^ 0x9E3779B97F4A7C15))
-
-
-def lgamma(x: float) -> float:
-    """log Gamma(x) for x > 0; absolute error well under 1e-12 on [0.5, 1e6]."""
-    if not x > 0.0:
-        raise DomainError(f"lgamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def std_normal_cdf(z):

@@ -12,18 +12,18 @@ invariant while gradient features are.
 Every transform maps one point (d,) or an array of rows (n, d); its
 logdet gives one value per row, of shape ``x.shape[:-1]``.
 
-Transforms provided: dense affine maps (log-det from numpy's slogdet),
-named elementwise monotone maps with analytic derivatives, and a
-pixelwise RGB-to-HSV conversion. For HSV the per-pixel 3x3 Jacobian is
-analytic, piecewise by hue sextant, and its absolute determinant has
-the closed form 1 / (6 * V * C) with V the max channel and C = V - min;
-gray pixels (C = 0) are singular, which is what dequantization noise is
-for.
+Transforms provided: affine maps t = A x + b (log-det from numpy's
+slogdet; the scale-shift map is the diagonal case), named elementwise
+monotone maps with analytic derivatives, and a pixelwise RGB-to-HSV
+conversion. For HSV the per-pixel 3x3 Jacobian is analytic, piecewise
+by hue sextant, and its absolute determinant has the closed form
+1 / (6 * V * C) with V the max channel and C = V - min; gray pixels
+(C = 0) are singular, which is what dequantization noise is for.
 
-Total variation of a flat vector is TV(x) = |x_1| + sum |x_i - x_{i-1}|,
-and the set {TV <= alpha} in R^d has volume (2 alpha)^d / d!,
-giving the exact log-volume used to reason about how little mass such
-sets can hold in high dimension.
+Total variation over the last axis is TV(x) = |x_1| + sum |x_i - x_{i-1}|,
+and the set {TV <= alpha} in R^d has volume (2 alpha)^d / d!, giving the
+exact log-volume used to reason about how little mass such sets can
+hold in high dimension.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, DomainError, SingularMatrixError
 from .models import score  # unused here, but the benchmark tracer wraps this name
-from .numcore import Rng, lgamma
+from .numcore import Rng
 
 
 class AffineTransform:
@@ -62,40 +62,6 @@ class AffineTransform:
 
     def inverse(self, t: np.ndarray) -> np.ndarray:
         return np.linalg.solve(self.a, (np.asarray(t, dtype=np.float64) - self.b).T).T
-
-    def logdet(self, x: np.ndarray) -> np.ndarray:
-        return np.full(np.shape(x)[:-1], self._logdet)
-
-
-class DiagonalAffine:
-    """t = s * x + b with nonzero per-coordinate scales.
-
-    Same contract as AffineTransform restricted to diagonal maps, but
-    with no dense matrix: memory and time stay O(d), so it serves at
-    image dimensions where a d x d matrix and its solve would not.
-    """
-
-    name = "diagonal_affine"
-
-    def __init__(self, scale: np.ndarray, shift: np.ndarray):
-        self.scale = np.asarray(scale, dtype=np.float64)
-        self.shift = np.asarray(shift, dtype=np.float64)
-        if self.scale.ndim != 1 or self.shift.shape != self.scale.shape:
-            raise DomainError(
-                f"scale and shift must be equal-length vectors, got "
-                f"{self.scale.shape} and {self.shift.shape}"
-            )
-        if not (np.all(np.isfinite(self.scale)) and np.all(np.isfinite(self.shift))):
-            raise DomainError("diagonal scales and shifts must be finite")
-        if np.any(self.scale == 0.0):
-            raise DomainError("diagonal scales must be nonzero")
-        self._logdet = float(np.sum(np.log(np.abs(self.scale))))
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.scale * np.asarray(x, dtype=np.float64) + self.shift
-
-    def inverse(self, t: np.ndarray) -> np.ndarray:
-        return (np.asarray(t, dtype=np.float64) - self.shift) / self.scale
 
     def logdet(self, x: np.ndarray) -> np.ndarray:
         return np.full(np.shape(x)[:-1], self._logdet)
@@ -273,8 +239,10 @@ def identity_transform(dim: int) -> AffineTransform:
 
 
 def scale_shift_transform(dim: int, scale: float = 2.0,
-                          shift: float = 1.0) -> DiagonalAffine:
-    return DiagonalAffine(scale * np.ones(dim), shift * np.ones(dim))
+                          shift: float = 1.0) -> AffineTransform:
+    # np.diag, not scale * np.eye: inf * 0 would warn before the
+    # finiteness check could reject an infinite scale
+    return AffineTransform(np.diag(np.full(dim, scale)), np.full(dim, shift))
 
 
 def random_affine(dim: int, rng: Rng) -> AffineTransform:
@@ -328,12 +296,13 @@ def dequantize(x: np.ndarray, rng: Rng, scale: float = 1.0 / 255.0) -> np.ndarra
     return x + scale * rng.normals(x.size).reshape(x.shape)
 
 
-def tv(x: np.ndarray) -> float:
-    """|x_1| + sum_i |x_i - x_{i-1}| for a flat vector."""
+def tv(x: np.ndarray):
+    """|x_1| + sum_i |x_i - x_{i-1}| over the last axis: one value for a
+    flat vector, one per row of an (n, d) array."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size < 1:
-        raise DomainError(f"tv expects a nonempty flat vector, got shape {x.shape}")
-    return float(abs(x[0]) + np.sum(np.abs(np.diff(x))))
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise DomainError(f"tv expects a nonempty last axis, got shape {x.shape}")
+    return np.abs(x[..., 0]) + np.sum(np.abs(np.diff(x, axis=-1)), axis=-1)
 
 
 def tv_log_volume(alpha: float, d: int) -> float:
@@ -348,7 +317,7 @@ def tv_log_volume(alpha: float, d: int) -> float:
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
     # ln 2 + ln alpha, not ln(2 alpha): 2 alpha overflows above ~9e307
-    return d * (math.log(2.0) + math.log(alpha)) - lgamma(d + 1.0)
+    return d * (math.log(2.0) + math.log(alpha)) - math.lgamma(d + 1.0)
 
 
 def tv_volume_mc(alpha: float, d: int, rng: Rng, n: int = 200000):
@@ -370,7 +339,6 @@ def tv_volume_mc(alpha: float, d: int, rng: Rng, n: int = 200000):
         raise DomainError(f"the enclosing cube volume (2 * {alpha})^{d} is not finite")
     u = rng.uniforms(n * d).reshape(n, d)
     pts = (2.0 * u - 1.0) * alpha
-    tvs = np.abs(pts[:, 0]) + np.sum(np.abs(np.diff(pts, axis=1)), axis=1)
-    frac = float(np.mean(tvs <= alpha))
+    frac = float(np.mean(tv(pts) <= alpha))
     se = cube * math.sqrt(max(frac * (1.0 - frac), 1e-12) / n)
     return cube * frac, se

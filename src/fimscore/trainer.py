@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDataError, DomainError, InsufficientDataError, NonFiniteError
-from .models import DiagGaussianModel
+from .errors import DomainError, InsufficientDataError, NonFiniteError
 from .numcore import Rng
 
 BETA1 = 0.9
@@ -117,20 +116,3 @@ def train(model, data: np.ndarray, config: TrainConfig) -> TrainResult:
             work = model.with_params(model.params.from_flat(theta))
         curve.append(float(np.mean(work.log_likelihood_batch(train_rows))))
     return TrainResult(work, train_rows, fit_rows, curve, initial)
-
-
-def analytic_mle_gaussian(data: np.ndarray) -> DiagGaussianModel:
-    """Closed-form MLE: per-column mean and biased (divide-by-n) variance."""
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] < 2:
-        raise InsufficientDataError(
-            f"analytic MLE needs a 2-D array with >= 2 rows, got {data.shape}"
-        )
-    mu = data.mean(axis=0)
-    var = data.var(axis=0)
-    bad = np.nonzero(var <= 0.0)[0]
-    if bad.size:
-        raise DegenerateDataError(
-            f"column {int(bad[0])} has zero variance; Gaussian MLE undefined"
-        )
-    return DiagGaussianModel(mu, 0.5 * np.log(var))

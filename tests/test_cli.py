@@ -109,6 +109,20 @@ def test_gen_data_params(tmp_path):
     assert bad == 1
 
 
+@pytest.mark.parametrize("n,code", [(5, 1), (9, 1), (14, 1), (10, 0), (15, 0)])
+def test_gen_data_refuses_an_empty_split(tmp_path, capsys, n, code):
+    """At SPLIT (0.8, 0.1, 0.1), n = 5, 9 and 14 leave the eval split
+    without a row and write nothing; n = 10 and 15 fill all three."""
+    out = tmp_path / "d"
+    assert run(["gen-data", "--dist", "two_moons", "--n", n, "--out", out]) == code
+    if code:
+        assert f"n = {n} leaves the eval split empty" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.dmat")) == []
+    else:
+        for tag in ("train", "fit", "eval"):
+            assert load_dmat(str(out / f"{tag}.dmat")).shape[0] >= 1
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """gen-data -> train -> features -> fit -> score, small and gaussian."""
@@ -149,6 +163,16 @@ def test_features_csv_schema(pipeline):
     assert meta["batch_size"] == 2
     assert meta["layer_names"] == ["mu", "log_sigma"]
     assert len(meta["model_checksum"]) == 64
+
+
+def test_features_without_a_whole_batch_names_the_file(pipeline, tmp_path, capsys):
+    fit = os.path.join(pipeline["model"], "fit_split.dmat")
+    out = tmp_path / "f.csv"
+    assert run(["features", "--model", os.path.join(pipeline["model"], "model.json"),
+                "--data", fit, "--batch-size", 1000, "--out", out]) == 1
+    assert capsys.readouterr().err == \
+        f"error: --data '{fit}' with 36 rows yields no batch of size 1000\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_score_csv_schema(pipeline):

@@ -139,6 +139,18 @@ def test_generate_determinism_and_partition():
             + a.rows("eval").shape[0]) == 103
 
 
+def test_generate_refuses_an_empty_split():
+    """ceil(0.8 n) train and ceil(0.1 n) fit rows leave fit or eval with
+    no row for n in 1-9 and 11-14."""
+    for n in list(range(1, 10)) + list(range(11, 15)):
+        split = "fit" if n < 5 else "eval"
+        with pytest.raises(DomainError, match=f"n = {n} leaves the {split} split empty"):
+            generate("two_moons", n, seed=0)
+    for n in (10, 15, 16):
+        ds = generate("two_moons", n, seed=0)
+        assert all(len(ds.rows(tag)) >= 1 for tag in ("train", "fit", "eval"))
+
+
 def test_generate_validation():
     with pytest.raises(DomainError):
         generate("nope", 100, seed=0)

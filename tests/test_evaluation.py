@@ -6,7 +6,8 @@ from fimscore.errors import DomainError, InsufficientDataError
 from fimscore.evaluation import METHODS, auroc, render_grid, run_pairings
 from fimscore.models import DiagGaussianModel
 from fimscore.numcore import Rng
-from fimscore.trainer import analytic_mle_gaussian
+
+from gaussian_mle import analytic_mle_gaussian
 
 finite_scores = st.lists(
     st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=40)

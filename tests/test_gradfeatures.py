@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fimscore.errors import DatasetFormatError, DomainError, NonFiniteError
+from fimscore.errors import DatasetFormatError, DomainError, InsufficientDataError, NonFiniteError
 from fimscore.gradfeatures import (
     FLOOR,
     batch_view,
@@ -17,7 +17,8 @@ from fimscore.gradfeatures import (
 )
 from fimscore.models import DiagGaussianModel, CouplingFlowModel
 from fimscore.numcore import Rng
-from fimscore.trainer import analytic_mle_gaussian
+
+from gaussian_mle import analytic_mle_gaussian
 
 
 def test_gaussian_single_point_by_hand():
@@ -81,6 +82,9 @@ def test_batch_view_contiguity_and_remainder():
     assert np.array_equal(batches[1], rows[3:6])
     with pytest.raises(DomainError):
         batch_view(rows, 0)
+    with pytest.raises(InsufficientDataError,
+                       match="^split 'x' with 11 rows yields no batch of size 12$"):
+        batch_view(rows, 12, "split 'x'")
 
 
 def test_correlation_profile_duplicated_column():

@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -10,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import fimscore
 from fimscore.errors import DomainError
-from fimscore.numcore import Rng, finite_diff_grad, lgamma, std_normal_cdf
+from fimscore.numcore import Rng, finite_diff_grad, std_normal_cdf
 
 # First outputs of the PCG32 reference implementation's demo program for
 # seed 42, stream 54.
@@ -115,35 +114,6 @@ def test_shuffled_preserves_rows():
     out = Rng(2).shuffled(rows)
     assert sorted(map(tuple, out.tolist())) == sorted(map(tuple, rows.tolist()))
     assert out.shape == rows.shape
-
-
-def test_lgamma_small_integers():
-    assert lgamma(1.0) == 0.0
-    assert lgamma(2.0) == 0.0
-    # ln 10! computed exactly from the integer factorial
-    assert abs(lgamma(11.0) - 15.104412573075515) < 1e-12
-
-
-def test_lgamma_domain():
-    with pytest.raises(DomainError):
-        lgamma(0.0)
-    with pytest.raises(DomainError):
-        lgamma(-3.5)
-
-
-@given(st.floats(min_value=1.0, max_value=1e4))
-@settings(max_examples=100, deadline=None)
-def test_lgamma_recurrence(x):
-    assert abs(lgamma(x + 1.0) - lgamma(x) - math.log(x)) <= 1e-10
-
-
-def test_lgamma_against_high_precision():
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 30
-    for x in (0.5, 1.5, 3.25, 20.0, 123.456, 1e4, 1e6):
-        assert abs(lgamma(x) - float(mp.loggamma(x))) <= 1e-12 * max(
-            1.0, abs(float(mp.loggamma(x)))
-        )
 
 
 def test_std_normal_cdf_values():

@@ -9,7 +9,6 @@ from fimscore.models import CouplingFlowModel, DiagGaussianModel, score
 from fimscore.numcore import Rng, finite_diff_grad
 from fimscore.representation import (
     AffineTransform,
-    DiagonalAffine,
     ElementwiseMonotone,
     RgbHsvPixelwise,
     check_gradient_invariance,
@@ -63,20 +62,35 @@ def test_identity_transform_is_noop():
 
 
 def test_scale_shift_uses_diagonal_form():
-    t = scale_shift_transform(3072, scale=2.0, shift=1.0)
-    assert isinstance(t, DiagonalAffine)
-    x = Rng(2).normals(3072)
-    assert abs(t.logdet(x) - 3072 * math.log(2.0)) < 1e-9
-    assert np.max(np.abs(t.inverse(t.forward(x)) - x)) < 1e-12
-    for bad in ({"scale": 0.0}, {"scale": math.nan}, {"scale": math.inf},
-                {"shift": -math.inf}):
-        with pytest.raises(DomainError):
-            scale_shift_transform(3, **bad)
+    """The scale-shift map is the affine map of a diagonal matrix: 2x + 1
+    forward and (t - 1) / 2 back, bit for bit."""
+    t = scale_shift_transform(5, scale=2.0, shift=1.0)
+    assert isinstance(t, AffineTransform)
+    assert np.array_equal(t.a, np.diag(np.full(5, 2.0)))
+    x = Rng(2).normals(200).reshape(40, 5)
+    assert np.array_equal(t.forward(x), 2.0 * x + 1.0)
+    assert np.array_equal(t.inverse(x), (x - 1.0) / 2.0)
+    assert np.array_equal(t.forward(x[3]), 2.0 * x[3] + 1.0)
+    assert abs(t.logdet(x[0]) - 5 * math.log(2.0)) < 1e-14
+
+
+@pytest.mark.parametrize("bad", [
+    {"scale": 0.0}, {"scale": -0.0}, {"scale": math.nan}, {"scale": math.inf},
+    {"scale": -math.inf}, {"shift": math.nan}, {"shift": math.inf},
+    {"shift": -math.inf},
+])
+def test_scale_shift_rejects_zero_and_non_finite(bad):
+    with pytest.raises(DomainError):
+        scale_shift_transform(3, **bad)
 
 
 def test_diagonal_affine_negative_scale():
-    t = DiagonalAffine(np.array([-2.0, 0.5]), np.zeros(2))
+    """log |det| of a diagonal map with a negative scale, and its inverse."""
+    t = AffineTransform(np.diag([-2.0, 0.5]), np.zeros(2))
     assert abs(t.logdet(np.zeros(2)) - (math.log(2.0) + math.log(0.5))) < 1e-14
+    x = np.array([1.5, -3.0])
+    assert np.array_equal(t.forward(x), [-3.0, -1.5])
+    assert np.array_equal(t.inverse(t.forward(x)), x)
 
 
 def test_roundtrips_all_transforms():
@@ -279,8 +293,17 @@ def test_tv_by_hand():
     assert tv(np.array([1.0, 3.0, 2.0])) == 4.0
     assert tv(np.array([0.0])) == 0.0
     assert tv(np.array([-2.0])) == 2.0
-    with pytest.raises(DomainError):
-        tv(np.zeros((2, 2)))
+    for empty in (np.float64(1.0), np.zeros(0), np.zeros((2, 0))):
+        with pytest.raises(DomainError):
+            tv(empty)
+
+
+def test_tv_over_rows_matches_a_loop_over_rows():
+    x = Rng(8).normals(7 * 5 * 4).reshape(7, 5, 4)
+    rows = tv(x)
+    assert rows.shape == (7, 5)
+    for i in range(7):
+        assert np.array_equal(rows[i], [tv(r) for r in x[i]])
 
 
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1,
@@ -311,6 +334,32 @@ def test_tv_log_volume_small_cases():
         3 * (math.log(2.0) + 308 * math.log(10.0)) - math.log(6.0), rel=1e-15)
 
 
+def test_tv_log_volume_half_alpha_is_minus_log_factorial():
+    """At alpha = 1/2 the cube factor is 1, so the log-volume is -ln d!."""
+    assert tv_log_volume(0.5, 1) == 0.0
+    assert abs(tv_log_volume(0.5, 2) + math.log(2.0)) < 1e-15
+    # ln 10! computed exactly from the integer factorial
+    assert abs(tv_log_volume(0.5, 10) + 15.104412573075515) < 1e-12
+
+
+@given(st.floats(min_value=1e-3, max_value=1e3), st.integers(1, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_tv_log_volume_dimension_recurrence(alpha, d):
+    """V_{d+1} / V_d = 2 alpha / (d + 1)."""
+    step = tv_log_volume(alpha, d + 1) - tv_log_volume(alpha, d)
+    scale = abs(tv_log_volume(alpha, d)) + d * abs(math.log(2.0 * alpha)) + 1.0
+    assert abs(step - (math.log(2.0 * alpha) - math.log(d + 1.0))) <= 4e-15 * scale
+
+
+def test_tv_log_volume_against_high_precision():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    for alpha in (0.5, 1.3, 102.9, 1e6):
+        for d in (1, 2, 3, 20, 784, 10_000, 1_000_000):
+            want = float(d * mp.log(2 * mp.mpf(alpha)) - mp.loggamma(d + 1))
+            assert abs(tv_log_volume(alpha, d) - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_tv_log_volume_reference_value():
     got = tv_log_volume(102.9, 784) / math.log(10.0)
     assert abs(got - (-116.76204304591401)) < 1e-9
@@ -325,3 +374,12 @@ def test_tv_volume_mc_agrees_with_closed_form():
         tv_volume_mc(1.0, 9, Rng(0))
     with pytest.raises(DomainError, match="not finite"):
         tv_volume_mc(1e308, 3, Rng(0), n=100)  # (2 alpha)^d overflows
+
+
+def test_tv_volume_mc_pinned_values():
+    """Criterion 09's draws give these estimates to the last bit."""
+    want = {1: (2.6, 5.8137767414994536e-09),
+            2: (3.3879092, 0.007557889071875612),
+            3: (2.94758308, 0.014683064087678993)}
+    for d, pinned in want.items():
+        assert tv_volume_mc(1.3, d, Rng(60 + d)) == pinned

@@ -17,7 +17,9 @@ from fimscore.models import (
     model_checksum,
 )
 from fimscore.numcore import Rng
-from fimscore.trainer import TrainConfig, TrainResult, analytic_mle_gaussian, split_rows, train
+from fimscore.trainer import TrainConfig, TrainResult, split_rows, train
+
+from gaussian_mle import analytic_mle_gaussian
 
 
 def test_analytic_mle_two_points():
