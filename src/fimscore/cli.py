@@ -143,6 +143,9 @@ def _cmd_train(args):
 def _cmd_features(args):
     model = M.load_model(args.model)
     rows = data.load_dmat(args.data)
+    if rows.shape[1] != model.dim:
+        raise DomainError(f"--data '{args.data}' has {rows.shape[1]} columns, but the "
+                          f"model is {model.dim}-dimensional")
     inputs = _digests([args.model, args.data])
     feats = gradfeatures.feature_matrix(
         model, gradfeatures.batch_view(rows, args.batch_size, f"--data '{args.data}'"))

@@ -151,14 +151,17 @@ def generate(dist: str, n: int, seed: int, **params) -> Dataset:
     first, then one permutation that assigns the first ceil(train*n)
     shuffled positions to train, the next ceil(fit*n) to fit, and the
     rest to eval, with the fractions of SPLIT. An n that leaves a split
-    with no row is a DomainError.
+    with no row, or parameters that overflow a point, is a DomainError.
     """
     if dist not in GENERATORS:
         raise DomainError(
             f"unknown distribution '{dist}'; choose from {sorted(GENERATORS)}"
         )
     rng = Rng(seed)
-    points = GENERATORS[dist](n, rng, **params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = GENERATORS[dist](n, rng, **params)
+    if not np.all(np.isfinite(points)):
+        raise DomainError(f"'{dist}' with parameters {params} gives non-finite points")
     n_train = math.ceil(SPLIT[0] * n)
     n_fit = min(n - n_train, math.ceil(SPLIT[1] * n))
     for tag, count in zip(TAG_NAMES, (n_train, n_fit, n - n_train - n_fit)):

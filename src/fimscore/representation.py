@@ -14,11 +14,11 @@ logdet gives one value per row, of shape ``x.shape[:-1]``.
 
 Transforms provided: affine maps t = A x + b (log-det from numpy's
 slogdet; the scale-shift map is the diagonal case), named elementwise
-monotone maps with analytic derivatives, and a pixelwise RGB-to-HSV
-conversion. For HSV the per-pixel 3x3 Jacobian is analytic, piecewise
-by hue sextant, and its absolute determinant has the closed form
-1 / (6 * V * C) with V the max channel and C = V - min; gray pixels
-(C = 0) are singular, which is what dequantization noise is for.
+monotone maps with analytic derivatives, and ``RgbHsvPixelwise``, the
+one RGB <-> HSV conversion, over flat rows (..., 3k) of k pixels. Its
+per-pixel 3x3 Jacobian (``rgb_hsv_jacobian``) is analytic, piecewise by
+hue sextant, with |det| = 1 / (6 V C), V the max channel and C = V - min;
+gray pixels (C = 0) are singular, which is what dequantization is for.
 
 Total variation over the last axis is TV(x) = |x_1| + sum |x_i - x_{i-1}|,
 and the set {TV <= alpha} in R^d has volume (2 alpha)^d / d!, giving the
@@ -39,8 +39,6 @@ from .numcore import Rng
 
 class AffineTransform:
     """t = A x + b with A invertible; log-det is constant in x."""
-
-    name = "affine"
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         self.a = np.asarray(a, dtype=np.float64)
@@ -112,42 +110,6 @@ class ElementwiseMonotone:
         return np.sum(np.log(self._deriv(np.asarray(x, dtype=np.float64))), axis=-1)
 
 
-def rgb_to_hsv(pixels: np.ndarray) -> np.ndarray:
-    """Vectorized RGB -> HSV on an (n, 3) array; H, S, V all in [0, 1)."""
-    p = _pixels(pixels)
-    r, g, b = p[:, 0], p[:, 1], p[:, 2]
-    v = p.max(axis=1)
-    c = v - p.min(axis=1)
-    _require_nonsingular(v, c)
-    amax = p.argmax(axis=1)
-    h6 = np.where(
-        amax == 0, (g - b) / c, np.where(amax == 1, (b - r) / c + 2.0, (r - g) / c + 4.0)
-    )
-    h = (h6 / 6.0) % 1.0
-    return np.stack([h, 1.0 - (v - c) / v, v], axis=1)
-
-
-def hsv_to_rgb(pixels: np.ndarray) -> np.ndarray:
-    """Inverse of rgb_to_hsv on an (n, 3) array."""
-    p = _pixels(pixels)
-    h, s, v = p[:, 0], p[:, 1], p[:, 2]
-    h6 = (h % 1.0) * 6.0
-    i = np.floor(h6).astype(int) % 6
-    f = h6 - np.floor(h6)
-    lo = v * (1.0 - s)
-    q = v * (1.0 - f * s)
-    t = v * (1.0 - (1.0 - f) * s)
-    table = np.stack([
-        np.stack([v, t, lo], axis=1),
-        np.stack([q, v, lo], axis=1),
-        np.stack([lo, v, t], axis=1),
-        np.stack([lo, q, v], axis=1),
-        np.stack([t, lo, v], axis=1),
-        np.stack([v, lo, q], axis=1),
-    ])
-    return table[i, np.arange(p.shape[0])]
-
-
 def rgb_hsv_jacobian(pixel: np.ndarray) -> np.ndarray:
     """Analytic 3x3 Jacobian d(H,S,V)/d(r,g,b) for one non-gray pixel.
 
@@ -159,9 +121,7 @@ def rgb_hsv_jacobian(pixel: np.ndarray) -> np.ndarray:
     p = np.asarray(pixel, dtype=np.float64)
     if p.shape != (3,):
         raise DomainError(f"pixel must have 3 channels, got shape {p.shape}")
-    v = float(p.max())
-    c = float(v - p.min())
-    _require_nonsingular(np.array([v]), np.array([c]))
+    v, c = _value_chroma(p)
     amax = int(p.argmax())
     amin = int(p.argmin())
     num_pairs = {0: (1, 2), 1: (2, 0), 2: (0, 1)}
@@ -181,39 +141,34 @@ def rgb_hsv_jacobian(pixel: np.ndarray) -> np.ndarray:
     return jac
 
 
-def rgb_hsv_logdet(pixels: np.ndarray) -> float:
-    """Sum over pixels of ln |det J| = -sum ln(6 V C); exact and vectorized."""
-    return float(np.sum(_pixel_logdets(_pixels(pixels))))
-
-
-def _pixel_logdets(p: np.ndarray) -> np.ndarray:
-    """-ln(6 V C) of each pixel on the last axis of p."""
-    v = p.max(axis=-1)
-    c = v - p.min(axis=-1)
-    _require_nonsingular(v, c)
-    return -np.log(6.0 * v * c)
-
-
 class RgbHsvPixelwise:
-    """Flat RGB rows (..., 3k) -> flat HSV rows, pixel by pixel."""
-
-    name = "rgb_hsv"
+    """Flat RGB rows (..., 3k) -> flat HSV rows, pixel by pixel; H, S, V
+    all in [0, 1)."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return rgb_to_hsv(_flat_pixels(x).reshape(-1, 3)).reshape(np.shape(x))
+        p = _flat_pixels(x)
+        v, c = _value_chroma(p)
+        r, g, b = p[..., 0], p[..., 1], p[..., 2]
+        amax = p.argmax(axis=-1)
+        h6 = np.where(
+            amax == 0, (g - b) / c, np.where(amax == 1, (b - r) / c + 2.0, (r - g) / c + 4.0)
+        )
+        hsv = np.stack([(h6 / 6.0) % 1.0, 1.0 - (v - c) / v, v], axis=-1)
+        return hsv.reshape(np.shape(x))
 
     def inverse(self, t: np.ndarray) -> np.ndarray:
-        return hsv_to_rgb(_flat_pixels(t).reshape(-1, 3)).reshape(np.shape(t))
+        """Each channel straight from the hue ramp: V (1 - S clip(min(k, 4 - k),
+        0, 1)) with k = (n + 6 H) mod 6 and n = 5, 3, 1 for R, G, B."""
+        p = _flat_pixels(t)
+        h, s, v = p[..., 0:1], p[..., 1:2], p[..., 2:3]
+        k = (np.array([5.0, 3.0, 1.0]) + 6.0 * h) % 6.0
+        rgb = v * (1.0 - s * np.clip(np.minimum(k, 4.0 - k), 0.0, 1.0))
+        return rgb.reshape(np.shape(t))
 
     def logdet(self, x: np.ndarray) -> np.ndarray:
-        return np.sum(_pixel_logdets(_flat_pixels(x)), axis=-1)
-
-
-def _pixels(pixels: np.ndarray) -> np.ndarray:
-    p = np.asarray(pixels, dtype=np.float64)
-    if p.ndim != 2 or p.shape[1] != 3:
-        raise DomainError(f"expected an (n, 3) pixel array, got shape {p.shape}")
-    return p
+        """Sum over pixels of ln |det J| = -ln(6 V C), one value per row."""
+        v, c = _value_chroma(_flat_pixels(x))
+        return np.sum(-np.log(6.0 * v * c), axis=-1)
 
 
 def _flat_pixels(x: np.ndarray) -> np.ndarray:
@@ -226,12 +181,16 @@ def _flat_pixels(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[:-1] + (-1, 3))
 
 
-def _require_nonsingular(v: np.ndarray, c: np.ndarray) -> None:
+def _value_chroma(p: np.ndarray):
+    """V = max and C = max - min of each pixel on the last axis of p."""
+    v = p.max(axis=-1)
+    c = v - p.min(axis=-1)
     if np.any(v <= 0.0) or np.any(c <= 0.0):
         raise DegenerateDataError(
             "gray or black pixel (max = min or max = 0): the HSV map is "
             "singular there; dequantize first"
         )
+    return v, c
 
 
 def identity_transform(dim: int) -> AffineTransform:
@@ -325,7 +284,9 @@ def tv_volume_mc(alpha: float, d: int, rng: Rng, n: int = 200000):
 
     Since TV(x) <= alpha forces every |x_i| <= alpha, sampling the
     enclosing cube [-alpha, alpha]^d is exact: the estimate is the hit
-    fraction times (2 alpha)^d. Returns (volume, standard_error).
+    fraction times (2 alpha)^d. Returns (volume, standard_error); the
+    hit-fraction variance is floored at one hit in n, so a run with no
+    hit (or no miss) still reports an error bar that covers the truth.
     """
     if d > 8:
         raise DomainError("Monte Carlo cross-check is meant for small d (<= 8)")
@@ -340,5 +301,5 @@ def tv_volume_mc(alpha: float, d: int, rng: Rng, n: int = 200000):
     u = rng.uniforms(n * d).reshape(n, d)
     pts = (2.0 * u - 1.0) * alpha
     frac = float(np.mean(tv(pts) <= alpha))
-    se = cube * math.sqrt(max(frac * (1.0 - frac), 1e-12) / n)
+    se = cube * math.sqrt(max(frac * (1.0 - frac), 1.0 / n) / n)
     return cube * frac, se

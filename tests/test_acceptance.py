@@ -43,8 +43,6 @@ from fimscore.representation import (
     identity_transform,
     random_affine,
     rgb_hsv_jacobian,
-    rgb_hsv_logdet,
-    rgb_to_hsv,
     scale_shift_transform,
     tv_log_volume,
     tv_volume_mc,
@@ -363,11 +361,12 @@ def test_criterion_10_rgb_hsv_jacobian():
     num = np.where(amax == 0, g - b, np.where(amax == 1, b - r, r - g))
     assert float(np.min(np.abs(num))) > 100.0 * h
 
+    hsv = RgbHsvPixelwise()
     jac_fd = np.empty((10_000, 3, 3))
     for c in range(3):
         step = np.zeros(3)
         step[c] = h
-        jac_fd[:, :, c] = (rgb_to_hsv(pixels + step) - rgb_to_hsv(pixels - step)) / (2 * h)
+        jac_fd[:, :, c] = (hsv.forward(pixels + step) - hsv.forward(pixels - step)) / (2 * h)
     m = jac_fd
     det_fd = (
         m[:, 0, 0] * (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1])
@@ -381,9 +380,8 @@ def test_criterion_10_rgb_hsv_jacobian():
     worst = float(np.max(np.abs(logdet_fd - logdet_an)))
     assert worst <= 1e-4, f"worst per-pixel log-det gap {worst:.2e}"
 
-    total = rgb_hsv_logdet(pixels)
+    total = float(hsv.logdet(pixels.reshape(-1)))
     assert abs(total - float(logdet_an.sum())) <= 1e-10 * max(1.0, abs(total))
-    assert RgbHsvPixelwise().logdet(pixels.reshape(-1)) == total
 
 
 def test_criterion_11_fisher_method_grids(golden):

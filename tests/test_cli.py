@@ -71,12 +71,19 @@ def test_tv_volume_mc_and_out(tmp_path, capsys):
     ("two_moons", "noise=inf"),
     ("uniform_square", "side=inf"),
     ("rings", "radii=1:inf"),
+    ("two_moons", "noise=1e308"),  # finite, but the points overflow
+    ("rings", "noise=1e308"),
+    ("uniform_square", "side=1e400"),
 ])
 def test_gen_data_non_finite_exits_1(tmp_path, capsys, dist, param):
+    """Each case fails in the generator, naming the parameter, with no
+    numpy warning and before any file is written."""
     out = tmp_path / "d"
     assert run(["gen-data", "--dist", dist, "--n", 100, "--param", param,
                 "--out", out]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert param.split("=")[0] in err and "RuntimeWarning" not in err
     assert not [f for _, _, files in os.walk(tmp_path) for f in files
                 if f.endswith(".dmat")]
 
@@ -173,6 +180,17 @@ def test_features_without_a_whole_batch_names_the_file(pipeline, tmp_path, capsy
     assert capsys.readouterr().err == \
         f"error: --data '{fit}' with 36 rows yields no batch of size 1000\n"
     assert os.listdir(tmp_path) == []
+
+
+def test_features_dimension_mismatch_names_the_file(pipeline, tmp_path, capsys):
+    wide = str(tmp_path / "x3.dmat")
+    save_dmat(wide, np.ones((20, 3)))
+    out = tmp_path / "f.csv"
+    assert run(["features", "--model", os.path.join(pipeline["model"], "model.json"),
+                "--data", wide, "--out", out]) == 1
+    assert capsys.readouterr().err == \
+        f"error: --data '{wide}' has 3 columns, but the model is 2-dimensional\n"
+    assert os.listdir(tmp_path) == ["x3.dmat"]
 
 
 def test_score_csv_schema(pipeline):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,12 +14,9 @@ from fimscore.representation import (
     RgbHsvPixelwise,
     check_gradient_invariance,
     dequantize,
-    hsv_to_rgb,
     identity_transform,
     random_affine,
     rgb_hsv_jacobian,
-    rgb_hsv_logdet,
-    rgb_to_hsv,
     scale_shift_transform,
     tv,
     tv_log_volume,
@@ -154,14 +152,64 @@ def test_monotone_logdet_matches_finite_differences():
     assert abs(t.logdet(x) - float(np.sum(np.log(slopes)))) < 1e-8
 
 
+# sha256 of forward(pixels) and of logdet(pixels) on random_pixels(Rng(s), 1000),
+# recorded from the earlier (n, 3) pixel functions with numpy 2.4.6, so any
+# change to the forward map or the log-det bits shows here
+HSV_DIGESTS = {
+    0: ("a903d234a0230ac5b7aabec672f35d0c6cc688db2ebd8bbe359c53e73a44d248",
+        "4e481efddf4aa0680b5c8fdb07323c4299ae710adb7cdc72560fc85731c2ea5e"),
+    1: ("724140e1edc19c199817cb45fe747dd693a77c2d9d5d158eca67b5faa8c2a59f",
+        "20af1df92153439a4cd7e17a4eb984cb0931c1d9de9c1eb1c1b42433e192b2d0"),
+    2: ("02b496b6f239268b73d400227508a5ba0dd2a1b9de2cc9ec8491000dc573ffe2",
+        "34b3d80c13a6840f64c90657ad5a0d856492786a195f679a837a740b04a93c03"),
+    3: ("113679fe8e6c779bb7025b6be21646ea49d7701e3fca123ad3d35bce8e83f055",
+        "30b7807ae0a18bdc51d5ac9ae9c5ff472ad3f737af7c3aefac9f4836a9606fb4"),
+    4: ("1c828ee346b043ab4a917682a8c31b91785888a92a29ac98de7d179e2ae4cfc6",
+        "9f5dd85c55a1373af86e77a369a8381b00610f3d3c9e6df9d9235b97b207bd1c"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(HSV_DIGESTS))
+def test_hsv_forward_and_logdet_pinned(seed):
+    pix = random_pixels(Rng(seed), 1000)
+    t = RgbHsvPixelwise()
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                for a in (t.forward(pix), t.logdet(pix)))
+    assert got == HSV_DIGESTS[seed]
+
+
 def test_hsv_roundtrip():
-    pix = random_pixels(Rng(4), 500)
-    back = hsv_to_rgb(rgb_to_hsv(pix))
-    assert np.max(np.abs(back - pix)) < 1e-12
+    t = RgbHsvPixelwise()
+    for seed in range(5):
+        pix = random_pixels(Rng(seed), 100_000)
+        assert np.max(np.abs(t.inverse(t.forward(pix)) - pix)) <= 2e-15
+
+
+def test_hsv_inverse_at_sextant_boundaries():
+    """At H = j/6 the RGB is the j-th corner of the hue hexagon, with
+    m = V (1 - S) for the low channels."""
+    t = RgbHsvPixelwise()
+    for s, v in ((0.3, 0.9), (0.75, 0.5), (1.0, 0.2), (0.123456789, 0.987654321)):
+        m = v * (1.0 - s)
+        corners = [(v, m, m), (v, v, m), (m, v, m), (m, v, v), (m, m, v), (v, m, v)]
+        for j, corner in enumerate(corners):
+            got = t.inverse(np.array([j / 6.0, s, v]))
+            assert np.max(np.abs(got - corner)) <= 1e-15
+
+
+def test_hsv_hue_is_periodic():
+    """H and H + 1 give the same RGB: exactly where H + 1 is exact, and to
+    rounding of H + 1 elsewhere."""
+    t = RgbHsvPixelwise()
+    dyadic = np.stack([np.arange(64) / 64.0, np.full(64, 0.7), np.full(64, 0.9)], axis=1)
+    hsv = t.forward(random_pixels(Rng(9), 1000))
+    for base, tol in ((dyadic, 0.0), (hsv, 2e-15)):
+        shifted = base + np.array([1.0, 0.0, 0.0])
+        assert np.max(np.abs(t.inverse(shifted) - t.inverse(base))) <= tol
 
 
 def test_hsv_ranges():
-    hsv = rgb_to_hsv(random_pixels(Rng(5), 300))
+    hsv = RgbHsvPixelwise().forward(random_pixels(Rng(5), 300))
     assert hsv.min() >= 0.0
     assert np.all(hsv[:, 0] < 1.0)
     assert np.all(hsv[:, 1] <= 1.0) and np.all(hsv[:, 2] <= 1.0)
@@ -173,7 +221,7 @@ def test_hsv_jacobian_matches_finite_differences():
         jac = rgb_hsv_jacobian(p)
         for out_idx in range(3):
             fd = finite_diff_grad(
-                lambda q, k=out_idx: float(rgb_to_hsv(q[None, :])[0, k]),
+                lambda q, k=out_idx: float(RgbHsvPixelwise().forward(q)[k]),
                 p, h=1e-7)
             assert np.max(np.abs(jac[out_idx] - fd)) < 1e-4
 
@@ -181,12 +229,15 @@ def test_hsv_jacobian_matches_finite_differences():
 def test_hsv_logdet_matches_jacobian_determinants():
     pix = random_pixels(Rng(7), 50)
     want = sum(math.log(abs(np.linalg.det(rgb_hsv_jacobian(p)))) for p in pix)
-    assert abs(rgb_hsv_logdet(pix) - want) < 1e-9
+    assert abs(RgbHsvPixelwise().logdet(pix.reshape(-1)) - want) < 1e-9
 
 
 def test_hsv_rejects_gray_pixels():
+    gray = np.array([0.2, 0.6, 0.9, 0.5, 0.5, 0.5])
     with pytest.raises(DegenerateDataError):
-        rgb_to_hsv(np.array([[0.5, 0.5, 0.5]]))
+        RgbHsvPixelwise().forward(gray)
+    with pytest.raises(DegenerateDataError):
+        RgbHsvPixelwise().logdet(gray)
     with pytest.raises(DegenerateDataError):
         rgb_hsv_jacobian(np.array([0.0, 0.0, 0.0]))
 
@@ -194,7 +245,7 @@ def test_hsv_rejects_gray_pixels():
 def test_dequantize_unsticks_gray_pixels():
     gray = np.full((10, 3), 0.5)
     jittered = dequantize(gray, Rng(8))
-    hsv = rgb_to_hsv(jittered)  # no longer singular
+    hsv = RgbHsvPixelwise().forward(jittered)  # no longer singular
     assert hsv.shape == (10, 3)
     assert np.max(np.abs(jittered - gray)) < 0.02  # 1/255-scale noise
 
@@ -378,8 +429,17 @@ def test_tv_volume_mc_agrees_with_closed_form():
 
 def test_tv_volume_mc_pinned_values():
     """Criterion 09's draws give these estimates to the last bit."""
-    want = {1: (2.6, 5.8137767414994536e-09),
+    want = {1: (2.6, 1.3000000000000001e-05),
             2: (3.3879092, 0.007557889071875612),
             3: (2.94758308, 0.014683064087678993)}
     for d, pinned in want.items():
         assert tv_volume_mc(1.3, d, Rng(60 + d)) == pinned
+
+
+def test_tv_volume_mc_error_covers_a_run_without_hits():
+    """At d = 8 these 50,000 draws hit nothing; the variance floor of one
+    hit in n keeps the exact volume within 3 standard errors."""
+    vol, se = tv_volume_mc(1.3, 8, Rng(4), n=50_000)
+    want = math.exp(tv_log_volume(1.3, 8))
+    assert vol == 0.0
+    assert abs(vol - want) <= 3.0 * se
