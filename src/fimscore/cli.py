@@ -140,12 +140,16 @@ def _cmd_train(args):
         f"{result.initial_loglik:.4f} -> {final:.4f}")
 
 
+def _require_dim(flag: str, path: str, rows: np.ndarray, model) -> None:
+    if rows.shape[1] != model.dim:
+        raise DomainError(f"{flag} '{path}' has {rows.shape[1]} columns, but the "
+                          f"model is {model.dim}-dimensional")
+
+
 def _cmd_features(args):
     model = M.load_model(args.model)
     rows = data.load_dmat(args.data)
-    if rows.shape[1] != model.dim:
-        raise DomainError(f"--data '{args.data}' has {rows.shape[1]} columns, but the "
-                          f"model is {model.dim}-dimensional")
+    _require_dim("--data", args.data, rows, model)
     inputs = _digests([args.model, args.data])
     feats = gradfeatures.feature_matrix(
         model, gradfeatures.batch_view(rows, args.batch_size, f"--data '{args.data}'"))
@@ -209,6 +213,10 @@ def _cmd_eval(args):
     train_entries = {name: (M.load_model(model_path), data.load_dmat(fit_path))
                      for name, (model_path, fit_path) in trains.items()}
     eval_splits = {name: data.load_dmat(path) for name, path in evals.items()}
+    for train_name, (model, fit_rows) in train_entries.items():
+        _require_dim("--train", trains[train_name][1], fit_rows, model)
+        for name, path in evals.items():
+            _require_dim("--eval", path, eval_splits[name], model)
     inputs = _digests([p for pair in trains.values() for p in pair] + list(evals.values()))
     try:
         batch_sizes = [int(p) for p in args.batch_sizes.split(",")]

@@ -8,13 +8,13 @@ average outer products of the restricted score over n model draws,
 
     F_hat = (1/n) sum_i s_i s_i^T.
 
-Per-sample scores are swept in chunks of at most 2^20 gradient floats,
-keeping only the k probed columns, so a slice needs O(2^20 + n k)
-floats. Past one chunk, results differ from one whole-array sweep by up
-to about 1e-14 relative, as BLAS rounding depends on the rows per call;
-reruns stay byte-identical. Normalizing by the diagonal turns a slice
-into a correlation-like matrix whose off-diagonal mass measures how far
-from diagonal the true FIM is.
+Per-sample scores are built only at the k probed weights, from the
+backward factors (weight (i, j) of a layer with row gradients a b^T is
+a[:, i] * b[:, j]), so no (n, P) score matrix is formed. Past one chunk,
+BLAS rounding moves them up to about 1e-14 relative from one whole-array
+sweep; reruns stay byte-identical. Normalizing by the diagonal turns a
+slice into a correlation-like matrix whose off-diagonal mass measures
+how far from diagonal the true FIM is.
 
 For the diagonal Gaussian the Rao score test s^T F^{-1} s is computed
 with the exact information matrix rather than an estimate: per
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError, NonFiniteError, reject_repeats
-from .models import reduce_grad_groups, sample
+from .models import require_finite, sample, sweep_chunks
 from .numcore import Rng
 
 
@@ -82,17 +82,28 @@ def mc_fim_slice(model, layer_names, rng: Rng, n: int) -> FimSlice:
     """Monte Carlo FIM estimate restricted to a seeded weight subset.
 
     Consumes from ``rng`` in a fixed order: one permutation per probed
-    layer for weight selection, then the model draws. Memory is
-    O(2^20 + n k) floats for k probed weights. Past one chunk, BLAS
-    rounding moves results up to about 1e-14 relative from one whole-array
-    ``grad_groups(x, 1)``; one chunk is bit-identical to it.
+    layer for weight selection, then the model draws. A non-finite entry
+    is a NonFiniteError naming its layer.
     """
     weight_map = select_weights(model.params, layer_names, rng)
-    draws = sample(model, rng, n)
-    start = dict(zip(model.params.names, model.params.offsets.tolist()))
-    cols = [start[name] + idx for name, idx in weight_map]
-    s = reduce_grad_groups(model, draws, 1, lambda grads: grads[:, cols], len(cols))
-    return FimSlice(matrix=(s.T @ s) / n, weight_map=weight_map, n_samples=n)
+    s = score_columns(model, sample(model, rng, n), weight_map)
+    matrix = (s.T @ s) / n
+    require_finite(matrix, lambda col: weight_map[col][0])
+    return FimSlice(matrix=matrix, weight_map=weight_map, n_samples=n)
+
+
+def score_columns(model, x: np.ndarray, weight_map) -> np.ndarray:
+    """(rows, k) per-sample scores of ``x`` at the k weights of ``weight_map``."""
+    names, flat = (np.array(v) for v in zip(*weight_map))
+    cols_of = {model.params.names.index(n): np.flatnonzero(names == n) for n in set(names)}
+
+    def sink(out, i, a, b):
+        if i in cols_of:
+            idx = flat[cols_of[i]]
+            out[:, cols_of[i]] = a[:, idx] if b is None else \
+                a[:, idx // b.shape[1]] * b[:, idx % b.shape[1]]
+
+    return sweep_chunks(model, x, 1, sink, names.tolist())
 
 
 def normalize_fim(matrix: np.ndarray) -> np.ndarray:

@@ -5,8 +5,8 @@ parameter layer, of the gradient of the batch-summed log-likelihood:
 
     f_j(x_1..x_B) = || grad_{theta_j} sum_b log p(x_b) ||_2^2.
 
-A grouped backward pass over a (batches, batch size, dim) array, swept
-in bounded chunks, produces every feature. Scoring happens on ln f_j;
+Features come from each layer's backward factors, chunk by chunk, so no
+(batches, P) gradient matrix is formed. Scoring happens on ln f_j;
 exact zeros (they occur, for instance, in the mean layer of a Gaussian
 at its MLE) are raised to FLOOR first so downstream Gaussians stay finite.
 A feature CSV has a required JSON sidecar: its provenance record (model
@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import json_text, load_csv, read_json, read_text, save_csv, write_atomic
 from .errors import DatasetFormatError, DomainError, InsufficientDataError
-from .models import reduce_grad_groups
+from .models import group_sums, sweep_chunks
 
 FLOOR = 1e-300
 
@@ -38,18 +38,20 @@ def log_features(features: np.ndarray) -> np.ndarray:
 
 
 def feature_matrix(model, batches) -> np.ndarray:
-    """gradient_features of every batch of a (batches, batch size, dim)
-    array, one row per batch, from a grouped backward pass swept in chunks
-    of at most 2^20 gradient floats: O(2^20 + n k) floats for n batches of
-    k layers. Past one chunk, BLAS rounding moves results up to about 1e-14
-    relative from one whole-array pass; reruns stay byte-identical."""
+    """gradient_features of every batch of a (batches, batch size, dim) array,
+    one row per batch, from ``sweep_chunks``; within 1e-12 relative of the
+    norms of ``grad_groups`` rows. A non-finite feature names its layer."""
     batches = np.asarray(batches, dtype=np.float64)
     if batches.ndim != 3 or batches.shape[0] == 0:
         raise DomainError(f"need >= 1 batch of shape (size, dim), got {batches.shape}")
-    offsets = model.params.offsets
-    return reduce_grad_groups(model, batches.reshape(-1, batches.shape[2]), batches.shape[1],
-                              lambda g: np.add.reduceat(np.square(g, out=g), offsets, axis=1),
-                              len(offsets))
+    size = batches.shape[1]
+
+    def sink(out, i, a, b):
+        s = group_sums(a, b, size).reshape(len(out), -1)
+        out[:, i] = np.square(s, out=s).sum(axis=1)
+
+    return sweep_chunks(model, batches.reshape(-1, batches.shape[2]), size, sink,
+                        model.params.names)
 
 
 def batch_view(rows: np.ndarray, batch_size: int, source: str = "rows") -> np.ndarray:

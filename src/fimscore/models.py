@@ -10,9 +10,10 @@ map is invertible for every finite input.
 
 Backward passes are derived by hand per architecture and verified
 against central finite differences in the tests; there is no autodiff
-tape. Each model has one gradient routine, ``grad_groups(x, group_size)``,
-giving one flat gradient row per group of consecutive rows: per-sample
-scores are groups of one row, a batch-summed gradient is one group.
+tape. Each model has one backward pass, ``factor_sweep(x)``: per layer,
+row factors a, b whose products a_r b_r^T (a_r for a vector layer) are
+the per-row gradients. ``grad_groups`` sums them into one flat row per
+group of rows; ``sweep_chunks`` feeds them to sinks that keep less.
 
 Checkpoints are JSON (type, dims, hyper, named layers with shapes and
 row-major values; a flow's hyper must give K, H and c, none defaulted),
@@ -35,7 +36,15 @@ from .errors import DatasetFormatError, DomainError, FimscoreError, NonFiniteErr
 from .numcore import Rng
 
 _LOG_2PI = math.log(2.0 * math.pi)
-CHUNK_FLOATS = 1 << 20  # gradient floats one reduce_grad_groups chunk may hold
+CHUNK_FLOATS = 1 << 20  # gradient floats the groups of one sweep_chunks chunk span
+
+
+def require_finite(arr: np.ndarray, layer_of) -> None:
+    """Raise NonFiniteError naming ``layer_of(j)``, j the first non-finite column."""
+    # min and max carry any NaN or infinity without a buffer-sized mask
+    if not (np.isfinite(arr.min(initial=0.0)) and np.isfinite(arr.max(initial=0.0))):
+        col = np.nonzero(~np.isfinite(arr))[-1].min()
+        raise NonFiniteError(f"layer '{layer_of(col)}' has non-finite entries")
 
 
 class LayeredParams:
@@ -55,7 +64,7 @@ class LayeredParams:
         self._adopt(np.concatenate([np.empty(0)] + [a.reshape(-1) for _, a in items]))
 
     def _adopt(self, buf: np.ndarray) -> None:
-        self.check_finite(buf)
+        require_finite(buf, self.layer_of)
         buf.flags.writeable = False
         self._buf, self.arrays = buf, self.views(buf)
 
@@ -77,13 +86,8 @@ class LayeredParams:
         return [buf[..., start:stop].reshape(buf.shape[:-1] + shape)
                 for start, stop, shape in self._layout]
 
-    def check_finite(self, buf: np.ndarray) -> None:
-        """Raise NonFiniteError naming the first layer with a NaN or inf in ``buf``."""
-        # min and max carry any NaN or infinity without a buffer-sized mask
-        if not (np.isfinite(buf.min(initial=0.0)) and np.isfinite(buf.max(initial=0.0))):
-            col = np.nonzero(~np.isfinite(buf))[-1].min()
-            name = self.names[np.searchsorted(self.offsets, col, side="right") - 1]
-            raise NonFiniteError(f"layer '{name}' has non-finite entries")
+    def layer_of(self, col: int) -> str:
+        return self.names[np.searchsorted(self.offsets, col, side="right") - 1]
 
     def from_flat(self, flat: np.ndarray) -> "LayeredParams":
         flat = np.array(flat, dtype=np.float64)
@@ -92,6 +96,33 @@ class LayeredParams:
         out = copy.copy(self)  # shares names, offsets and layout
         out._adopt(flat)
         return out
+
+
+def group_sums(a: np.ndarray, b, group_size: int, out=None) -> np.ndarray:
+    """Sum of a_r b_r^T over each group of ``group_size`` consecutive rows,
+    shape (groups, p, q); of a_r alone, shape (groups, p), when b is None."""
+    a_g = a.reshape(-1, group_size, a.shape[1])
+    if b is None:
+        return a_g.sum(axis=1, out=out)
+    # the same operands contract over a size-1 axis at G = 1: an outer product
+    return (np.multiply if group_size == 1 else np.matmul)(
+        a_g.transpose(0, 2, 1), b.reshape(-1, group_size, b.shape[1]), out=out)
+
+
+def _grad_groups(self, x: np.ndarray, group_size: int):
+    """``(grads, loglik)``: a flat gradient row per group of rows, loglik per row."""
+    x = _as_batch(x, self.dim, group_size)
+    grads = np.empty((len(x) // group_size, self.params.n_params))
+    views = self.params.views(grads)
+    loglik, factors = self.factor_sweep(x)
+    for i, a, b in factors:
+        group_sums(a, b, group_size, out=views[i])
+    require_finite(grads, self.params.layer_of)
+    return grads, loglik
+
+
+def _log_likelihood_batch(self, x: np.ndarray) -> np.ndarray:
+    return self.factor_sweep(_as_batch(x, self.dim))[0]
 
 
 def _score_batch(self, x: np.ndarray) -> list:
@@ -106,7 +137,7 @@ def _grad_sum_batch(self, x: np.ndarray) -> LayeredParams:
 
 def _loglik_and_grad_sum(self, x: np.ndarray):
     """Summed log-likelihood and its parameter gradient from one pass."""
-    x = _as_batch(x, self.dim)
+    x = np.atleast_2d(x)  # grad_groups validates it
     grads, loglik = self.grad_groups(x, x.shape[0])
     return float(loglik.sum()), self.params.from_flat(grads[0])
 
@@ -140,26 +171,22 @@ class DiagGaussianModel:
     def with_params(self, params: LayeredParams) -> "DiagGaussianModel":
         return DiagGaussianModel(params["mu"], params["log_sigma"])
 
-    def log_likelihood_batch(self, x: np.ndarray) -> np.ndarray:
-        x = _as_batch(x, self.dim)
-        mu, ls = self.params.arrays
-        z = (x - mu) / np.exp(ls)
-        return np.sum(-ls - 0.5 * _LOG_2PI - 0.5 * z * z, axis=1)
-
-    def grad_groups(self, x: np.ndarray, group_size: int):
-        """``(grads, loglik)``: one flat gradient row per group of
-        ``group_size`` consecutive rows, and the per-row log-likelihood."""
-        x = _as_batch(x, self.dim, group_size)
-        grads = np.empty((len(x) // group_size, self.params.n_params))
-        g_mu, g_ls = self.params.views(grads)
+    def factor_sweep(self, x: np.ndarray):
+        """``(loglik, factors)`` of a checked (rows, dim) array: mu (z / sigma,
+        None), then log_sigma (z^2 - 1, None), each made when reached."""
         mu, ls = self.params.arrays
         sigma = np.exp(ls)
-        z = ((x - mu) / sigma).reshape(-1, group_size, self.dim)
-        (z / sigma).sum(axis=1, out=g_mu)
-        (z * z - 1.0).sum(axis=1, out=g_ls)
-        self.params.check_finite(grads)
-        return grads, self.log_likelihood_batch(x)
+        z = (x - mu) / sigma
+        loglik = np.sum(-ls - 0.5 * _LOG_2PI - 0.5 * z * z, axis=1)
+        return loglik, self._factors(z, sigma)
 
+    @staticmethod
+    def _factors(z: np.ndarray, sigma: np.ndarray):
+        yield 0, z / sigma, None
+        yield 1, z * z - 1.0, None
+
+    log_likelihood_batch = _log_likelihood_batch
+    grad_groups = _grad_groups
     score_batch = _score_batch
     grad_sum_batch = _grad_sum_batch
     loglik_and_grad_sum = _loglik_and_grad_sum
@@ -278,30 +305,19 @@ class CouplingFlowModel:
             cache.append((act, cond, s_raw, es))
         return z, logdet, cache
 
-    def log_likelihood_batch(self, x: np.ndarray) -> np.ndarray:
-        x = _as_batch(x, self.dim)
-        z, logdet, _ = self._forward(x)
-        base = -0.5 * self.dim * _LOG_2PI - 0.5 * np.sum(z * z, axis=1)
-        return base + logdet
-
-    def grad_groups(self, x: np.ndarray, group_size: int):
-        """``(grads, loglik)``: one flat gradient row per group of
-        ``group_size`` consecutive rows, and the per-row log-likelihood.
-
-        Reverse sweep: ``g`` carries d loglik / d z_current per row; each
-        block adds 1 to ds for its log-det term, zeroed where the clamp is
-        active. Weight gradients are the grouped contractions
-        sum_b delta_b h_b^T, written by batched matmul into their columns
-        of ``grads``. Hidden activations are recomputed, not cached, so
-        one block's (rows, hidden) arrays live at a time.
-        """
-        x = _as_batch(x, self.dim, group_size)
-        half = self.dim // 2
-        grads = np.empty((len(x) // group_size, self.params.n_params))
-        views = self.params.views(grads)
+    def factor_sweep(self, x: np.ndarray):
+        """``(loglik, factors)`` of a checked (rows, dim) array: the per-row
+        log-likelihood, and a generator of ``(layer index, a, b)`` from the
+        last block to the first: w_out (do, h), b_out (do, None), w_in
+        (du, cond), b_in (du, None). ``g`` carries d loglik / d z_current
+        per row; each block adds 1 to ds for its log-det term, zeroed where
+        the clamp is active. Hidden activations are recomputed, so one
+        block's arrays live at a time."""
         z, logdet, cache = self._forward(x)
         loglik = -0.5 * self.dim * _LOG_2PI - 0.5 * np.sum(z * z, axis=1) + logdet
-        g = -z
+        return loglik, self._factors(-z, cache)
+
+    def _factors(self, g: np.ndarray, cache: list):
         for k in range(self.n_blocks - 1, -1, -1):
             w_in, _, w_out, _ = self._block_params(k)
             tsl, csl = self._halves(k)
@@ -311,18 +327,15 @@ class CouplingFlowModel:
             ds = (g_act_out * act * es + 1.0) * (np.abs(s_raw) < self.clamp)
             do = np.concatenate([ds, g_act_out], axis=1)
             du = (do @ w_out) * (1.0 - h * h)
-            gw_in, gb_in, gw_out, gb_out = views[4 * k : 4 * k + 4]
-            do_g = do.reshape(-1, group_size, self.dim)
-            du_g = du.reshape(-1, group_size, self.hidden)
-            np.matmul(do_g.transpose(0, 2, 1), h.reshape(du_g.shape), out=gw_out)
-            do_g.sum(axis=1, out=gb_out)
-            np.matmul(du_g.transpose(0, 2, 1), cond.reshape(-1, group_size, half), out=gw_in)
-            du_g.sum(axis=1, out=gb_in)
+            yield 4 * k + 2, do, h
+            yield 4 * k + 3, do, None
+            yield 4 * k, du, cond
+            yield 4 * k + 1, du, None
             g[:, tsl] *= es  # do already holds its copy of g_act_out
             g[:, csl] += du @ w_in
-        self.params.check_finite(grads)
-        return grads, loglik
 
+    log_likelihood_batch = _log_likelihood_batch
+    grad_groups = _grad_groups
     score_batch = _score_batch
     grad_sum_batch = _grad_sum_batch
     loglik_and_grad_sum = _loglik_and_grad_sum
@@ -360,16 +373,22 @@ def _as_batch(x: np.ndarray, dim: int, group_size: int = 1) -> np.ndarray:
     return x
 
 
-def reduce_grad_groups(model, x: np.ndarray, group_size: int, reduce, width: int):
-    """(groups, width) array of ``reduce(grads)``, ``grads`` from ``grad_groups``
-    on consecutive chunks of whole groups: at most CHUNK_FLOATS gradient floats
-    (and at least one group) a chunk, each dropped before the next is made."""
+def sweep_chunks(model, x: np.ndarray, group_size: int, sink, columns: list):
+    """(groups, len(columns)) array that ``sink(out, i, a, b)`` fills chunk by
+    chunk: ``out`` the rows of at most CHUNK_FLOATS // P whole groups of ``x``
+    (at least one), (i, a, b) each factor of their sweep. A NaN or inf in a
+    factor or in column j is a NonFiniteError naming its layer, columns[j]."""
     x = _as_batch(x, model.dim, group_size)
     step = max(1, CHUNK_FLOATS // model.params.n_params)
-    out = np.empty((len(x) // group_size, width))
+    out = np.empty((len(x) // group_size, len(columns)))
     for start in range(0, len(out), step):
         rows = x[start * group_size:(start + step) * group_size]
-        out[start:start + step] = reduce(model.grad_groups(rows, group_size)[0])
+        for i, a, b in model.factor_sweep(rows)[1]:
+            for f in (a, b):
+                if f is not None:
+                    require_finite(f, lambda _: model.params.names[i])
+            sink(out[start:start + step], i, a, b)
+    require_finite(out, columns.__getitem__)
     return out
 
 

@@ -5,21 +5,21 @@ from fimscore import models
 
 @pytest.fixture
 def chunk_spy(monkeypatch):
-    """``chunk_spy(model, k)`` caps models.reduce_grad_groups chunks at k
-    groups of ``model`` and returns the list that records the group count
-    of every grad_groups call the model then makes."""
+    """``chunk_spy(model, k, group_size)`` caps models.sweep_chunks chunks at
+    k groups of ``model`` and returns the list that records the group count
+    of every factor_sweep call the model then makes."""
 
-    def install(model, groups_per_chunk):
+    def install(model, groups_per_chunk, group_size=1):
         monkeypatch.setattr(models, "CHUNK_FLOATS",
                             groups_per_chunk * model.params.n_params)
         sizes = []
-        grad_groups = model.grad_groups
+        factor_sweep = model.factor_sweep
 
-        def spy(x, group_size):
+        def spy(x):
             sizes.append(len(x) // group_size)
-            return grad_groups(x, group_size)
+            return factor_sweep(x)
 
-        monkeypatch.setattr(model, "grad_groups", spy)
+        monkeypatch.setattr(model, "factor_sweep", spy)
         return sizes
 
     return install

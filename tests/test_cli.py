@@ -193,6 +193,22 @@ def test_features_dimension_mismatch_names_the_file(pipeline, tmp_path, capsys):
     assert os.listdir(tmp_path) == ["x3.dmat"]
 
 
+@pytest.mark.parametrize("flag", ["--eval", "--train"])
+def test_eval_refuses_a_file_of_the_wrong_width(pipeline, tmp_path, capsys, flag):
+    wide = str(tmp_path / "x3.dmat")
+    save_dmat(wide, np.ones((20, 3)))
+    model = os.path.join(pipeline["model"], "model.json")
+    fit = wide if flag == "--train" else os.path.join(pipeline["model"], "fit_split.dmat")
+    ev = os.path.join(pipeline["data"], "eval.dmat")
+    second = wide if flag == "--eval" else ev
+    out = tmp_path / "o"
+    assert run(["eval", "--train", f"a={model}:{fit}", "--eval", f"a={ev}",
+                "--eval", f"b={second}", "--out", out]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {flag} '{wide}' has 3 columns, but the model is 2-dimensional\n"
+    assert not out.exists()
+
+
 def test_score_csv_schema(pipeline):
     table = load_csv(pipeline["scores"])
     feats = load_csv(pipeline["feats"])

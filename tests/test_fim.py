@@ -13,6 +13,7 @@ from fimscore.fim import (
     mc_fim_slice,
     normalize_fim,
     prior_diag_from_samples,
+    score_columns,
     select_weights,
     sherman_morrison_score,
 )
@@ -312,6 +313,27 @@ def test_slice_chunk_boundaries_match_one_chunk(chunk_spy):
     assert sizes == [3, 3, 3, 1]
     assert chunked.weight_map == whole.weight_map
     np.testing.assert_allclose(chunked.matrix, whole.matrix, rtol=1e-10, atol=0)
+
+
+def test_score_columns_equal_grad_groups_columns(chunk_spy):
+    """Probed columns are single products of the backward factors, so they
+    equal the per-sample grad_groups columns of the same rows exactly, in
+    one chunk or in four: a vector layer (b_in), a weight layer with q = 2
+    (w_in at d = 4) and one with q = 8 (w_out)."""
+    m = CouplingFlowModel.init_random(4, Rng(2), n_blocks=2, hidden=8)
+    noise = 0.3 * Rng(3).normals(m.params.n_params)
+    m = m.with_params(m.params.from_flat(m.params.flat() + noise))
+    x = m.sample(Rng(4), 10)
+    weight_map = ([("block0.b_in", i) for i in range(8)]
+                  + [("block1.w_in", i) for i in (0, 3, 4, 15)]
+                  + [("block0.w_out", i) for i in (1, 8, 31)])
+    start = dict(zip(m.params.names, m.params.offsets.tolist()))
+    cols = [start[name] + i for name, i in weight_map]
+    assert np.array_equal(score_columns(m, x, weight_map), m.grad_groups(x, 1)[0][:, cols])
+    per_chunk = np.vstack([m.grad_groups(x[i:i + 3], 1)[0][:, cols] for i in range(0, 10, 3)])
+    sizes = chunk_spy(m, 3)
+    assert np.array_equal(score_columns(m, x, weight_map), per_chunk)
+    assert sizes == [3, 3, 3, 1]
 
 
 def test_one_chunk_slice_is_bitwise_the_whole_sweep():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fimscore.errors import DatasetFormatError, DomainError, InsufficientDataError, NonFiniteError
+from fimscore.fim import mc_fim_slice, score_columns
 from fimscore.gradfeatures import (
     FLOOR,
     batch_view,
@@ -203,11 +204,43 @@ def test_load_features_rejects_mistyped_sidecar_fields(tmp_path):
 
 
 def test_nonfinite_gradient_names_layer():
+    """sigma = e^-400: at x = 3 the mu factor z / sigma overflows, so the
+    sweep's factor check fires even where mu is not probed; the model's own
+    draws keep every factor finite, and mc_fim_slice's s^T s overflows."""
     m = DiagGaussianModel(np.array([0.0]), np.array([-400.0]))
-    with np.errstate(over="ignore"):
-        with pytest.raises(NonFiniteError) as exc:
-            gradient_features(m, np.array([[3.0]]))
-    assert "mu" in str(exc.value)
+    calls = [lambda: gradient_features(m, np.array([[3.0]])),
+             lambda: feature_matrix(m, np.array([[[3.0]]])),
+             lambda: score_columns(m, np.array([[3.0]]), [("log_sigma", 0)]),
+             lambda: m.grad_groups(np.array([[3.0]]), 1),
+             lambda: mc_fim_slice(m, ["mu"], Rng(0), 8)]
+    for call in calls:
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError) as exc:
+                call()
+        assert "'mu'" in str(exc.value)
+
+
+def jittered_flow(dim, hidden, seed=0):
+    m = CouplingFlowModel.init_random(dim, Rng(seed), n_blocks=6, hidden=hidden)
+    noise = 0.2 * Rng(seed + 1).normals(m.params.n_params)
+    return m.with_params(m.params.from_flat(m.params.flat() + noise))
+
+
+@pytest.mark.parametrize("batch_size", [1, 5, 25])
+@pytest.mark.parametrize("make", [
+    lambda: DiagGaussianModel(np.array([0.5, -1.0, 2.0]), np.array([0.1, -0.3, 0.4])),
+    lambda: jittered_flow(2, 32),  # the golden flow's shape
+    lambda: jittered_flow(16, 64),
+], ids=["gaussian", "flow_d2_h32", "flow_d16_h64"])
+def test_features_match_materialised_gradients(make, batch_size):
+    """Per-layer group sums of the factors against the squared columns of
+    grad_groups rows, at most 1e-12 relative."""
+    m = make()
+    batches = 1.5 * Rng(8).normals(30 * batch_size * m.dim).reshape(30, batch_size, m.dim)
+    grads = m.grad_groups(batches.reshape(-1, m.dim), batch_size)[0]
+    want = np.stack([np.sum(np.square(v.reshape(30, -1)), axis=1)
+                     for v in m.params.views(grads)], axis=1)
+    np.testing.assert_allclose(feature_matrix(m, batches), want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("batch_size", [1, 2])
@@ -215,7 +248,7 @@ def test_feature_matrix_chunk_boundaries_match_one_chunk(chunk_spy, batch_size):
     m = CouplingFlowModel.init_random(2, Rng(0), n_blocks=2, hidden=8)
     batches = Rng(6).normals(20 * batch_size).reshape(10, batch_size, 2)
     whole = feature_matrix(m, batches)
-    sizes = chunk_spy(m, 3)
+    sizes = chunk_spy(m, 3, batch_size)
     chunked = feature_matrix(m, batches)
     assert sizes == [3, 3, 3, 1]
     np.testing.assert_allclose(chunked, whole, rtol=1e-10, atol=0)
