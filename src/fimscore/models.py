@@ -13,7 +13,10 @@ against central finite differences in the tests; there is no autodiff
 tape. Each model has one backward pass, ``factor_sweep(x)``: per layer,
 row factors a, b whose products a_r b_r^T (a_r for a vector layer) are
 the per-row gradients. ``grad_groups`` sums them into one flat row per
-group of rows; ``sweep_chunks`` feeds them to sinks that keep less.
+group of rows; ``sweep_chunks`` feeds them to sinks that keep less. The
+flow's forward caches each block's hidden activations for that backward
+while they fit in HIDDEN_CACHE_FLOATS; ``log_likelihood_batch`` runs it
+with no cache.
 
 Checkpoints are JSON (type, dims, hyper, named layers with shapes and
 row-major values; a flow's hyper must give K, H and c, none defaulted),
@@ -37,6 +40,7 @@ from .numcore import Rng
 
 _LOG_2PI = math.log(2.0 * math.pi)
 CHUNK_FLOATS = 1 << 20  # gradient floats the groups of one sweep_chunks chunk span
+HIDDEN_CACHE_FLOATS = 1 << 18  # hidden activations a flow sweep may cache
 
 
 def require_finite(arr: np.ndarray, layer_of) -> None:
@@ -62,9 +66,9 @@ class LayeredParams:
         self._layout = [(start, start + a.size, a.shape)
                         for start, (_, a) in zip(self.offsets.tolist(), items)]
         self._adopt(np.concatenate([np.empty(0)] + [a.reshape(-1) for _, a in items]))
+        require_finite(self._buf, self.layer_of)
 
     def _adopt(self, buf: np.ndarray) -> None:
-        require_finite(buf, self.layer_of)
         buf.flags.writeable = False
         self._buf, self.arrays = buf, self.views(buf)
 
@@ -93,8 +97,13 @@ class LayeredParams:
         flat = np.array(flat, dtype=np.float64)
         if flat.shape != (self.n_params,):
             raise DomainError(f"flat vector has shape {flat.shape}, want ({self.n_params},)")
+        require_finite(flat, self.layer_of)
+        return self._over(flat)
+
+    def _over(self, buf: np.ndarray) -> "LayeredParams":
+        """A new instance with this layout over ``buf`` itself, unchecked."""
         out = copy.copy(self)  # shares names, offsets and layout
-        out._adopt(flat)
+        out._adopt(buf)
         return out
 
 
@@ -139,7 +148,7 @@ def _loglik_and_grad_sum(self, x: np.ndarray):
     """Summed log-likelihood and its parameter gradient from one pass."""
     x = np.atleast_2d(x)  # grad_groups validates it
     grads, loglik = self.grad_groups(x, x.shape[0])
-    return float(loglik.sum()), self.params.from_flat(grads[0])
+    return float(loglik.sum()), self.params._over(grads[0])  # checked, not copied
 
 
 class DiagGaussianModel:
@@ -284,8 +293,10 @@ class CouplingFlowModel:
         h = np.dot(cond, w_in.T)  # np.matmul is slow on dim 2's outer product
         return np.tanh(np.add(h, b_in, out=h), out=h)
 
-    def _forward(self, x: np.ndarray):
-        """Data-to-base pass; caches per-block intermediates for backward."""
+    def _forward(self, x: np.ndarray, keep: bool = True, keep_h: bool = True):
+        """Data-to-base pass; with ``keep``, caches per-block intermediates for
+        backward, and h too with ``keep_h``. An uncached h is dropped before
+        the next block makes its own."""
         half = self.dim // 2
         z = np.array(x, dtype=np.float64)
         logdet = np.zeros(x.shape[0])
@@ -293,16 +304,20 @@ class CouplingFlowModel:
         for k in range(self.n_blocks):
             _, _, w_out, b_out = self._block_params(k)
             tsl, csl = self._halves(k)
-            act = z[:, tsl].copy()
-            cond = z[:, csl].copy()
-            o = np.dot(self._hidden(k, cond), w_out.T)
+            act, cond = z[:, tsl], z[:, csl]
+            if keep:  # both halves of z change in later blocks
+                act, cond = act.copy(), cond.copy()
+            h = self._hidden(k, cond)
+            o = np.dot(h, w_out.T)
             o += b_out
             s_raw = o[:, :half]
             s = np.clip(s_raw, -self.clamp, self.clamp)
             es = np.exp(s)
             z[:, tsl] = act * es + o[:, half:]
             logdet += s.sum(axis=1)
-            cache.append((act, cond, s_raw, es))
+            if keep:
+                cache.append((act, cond, s_raw, es, h if keep_h else None))
+            del h
         return z, logdet, cache
 
     def factor_sweep(self, x: np.ndarray):
@@ -311,18 +326,27 @@ class CouplingFlowModel:
         last block to the first: w_out (do, h), b_out (do, None), w_in
         (du, cond), b_in (du, None). ``g`` carries d loglik / d z_current
         per row; each block adds 1 to ds for its log-det term, zeroed where
-        the clamp is active. Hidden activations are recomputed, so one
-        block's arrays live at a time."""
-        z, logdet, cache = self._forward(x)
-        loglik = -0.5 * self.dim * _LOG_2PI - 0.5 * np.sum(z * z, axis=1) + logdet
-        return loglik, self._factors(-z, cache)
+        the clamp is active. Each block's h comes from the forward's cache if
+        all blocks' h fit in HIDDEN_CACHE_FLOATS, else the backward remakes it."""
+        keep_h = len(x) * self.n_blocks * self.hidden <= HIDDEN_CACHE_FLOATS
+        z, logdet, cache = self._forward(x, keep_h=keep_h)
+        return self._loglik(z, logdet), self._factors(-z, cache)
+
+    def log_likelihood_batch(self, x: np.ndarray) -> np.ndarray:
+        """Per-row log-likelihood from a forward that caches nothing."""
+        z, logdet, _ = self._forward(_as_batch(x, self.dim), keep=False)
+        return self._loglik(z, logdet)
+
+    def _loglik(self, z: np.ndarray, logdet: np.ndarray) -> np.ndarray:
+        return -0.5 * self.dim * _LOG_2PI - 0.5 * np.sum(z * z, axis=1) + logdet
 
     def _factors(self, g: np.ndarray, cache: list):
         for k in range(self.n_blocks - 1, -1, -1):
             w_in, _, w_out, _ = self._block_params(k)
             tsl, csl = self._halves(k)
-            act, cond, s_raw, es = cache.pop()
-            h = self._hidden(k, cond)
+            act, cond, s_raw, es, h = cache.pop()
+            if h is None:
+                h = self._hidden(k, cond)
             g_act_out = g[:, tsl]
             ds = (g_act_out * act * es + 1.0) * (np.abs(s_raw) < self.clamp)
             do = np.concatenate([ds, g_act_out], axis=1)
@@ -334,7 +358,6 @@ class CouplingFlowModel:
             g[:, tsl] *= es  # do already holds its copy of g_act_out
             g[:, csl] += du @ w_in
 
-    log_likelihood_batch = _log_likelihood_batch
     grad_groups = _grad_groups
     score_batch = _score_batch
     grad_sum_batch = _grad_sum_batch

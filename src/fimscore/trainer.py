@@ -10,7 +10,10 @@ config and data produce bit-identical parameters.
 Optimization is Adam run as ascent on the mean log-likelihood of each
 batch, with the fixed settings BETA1, BETA2 and EPS. Only full batches
 are used each epoch, so the train split must hold at least one; the
-remainder rows simply wait for the next epoch's shuffle.
+remainder rows simply wait for the next epoch's shuffle. The loop builds
+one working model over its own copy of the parameters and steps that
+buffer, with the Adam moments, in place; the trained model it returns is
+a fresh read-only copy.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, NonFiniteError
+from .models import require_finite
 from .numcore import Rng
 
 BETA1 = 0.9
@@ -37,6 +41,10 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 0:
             raise DomainError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -72,8 +80,9 @@ def train(model, data: np.ndarray, config: TrainConfig) -> TrainResult:
     """Adam ascent on mean batch log-likelihood; returns the trained copy.
 
     The input model is left untouched. The loss curve holds the mean
-    train-split log-likelihood after each epoch. A non-finite batch loss
-    or gradient aborts with the offending epoch and batch index.
+    train-split log-likelihood after each epoch. A non-finite batch, batch
+    loss, gradient or updated parameter aborts with the offending epoch
+    and batch index.
     """
     config.validate()
     data = np.asarray(data, dtype=np.float64)
@@ -86,8 +95,9 @@ def train(model, data: np.ndarray, config: TrainConfig) -> TrainResult:
         raise InsufficientDataError(f"the train split holds {n_train} rows, fewer "
                                     f"than one batch of {config.batch_size}")
 
-    theta = model.params.flat()
-    work = model.with_params(model.params.from_flat(theta))
+    work = model.with_params(model.params.from_flat(model.params.flat()))
+    theta = work.params.flat()  # work's own copy, which each step updates in place
+    theta.flags.writeable = True
     initial = float(np.mean(work.log_likelihood_batch(train_rows)))
 
     m = np.zeros_like(theta)
@@ -100,19 +110,22 @@ def train(model, data: np.ndarray, config: TrainConfig) -> TrainResult:
         for b in range(n_batches):
             idx = order[b * config.batch_size : (b + 1) * config.batch_size]
             batch = train_rows[idx]
+            step += 1
             try:
                 loss_sum, grad = work.loglik_and_grad_sum(batch)
                 if not math.isfinite(loss_sum):
                     raise NonFiniteError("non-finite loss")
+                g = grad.flat() / config.batch_size
+                m *= BETA1
+                m += (1.0 - BETA1) * g
+                v *= BETA2
+                v += (1.0 - BETA2) * g * g
+                m_hat = m / (1.0 - BETA1 ** step)
+                v_hat = v / (1.0 - BETA2 ** step)
+                theta += config.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
+                require_finite(theta, work.params.layer_of)
             except NonFiniteError as exc:
                 raise NonFiniteError(f"{exc} at epoch {epoch}, batch {b}") from exc
-            g = grad.flat() / config.batch_size
-            step += 1
-            m = BETA1 * m + (1.0 - BETA1) * g
-            v = BETA2 * v + (1.0 - BETA2) * g * g
-            m_hat = m / (1.0 - BETA1 ** step)
-            v_hat = v / (1.0 - BETA2 ** step)
-            theta = theta + config.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
-            work = model.with_params(model.params.from_flat(theta))
         curve.append(float(np.mean(work.log_likelihood_batch(train_rows))))
-    return TrainResult(work, train_rows, fit_rows, curve, initial)
+    final = model.with_params(model.params.from_flat(theta))
+    return TrainResult(final, train_rows, fit_rows, curve, initial)

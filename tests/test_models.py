@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fimscore import models
 from fimscore.errors import DatasetFormatError, DomainError, NonFiniteError
 from fimscore.models import (
     CouplingFlowModel,
@@ -247,6 +249,55 @@ def test_flow_gradients_beyond_dim_2(dim):
 
             fd = finite_diff_grad(obj, flat0, h=1e-6)
             assert np.max(np.abs(row - fd) / np.maximum(np.abs(fd), 1.0)) < 1e-6
+
+
+@pytest.mark.parametrize("rows", [1, 128, 8100])
+def test_likelihood_pass_is_bitwise_the_sweep_loglik(rows):
+    """``log_likelihood_batch`` runs the forward with no cache; its values
+    are those of the cached forward that ``factor_sweep`` runs."""
+    for m in (warped_flow(seed=15, dim=2, n_blocks=6, hidden=32),
+              warped_flow(seed=16, dim=4, n_blocks=3, hidden=5),
+              DiagGaussianModel(np.array([0.5, -0.5]), np.array([0.1, -0.2]))):
+        x = sample(m, Rng(46), rows)
+        assert np.array_equal(m.log_likelihood_batch(x), m.factor_sweep(x)[0])
+
+
+def test_likelihood_pass_holds_one_hidden_layer_at_a_time():
+    """10,000 rows of the K = 6, H = 32 flow: the cache-free forward peaks
+    at about 3.5 MB. Each hidden array is 2.56 MB, so a second one alive
+    while the next block makes its own (about 6 MB), or a cached forward
+    (about 5.2 MB), breaks the bound."""
+    m = CouplingFlowModel.init_random(2, Rng(47))
+    x = sample(m, Rng(48), 10_000)
+    m.log_likelihood_batch(x[:10])
+    tracemalloc.start()
+    m.log_likelihood_batch(x)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 4.2e6, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_remade_hidden_activations_give_the_cached_gradients(monkeypatch):
+    """A sweep too large to cache its hidden activations remakes them in
+    the backward; its gradient rows equal the cached sweep's bit for bit."""
+    m = warped_flow(seed=19, dim=2, n_blocks=6, hidden=32)
+    x = sample(m, Rng(50), 40)
+    cached = m.grad_groups(x, 1)[0]
+    monkeypatch.setattr(models, "HIDDEN_CACHE_FLOATS", 0)
+    assert np.array_equal(m.grad_groups(x, 1)[0], cached)
+
+
+def test_loglik_and_grad_sum_hands_out_the_checked_row():
+    """``loglik_and_grad_sum`` returns the one-group ``grad_groups`` row
+    itself, read-only and bit for bit, with the summed log-likelihood."""
+    for m, rows in ((warped_flow(seed=17, dim=2, n_blocks=6, hidden=32), 128),
+                    (warped_flow(seed=18, dim=4, n_blocks=3, hidden=5), 24)):
+        x = sample(m, Rng(49), rows)
+        grads, loglik = m.grad_groups(x, len(x))
+        total, grad = m.loglik_and_grad_sum(x)
+        assert not grad.flat().flags.writeable
+        assert np.array_equal(grad.flat(), grads[0])
+        assert total == float(loglik.sum())
 
 
 def test_checkpoint_roundtrip_bit_identical(tmp_path):

@@ -150,7 +150,7 @@ class _BlowupModel:
         self.fail_at = fail_at_call
 
     def with_params(self, params):
-        clone = _BlowupModel(self.fail_at, self.counter)
+        clone = type(self)(self.fail_at, self.counter)
         clone.params = params
         return clone
 
@@ -190,6 +190,67 @@ def test_config_validation():
     ):
         with pytest.raises(DomainError, match=field):
             TrainConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("field", ["epochs", "batch_size"])
+@pytest.mark.parametrize("value", [2.5, True, "3"])
+def test_config_counts_must_be_integers(field, value):
+    """A float, bool or string count is a DomainError naming its field,
+    from ``validate`` and from ``train`` before any work."""
+    with pytest.raises(DomainError, match=field):
+        TrainConfig(**{field: value}).validate()
+    flow = CouplingFlowModel.init_random(2, Rng(0).child(0), n_blocks=2, hidden=4)
+    with pytest.raises(DomainError, match=field):
+        train(flow, Rng(1).normals(400).reshape(-1, 2),
+              TrainConfig(**{"epochs": 1, "batch_size": 16, field: value}))
+
+
+def test_training_in_place_leaves_no_shared_buffer(monkeypatch):
+    """The loop steps one theta buffer in place. The input model's buffer
+    keeps its bytes, and the returned parameters are a read-only copy
+    that shares memory with neither it nor any buffer the loop stepped
+    or read gradients from. Two runs agree byte for byte."""
+    data = generate("two_moons", 600, seed=3).points
+    seen = []
+    plain = CouplingFlowModel.loglik_and_grad_sum
+
+    def spy(self, x):
+        loss, grad = plain(self, x)
+        seen.extend([self.params.flat(), grad.flat()])
+        return loss, grad
+
+    monkeypatch.setattr(CouplingFlowModel, "loglik_and_grad_sum", spy)
+    flow = CouplingFlowModel.init_random(2, Rng(5).child(0), n_blocks=2, hidden=4)
+    before = flow.params.flat().tobytes()
+    cfg = TrainConfig(epochs=2, batch_size=64, learning_rate=1e-2, seed=2)
+    runs = [train(flow, data, cfg) for _ in range(2)]
+    assert flow.params.flat().tobytes() == before
+    assert seen
+    for res in runs:
+        flat = res.model.params.flat()
+        assert not flat.flags.writeable
+        assert flat.tobytes() != before
+        for other in [flow.params.flat(), res.train_rows, res.fit_rows] + seen:
+            assert not np.shares_memory(flat, other)
+    assert runs[0].model.params.flat().tobytes() == runs[1].model.params.flat().tobytes()
+    assert runs[0].loss_curve == runs[1].loss_curve
+
+
+class _RunawayModel(_BlowupModel):
+    """Finite loss and a gradient of ones, so a huge learning rate carries
+    theta past the largest float on the second step."""
+
+    def loglik_and_grad_sum(self, x):
+        return 0.0, self.params.from_flat(np.ones(2))
+
+
+def test_nonfinite_theta_names_epoch_batch_and_layer():
+    data = np.zeros((44, 2))  # 39 train rows -> 2 batches of 16 per epoch
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as exc:
+        train(_RunawayModel(fail_at_call=math.inf), data,
+              TrainConfig(epochs=1, batch_size=16, learning_rate=1e308, seed=0))
+    msg = str(exc.value)
+    assert "epoch 0" in msg and "batch 1" in msg and "'w'" in msg
 
 
 def test_train_requires_enough_rows():
