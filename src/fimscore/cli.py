@@ -1,19 +1,18 @@
 """Command-line pipeline: data, training, features, scoring, probes.
 
-Flags are the only source of a value; --seed defaults to 0. main calls
-the subcommand, which returns (input digests, artifacts, summary line);
-it hashes its inputs right after loading them, before its first write,
-so an input that the run overwrites is recorded as it was read. main
-then writes a manifest under --out (every flag value, the seed included,
-plus SHA-256 of every input and artifact) so a run can be audited and
-reproduced, and prints the summary. Exit codes: 0 success, 1 domain
-error (bad values, missing or malformed files), 2 usage error.
+Flags are the only source of a value; --seed defaults to 0. main runs
+the subcommand, which returns its summary line, inside
+``data.recording()``, so every file the run read or wrote is noted with
+the SHA-256 of its bytes as read or written. main then writes a manifest
+under --out (every flag value, the seed included, plus those input and
+artifact digests) so a run can be audited and reproduced, and prints
+the summary. Exit codes: 0 success, 1 domain error (bad values, missing
+or malformed files), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import os
 import sys
@@ -28,26 +27,13 @@ from .errors import DomainError, FimscoreError
 from .numcore import Rng
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _digests(paths) -> dict:
-    return {p: _sha256(p) for p in paths}
-
-
-def _write_manifest(args: argparse.Namespace, inputs: dict, artifacts) -> None:
+def _write_manifest(args: argparse.Namespace, record: dict) -> None:
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     manifest = {
         "command": args.command,
         "package_version": __version__,
         "config": config,
-        "inputs": inputs,
-        "artifacts": _digests(artifacts),
+        **record,
     }
     path = os.path.join(args.out, "manifest.json") if os.path.isdir(args.out) \
         else args.out + ".manifest.json"
@@ -90,25 +76,20 @@ def _cmd_gen_data(args):
     except TypeError as exc:
         raise DomainError(f"bad parameters for '{args.dist}': {exc}") from exc
     out = _ensure_dir(args.out)
-    artifacts = []
-    for tag in ("train", "fit", "eval"):
-        path = os.path.join(out, f"{tag}.dmat")
+    paths = {tag: os.path.join(out, f"{tag}.dmat") for tag in ("train", "fit", "eval")}
+    for tag, path in paths.items():
         data.save_dmat(path, ds.rows(tag))
-        artifacts.append(path)
-    return {}, artifacts, f"wrote {', '.join(artifacts)}"
-
-
-def _load_training_rows(path: str):
-    """(rows, input digests): a gen-data directory's train and fit splits
-    stacked, or the one DMAT file at ``path``."""
-    if os.path.isdir(path):
-        paths = [os.path.join(path, f"{t}.dmat") for t in ("train", "fit")]
-        return np.vstack([data.load_dmat(p) for p in paths]), _digests(paths)
-    return data.load_dmat(path), _digests([path])
+    return f"wrote {', '.join(paths.values())}"
 
 
 def _cmd_train(args):
-    rows, inputs = _load_training_rows(args.data)
+    # --data is a gen-data directory, whose train and fit splits are
+    # stacked, or one DMAT file
+    if os.path.isdir(args.data):
+        rows = np.vstack([data.load_dmat(os.path.join(args.data, f"{t}.dmat"))
+                          for t in ("train", "fit")])
+    else:
+        rows = data.load_dmat(args.data)
     dim = rows.shape[1]
     if args.model == "gaussian":
         model = M.DiagGaussianModel.standard(dim)
@@ -123,21 +104,17 @@ def _cmd_train(args):
     )
     result = trainer.train(model, rows, cfg)
     out = _ensure_dir(args.out)
-    model_path = os.path.join(out, "model.json")
-    M.save_model(result.model, model_path)
-    curve_path = os.path.join(out, "loss_curve.csv")
+    M.save_model(result.model, os.path.join(out, "model.json"))
     curve = [[0.0, result.initial_loglik]] + [
         [float(e + 1), v] for e, v in enumerate(result.loss_curve)
     ]
-    data.save_csv(curve_path, np.asarray(curve), header=["epoch", "mean_loglik"])
-    train_path = os.path.join(out, "train_split.dmat")
-    fit_path = os.path.join(out, "fit_split.dmat")
-    data.save_dmat(train_path, result.train_rows)
-    data.save_dmat(fit_path, result.fit_rows)
+    data.save_csv(os.path.join(out, "loss_curve.csv"), np.asarray(curve),
+                  header=["epoch", "mean_loglik"])
+    data.save_dmat(os.path.join(out, "train_split.dmat"), result.train_rows)
+    data.save_dmat(os.path.join(out, "fit_split.dmat"), result.fit_rows)
     final = result.loss_curve[-1] if result.loss_curve else result.initial_loglik
-    return inputs, [model_path, curve_path, train_path, fit_path], (
-        f"trained {args.model}: mean log-likelihood "
-        f"{result.initial_loglik:.4f} -> {final:.4f}")
+    return (f"trained {args.model}: mean log-likelihood "
+            f"{result.initial_loglik:.4f} -> {final:.4f}")
 
 
 def _require_dim(flag: str, path: str, rows: np.ndarray, model) -> None:
@@ -150,7 +127,6 @@ def _cmd_features(args):
     model = M.load_model(args.model)
     rows = data.load_dmat(args.data)
     _require_dim("--data", args.data, rows, model)
-    inputs = _digests([args.model, args.data])
     feats = gradfeatures.feature_matrix(
         model, gradfeatures.batch_view(rows, args.batch_size, f"--data '{args.data}'"))
     provenance = {
@@ -159,22 +135,19 @@ def _cmd_features(args):
         "layer_names": list(model.params.names),
     }
     gradfeatures.save_features(args.out, feats, provenance)
-    return inputs, [args.out, args.out + ".json"], (
-        f"wrote {feats.shape[0]} x {feats.shape[1]} features to {args.out}")
+    return f"wrote {feats.shape[0]} x {feats.shape[1]} features to {args.out}"
 
 
 def _cmd_fit(args):
     feats, provenance = gradfeatures.load_features(args.features)
-    inputs = _digests([args.features, args.features + ".json"])
     det = detector.fit_detector(gradfeatures.log_features(feats))
     detector.save_detector(det, args.out, provenance)
-    return inputs, [args.out], f"fit detector on {det.n_fit} batches -> {args.out}"
+    return f"fit detector on {det.n_fit} batches -> {args.out}"
 
 
 def _cmd_score(args):
     det, fit_provenance = detector.load_detector(args.detector)
     feats, provenance = gradfeatures.load_features(args.features)
-    inputs = _digests([args.detector, args.features, args.features + ".json"])
     for key, want in fit_provenance.items():
         if provenance[key] != want:
             raise DomainError(f"{key} differs: the detector was fit on {want!r}, "
@@ -185,7 +158,7 @@ def _cmd_score(args):
     scores = scorer(det, logf)
     table = np.column_stack([np.arange(scores.size, dtype=np.float64), scores])
     data.save_csv(args.out, table, header=["batch_id", "score"])
-    return inputs, [args.out], f"scored {scores.shape[0]} batches with method={args.method}"
+    return f"scored {scores.shape[0]} batches with method={args.method}"
 
 
 def _parse_named(items, what: str, parts: int):
@@ -217,7 +190,6 @@ def _cmd_eval(args):
         _require_dim("--train", trains[train_name][1], fit_rows, model)
         for name, path in evals.items():
             _require_dim("--eval", path, eval_splits[name], model)
-    inputs = _digests([p for pair in trains.values() for p in pair] + list(evals.values()))
     try:
         batch_sizes = [int(p) for p in args.batch_sizes.split(",")]
     except ValueError as exc:
@@ -229,22 +201,18 @@ def _cmd_eval(args):
         n_eval_batches=args.n_batches, methods=methods, seed=args.seed,
     )
     out = _ensure_dir(args.out)
-    artifacts = []
     for rep in reports:
-        path = os.path.join(out, f"report_{rep.train}.json")
-        data.write_atomic(path, rep.to_json())
-        artifacts.append(path)
+        data.write_atomic(os.path.join(out, f"report_{rep.train}.json"), rep.to_json())
     for m in methods:
         for b in batch_sizes:
-            path = os.path.join(out, f"grid_{m}_B{b}.txt")
-            data.write_atomic(path, evaluation.render_grid(reports, m, b))
-            artifacts.append(path)
-    return inputs, artifacts, f"wrote {len(artifacts)} report/grid files to {out}"
+            data.write_atomic(os.path.join(out, f"grid_{m}_B{b}.txt"),
+                              evaluation.render_grid(reports, m, b))
+    n_files = len(reports) + len(methods) * len(batch_sizes)
+    return f"wrote {n_files} report/grid files to {out}"
 
 
 def _cmd_fim_probe(args):
     model = M.load_model(args.model)
-    inputs = _digests([args.model])
     root = Rng(args.seed)
     if args.layers:
         layers = [p.strip() for p in args.layers.split(",") if p.strip()]
@@ -256,12 +224,9 @@ def _cmd_fim_probe(args):
     normalized = fim.normalize_fim(sl.matrix)
     diag_mean, offdiag_mean = fim.diag_dominance(normalized)
     out = _ensure_dir(args.out)
-    raw_path = os.path.join(out, "fim.csv")
-    norm_path = os.path.join(out, "fim_normalized.csv")
-    data.save_csv(raw_path, sl.matrix)
-    data.save_csv(norm_path, normalized)
-    side_path = os.path.join(out, "fim.json")
-    data.write_atomic(side_path, data.json_text({
+    data.save_csv(os.path.join(out, "fim.csv"), sl.matrix)
+    data.save_csv(os.path.join(out, "fim_normalized.csv"), normalized)
+    data.write_atomic(os.path.join(out, "fim.json"), data.json_text({
         "layers": layers,
         "weight_map": [[name, idx] for name, idx in sl.weight_map],
         "n_samples": sl.n_samples,
@@ -269,9 +234,8 @@ def _cmd_fim_probe(args):
         "diag_mean": diag_mean,
         "offdiag_mean": offdiag_mean,
     }))
-    return inputs, [raw_path, norm_path, side_path], (
-        f"probed layers {layers}: diag mean {diag_mean:.4f}, "
-        f"off-diagonal mean {offdiag_mean:.4f}")
+    return (f"probed layers {layers}: diag mean {diag_mean:.4f}, "
+            f"off-diagonal mean {offdiag_mean:.4f}")
 
 
 # --transform name -> constructor of the transform from (dim, rng)
@@ -286,7 +250,6 @@ _TRANSFORMS = {
 
 def _cmd_invariance_check(args):
     model = M.load_model(args.model)
-    inputs = _digests([args.model])
     root = Rng(args.seed)
     transform = _TRANSFORMS[args.transform](model.dim, root.child(1))
     points = M.sample(model, root.child(2), args.n_points)
@@ -295,8 +258,7 @@ def _cmd_invariance_check(args):
     passed = (report["max_grad_discrepancy"] <= tol_grad
               and report["max_loglik_residual"] <= tol_ll)
     out = _ensure_dir(args.out)
-    path = os.path.join(out, "invariance.json")
-    data.write_atomic(path, data.json_text({
+    data.write_atomic(os.path.join(out, "invariance.json"), data.json_text({
         "model_checksum": M.model_checksum(model),
         "transform": args.transform,
         "n_points": args.n_points,
@@ -305,10 +267,9 @@ def _cmd_invariance_check(args):
         "max_loglik_residual": report["max_loglik_residual"],
         "pass": passed,
     }))
-    return inputs, [path], (
-        f"invariance under {args.transform}: "
-        f"grad discrepancy {report['max_grad_discrepancy']:.3e}, "
-        f"{'PASS' if passed else 'FAIL'}")
+    return (f"invariance under {args.transform}: "
+            f"grad discrepancy {report['max_grad_discrepancy']:.3e}, "
+            f"{'PASS' if passed else 'FAIL'}")
 
 
 def _cmd_tv_volume(args):
@@ -326,7 +287,7 @@ def _cmd_tv_volume(args):
     text = data.json_text(obj)
     if args.out:
         data.write_atomic(args.out, text)
-    return {}, [args.out], text.rstrip("\n")
+    return text.rstrip("\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -336,16 +297,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def seeded(p):
-        p.add_argument("--seed", type=int, default=0, help="PRNG seed")
-
     p = sub.add_parser("gen-data", help="sample a synthetic distribution")
     p.add_argument("--dist", required=True, choices=sorted(data.GENERATORS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--param", action="append", metavar="KEY=VALUE",
                    help="generator parameter; tuples as v1:v2")
     p.add_argument("--out", required=True)
-    seeded(p)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="fit a model by maximum likelihood")
@@ -358,7 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-blocks", type=int, default=6)
     p.add_argument("--hidden", type=int, default=32)
     p.add_argument("--out", required=True)
-    seeded(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("features", help="gradient-norm features per batch")
@@ -366,13 +322,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="DMAT file of points")
     p.add_argument("--batch-size", type=int, default=5)
     p.add_argument("--out", required=True, help="output CSV path")
-    seeded(p)
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("fit", help="fit the Gaussian detector on features")
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True, help="output detector JSON path")
-    seeded(p)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("score", help="score feature batches with a detector")
@@ -380,7 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--method", choices=("ours", "fisher"), default="ours")
     p.add_argument("--out", required=True, help="output CSV path")
-    seeded(p)
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("eval", help="AUROC grid over distribution pairings")
@@ -390,7 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-batches", type=int, default=200)
     p.add_argument("--methods", default=",".join(evaluation.METHODS))
     p.add_argument("--out", required=True)
-    seeded(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("fim-probe", help="Monte Carlo FIM slice of a model")
@@ -399,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated layer names (default: 2 seeded picks)")
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--out", required=True)
-    seeded(p)
     p.set_defaults(func=_cmd_fim_probe)
 
     p = sub.add_parser("invariance-check",
@@ -408,7 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transform", default="affine", choices=tuple(_TRANSFORMS))
     p.add_argument("--n-points", type=int, default=20)
     p.add_argument("--out", required=True)
-    seeded(p)
     p.set_defaults(func=_cmd_invariance_check)
 
     p = sub.add_parser("tv-volume", help="log-volume of a total-variation ball")
@@ -417,17 +367,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc", type=int, default=0,
                    help="Monte Carlo cross-check sample count (small d only)")
     p.add_argument("--out", default=None)
-    seeded(p)
     p.set_defaults(func=_cmd_tv_volume)
+    for p in sub.choices.values():
+        p.add_argument("--seed", type=int, default=0, help="PRNG seed")
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        inputs, artifacts, summary = args.func(args)
+        with data.recording() as record:
+            summary = args.func(args)
         if args.out:
-            _write_manifest(args, inputs, artifacts)
+            _write_manifest(args, record)
         print(summary)
         return 0
     except (FimscoreError, OSError) as exc:

@@ -22,14 +22,20 @@ non-finite cell with its row and column. JSON artifacts share one
 format, ``json_text``.
 
 Every artifact the package writes goes through ``write_atomic``, so a
-reader never sees a half-written file, and every text artifact it reads
-goes through ``read_text`` or ``read_json``, so undecodable bytes, bad
-JSON or a JSON top level other than an object fail as a
-DatasetFormatError naming the file.
+reader never sees a half-written file, and every file it reads goes
+through ``read_bytes``; text goes on through ``read_text`` or
+``read_json``, so undecodable bytes, bad JSON or a JSON top level other
+than an object fail as a DatasetFormatError naming the file. Those two
+functions are therefore the one place that sees which files a run
+touched: inside ``recording()`` they note the SHA-256 of the bytes each
+file held when first read and of the bytes last written to it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
@@ -174,6 +180,23 @@ def generate(dist: str, n: int, seed: int, **params) -> Dataset:
     return Dataset(points, tags)
 
 
+_record = None  # {"inputs": {}, "artifacts": {}} while recording() is active
+
+
+@contextlib.contextmanager
+def recording():
+    """Yield ``{"inputs": {}, "artifacts": {}}``, filled until the block
+    ends (also by an exception) with ``path -> sha256`` of what each
+    ``read_bytes`` read, the first read of a path winning, and of what
+    each ``write_atomic`` wrote, the last write winning."""
+    global _record
+    _record = {"inputs": {}, "artifacts": {}}
+    try:
+        yield _record
+    finally:
+        _record = None
+
+
 def write_atomic(path: str, contents) -> None:
     """Write ``contents`` (str as UTF-8, or bytes) to ``path`` atomically.
 
@@ -191,13 +214,23 @@ def write_atomic(path: str, contents) -> None:
         if os.path.isfile(tmp):
             os.remove(tmp)
         raise
+    if _record is not None:
+        _record["artifacts"][path] = hashlib.sha256(contents).hexdigest()
+
+
+def read_bytes(path: str) -> bytes:
+    """The bytes of ``path``."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if _record is not None and path not in _record["inputs"]:
+        _record["inputs"][path] = hashlib.sha256(blob).hexdigest()
+    return blob
 
 
 def read_text(path: str) -> str:
     """The UTF-8 text of ``path``, with universal newlines."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        return io.TextIOWrapper(io.BytesIO(read_bytes(path)), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"'{path}' is not UTF-8 text: {exc}") from exc
 
@@ -232,8 +265,7 @@ def save_dmat(path: str, matrix: np.ndarray) -> None:
 
 
 def load_dmat(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = read_bytes(path)
     if len(blob) < 24:
         raise DatasetFormatError(f"'{path}' is too short to be a DMAT file")
     if blob[:4] != DMAT_MAGIC:
@@ -278,7 +310,13 @@ def save_csv(path: str, matrix: np.ndarray, header=None) -> None:
 
 def load_csv(path: str) -> np.ndarray:
     """Numeric CSV with one header row; errors carry row/column locations."""
-    lines = [ln for ln in read_text(path).split("\n") if ln.strip()]
+    return _parse_csv(read_text(path), path)
+
+
+def _parse_csv(text: str, path: str) -> np.ndarray:
+    """The numeric cells of ``text``, a CSV read from ``path``, as load_csv
+    checks them."""
+    lines = [ln for ln in text.split("\n") if ln.strip()]
     if len(lines) < 2:
         raise DatasetFormatError(f"'{path}' has no data rows", row=0)
     width = len(lines[0].split(","))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import json_text, load_csv, read_json, read_text, save_csv, write_atomic
+from .data import _parse_csv, json_text, read_json, read_text, save_csv, write_atomic
 from .errors import DatasetFormatError, DomainError, InsufficientDataError
 from .models import group_sums, sweep_chunks
 
@@ -121,8 +121,9 @@ def read_provenance(obj: dict, path: str, width: int) -> dict:
 def load_features(path: str):
     """Inverse of save_features; returns (matrix, provenance). The sidecar
     is required and checked by read_provenance against the CSV width."""
-    if not read_text(path).startswith("batch_id"):
+    text = read_text(path)
+    if not text.startswith("batch_id"):
         raise DatasetFormatError(f"'{path}' is not a feature CSV", row=0)
-    matrix = load_csv(path)[:, 1:]
+    matrix = _parse_csv(text, path)[:, 1:]
     side = path + ".json"
     return matrix, read_provenance(read_json(side), side, matrix.shape[1])

@@ -19,6 +19,7 @@ a fresh read-only copy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +42,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for name in ("epochs", "batch_size"):
+        for name in ("epochs", "batch_size", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
@@ -49,9 +50,11 @@ class TrainConfig:
             raise DomainError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0 < self.learning_rate < math.inf:
-            raise DomainError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}")
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) \
+                or not 0 < rate < math.inf:
+            raise DomainError(f"learning_rate must be a positive finite number, "
+                              f"got {rate!r}")
 
 
 @dataclass

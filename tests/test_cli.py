@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -28,6 +29,11 @@ def run(argv):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def test_tv_volume_stdout(capsys):
@@ -99,7 +105,7 @@ def test_gen_data_artifacts_and_manifest(tmp_path):
     assert manifest["config"]["seed"] == 7
     assert manifest["config"]["dist"] == "two_moons"
     for path, digest in manifest["artifacts"].items():
-        assert cli._sha256(path) == digest
+        assert sha256(path) == digest
 
 
 def test_gen_data_params(tmp_path):
@@ -290,9 +296,24 @@ def test_every_manifest_records_seed_and_hashes(pipeline, tmp_path, command):
     assert isinstance(seed, int) and not isinstance(seed, bool)
     assert manifest["artifacts"]
     for path, digest in {**manifest["inputs"], **manifest["artifacts"]}.items():
-        assert cli._sha256(path) == digest
+        assert sha256(path) == digest
     if command in ("fit", "score"):
         assert pipeline["feats"] + ".json" in manifest["inputs"]
+
+
+def test_manifest_inputs_are_exactly_the_files_the_run_read(pipeline, tmp_path):
+    feats = pipeline["feats"]
+    manifest = read_json(_manifest_path(pipeline["scores"]))
+    assert sorted(manifest["inputs"]) == sorted([pipeline["det"], feats, feats + ".json"])
+    out = _run_for_manifest("eval", pipeline, str(tmp_path / "out"))
+    manifest = read_json(_manifest_path(out))
+    assert sorted(manifest["inputs"]) == sorted(
+        [os.path.join(pipeline["model"], "model.json"),
+         os.path.join(pipeline["model"], "fit_split.dmat"),
+         os.path.join(pipeline["data"], "eval.dmat"),
+         os.path.join(pipeline["data"], "train.dmat")])
+    for path, digest in manifest["inputs"].items():
+        assert sha256(path) == digest
 
 
 def test_manifest_hashes_an_input_as_read_before_the_run_overwrites_it(pipeline,
@@ -301,13 +322,13 @@ def test_manifest_hashes_an_input_as_read_before_the_run_overwrites_it(pipeline,
     assert run(["train", "--data", pipeline["data"], "--model", "gaussian",
                 "--epochs", 1, "--batch-size", 32, "--out", out]) == 0
     split = os.path.join(out, "train_split.dmat")
-    read = cli._sha256(split)
+    read = sha256(split)
     assert run(["train", "--data", split, "--model", "gaussian",
                 "--epochs", 1, "--batch-size", 32, "--out", out]) == 0
     manifest = read_json(os.path.join(out, "manifest.json"))
     assert manifest["inputs"] == {split: read}
-    assert manifest["artifacts"][split] == cli._sha256(split)
-    assert cli._sha256(split) != read
+    assert manifest["artifacts"][split] == sha256(split)
+    assert sha256(split) != read
 
 
 def test_train_split_without_a_full_batch_exits_1(pipeline, tmp_path, capsys):

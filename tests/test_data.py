@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 
@@ -16,11 +17,14 @@ from fimscore.data import (
     json_text,
     load_csv,
     load_dmat,
+    read_json,
+    recording,
     rings,
     save_csv,
     save_dmat,
     two_moons,
     uniform_square,
+    write_atomic,
 )
 from fimscore.errors import DatasetFormatError, DomainError, NonFiniteError
 from fimscore.numcore import Rng
@@ -260,3 +264,50 @@ def test_csv_error_locations(tmp_path):
         with pytest.raises(DatasetFormatError) as exc:
             load_csv(path)
         assert exc.value.row == 2 and exc.value.col == 1
+
+
+def test_csv_reads_crlf_line_ends(tmp_path):
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(b"a,b\r\n1.0,2.0\r\n3.0,4.0\r\n")
+    assert np.array_equal(load_csv(str(path)), [[1.0, 2.0], [3.0, 4.0]])
+
+
+def _digest(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_recording_notes_the_bytes_each_file_held(tmp_path):
+    mat, obj, out = (str(tmp_path / n) for n in ("m.dmat", "o.json", "w.txt"))
+    save_dmat(mat, np.eye(2))
+    write_atomic(obj, json_text({"a": 1}))
+    load_dmat(mat)  # outside the block: not recorded
+    with recording() as record:
+        load_dmat(mat)
+        read_json(obj)
+        first = _digest(mat)
+        save_dmat(mat, np.ones((3, 2)))
+        load_dmat(mat)  # a second read keeps the first digest
+        write_atomic(out, "x\n")
+    assert record == {
+        "inputs": {mat: first, obj: _digest(obj)},
+        "artifacts": {mat: _digest(mat), out: _digest(out)},
+    }
+    assert first != _digest(mat)
+    read_json(obj)
+    write_atomic(out, "y\n")
+    assert record["inputs"] == {mat: first, obj: _digest(obj)}
+    assert out in record["artifacts"] and record["artifacts"][out] != _digest(out)
+
+
+def test_recording_stops_when_its_block_raises(tmp_path):
+    path = str(tmp_path / "m.dmat")
+    save_dmat(path, np.eye(2))
+    with pytest.raises(DomainError):
+        with recording() as record:
+            load_dmat(path)
+            raise DomainError("boom")
+    assert record == {"inputs": {path: _digest(path)}, "artifacts": {}}
+    load_dmat(path)
+    save_dmat(str(tmp_path / "n.dmat"), np.eye(2))
+    assert record == {"inputs": {path: _digest(path)}, "artifacts": {}}

@@ -187,6 +187,10 @@ def test_config_validation():
         ("batch_size", 0),
         ("learning_rate", 0.0),
         ("learning_rate", math.inf),
+        ("learning_rate", True),  # would train at rate 1.0
+        ("learning_rate", "0.1"),  # would fail inside the comparison
+        ("seed", 2.5),  # would train as seed 2
+        ("seed", True),
     ):
         with pytest.raises(DomainError, match=field):
             TrainConfig(**{field: value}).validate()
@@ -203,6 +207,11 @@ def test_config_counts_must_be_integers(field, value):
     with pytest.raises(DomainError, match=field):
         train(flow, Rng(1).normals(400).reshape(-1, 2),
               TrainConfig(**{"epochs": 1, "batch_size": 16, field: value}))
+
+
+@pytest.mark.parametrize("seed", [-3, np.int64(7)])
+def test_config_accepts_negative_and_numpy_seeds(seed):
+    TrainConfig(seed=seed).validate()
 
 
 def test_training_in_place_leaves_no_shared_buffer(monkeypatch):
