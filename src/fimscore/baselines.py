@@ -9,7 +9,8 @@ ranking between two datasets can flip under a change of units.
 The typicality baseline compares the batch's mean log-likelihood to an
 entropy estimate taken on held-out fit data: score = |mean_ll - H_hat|,
 with H_hat the per-sample mean log-likelihood of the fit split. Batches
-can be anomalous by being either too unlikely or too likely.
+can be anomalous by being either too unlikely or too likely. Both read
+the per-batch means that ``gradfeatures.feature_sweep`` returns.
 """
 
 from __future__ import annotations
@@ -19,17 +20,9 @@ import numpy as np
 from .errors import InsufficientDataError
 
 
-def _mean_loglik(model, batches: np.ndarray):
-    """Mean log-likelihood over the rows of each batch: one value per batch
-    of a (batches, size, dim) array, a scalar for one (size, dim) batch."""
-    batches = np.asarray(batches, dtype=np.float64)
-    ll = model.log_likelihood_batch(batches.reshape(-1, batches.shape[-1]))
-    return ll.reshape(batches.shape[:-1]).mean(axis=-1)
-
-
-def likelihood_score(model, batches: np.ndarray):
+def likelihood_score(mean_loglik):
     """Negative mean log-likelihood per batch (higher = more anomalous)."""
-    return -_mean_loglik(model, batches)
+    return -np.asarray(mean_loglik, dtype=np.float64)
 
 
 def fit_typicality(model, fit_rows: np.ndarray) -> float:
@@ -39,9 +32,9 @@ def fit_typicality(model, fit_rows: np.ndarray) -> float:
         raise InsufficientDataError(
             f"typicality needs at least one fit row, got shape {fit_rows.shape}"
         )
-    return float(_mean_loglik(model, fit_rows))
+    return float(model.log_likelihood_batch(fit_rows).mean())
 
 
-def typicality_score(model, h_hat: float, batches: np.ndarray):
+def typicality_score(h_hat: float, mean_loglik):
     """Absolute deviation of each batch's mean log-likelihood from H_hat."""
-    return np.abs(_mean_loglik(model, batches) - h_hat)
+    return np.abs(np.asarray(mean_loglik, dtype=np.float64) - h_hat)

@@ -6,6 +6,8 @@ context (row/column, epoch/batch) to be actionable. reject_repeats is the
 one check for list arguments whose entries must be distinct.
 """
 
+import numbers
+
 
 class FimscoreError(Exception):
     """Base class for all package errors."""
@@ -48,3 +50,12 @@ def reject_repeats(values, what: str) -> None:
     for i, v in enumerate(values):
         if v in values[:i]:
             raise DomainError(f"{what} must be distinct, {v!r} repeats")
+
+
+def require_int(value, name: str, low=None) -> int:
+    """``value`` as an int; a bool, a non-integer or one below ``low`` is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
+    return int(value)

@@ -11,9 +11,10 @@ The harness mirrors the grid experiments: every distribution that has a
 trained model becomes a column; every distribution with an eval split
 becomes a row. For each column, each method is calibrated on that
 model's held-out fit split (detectors on gradient features of disjoint
-contiguous fit batches, typicality on per-sample log-likelihoods), then
-all eval batches of every row are scored and each off-diagonal cell gets
-an AUROC against the column's own eval scores. A cell that cannot be
+contiguous fit batches, typicality on the split's mean log-likelihood),
+then every row's eval batch sets are scored, each by one feature sweep
+that feeds all four methods, and each off-diagonal cell gets an AUROC
+against the column's own eval scores. A cell that cannot be
 scored is skipped with the first error that stopped it (``auroc`` None).
 
 Batches are reproducible: the eval split of distribution d at batch
@@ -30,7 +31,8 @@ import numpy as np
 
 from . import baselines, detector, gradfeatures
 from .data import json_text
-from .errors import DomainError, FimscoreError, InsufficientDataError, reject_repeats
+from .errors import (DomainError, FimscoreError, InsufficientDataError,
+                     reject_repeats, require_int)
 from .models import model_checksum
 from .numcore import Rng
 
@@ -66,12 +68,13 @@ class PairingReport:
 
 
 def _method_scores(model, det, h_hat, batches):
-    logf = gradfeatures.log_features(gradfeatures.feature_matrix(model, batches))
+    features, mean_loglik = gradfeatures.feature_sweep(model, batches)
+    logf = gradfeatures.log_features(features)
     return {
         "ours": detector.ood_score(det, logf),
         "fisher": detector.fisher_method_score(det, logf),
-        "typicality": baselines.typicality_score(model, h_hat, batches),
-        "likelihood": baselines.likelihood_score(model, batches),
+        "typicality": baselines.typicality_score(h_hat, mean_loglik),
+        "likelihood": baselines.likelihood_score(mean_loglik),
     }
 
 
@@ -85,15 +88,15 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
     """
     if len(eval_splits) < 2:
         raise InsufficientDataError("need at least two distributions to pair")
+    batch_sizes = [require_int(b, "batch size", 1) for b in batch_sizes]
+    n_eval_batches = require_int(n_eval_batches, "eval batch count", 1)
+    if len(batch_sizes) == 0 or len(methods) == 0:
+        raise DomainError("batch_sizes and methods must not be empty")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise DomainError(f"unknown methods: {unknown}")
-    if any(b < 1 for b in batch_sizes):
-        raise DomainError(f"batch sizes must be >= 1, got {list(batch_sizes)}")
     reject_repeats(batch_sizes, "batch sizes")
     reject_repeats(methods, "methods")
-    if n_eval_batches < 1:
-        raise DomainError(f"eval batch count must be >= 1, got {n_eval_batches}")
     missing = [n for n in train_entries if n not in eval_splits]
     if missing:
         raise DomainError(f"train distributions without eval split: {missing}")
@@ -120,6 +123,7 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
             "seed": seed, "batch_sizes": list(batch_sizes), "methods": list(methods),
             "n_eval_batches": n_eval_batches, "model_checksum": model_checksum(model),
             "n_fit_rows": int(fit_rows.shape[0])})
+        h_hat = None  # one likelihood pass per column, on its first fitted cell
         for b_idx, bsz in enumerate(batch_sizes):
             # a bad column (thin fit or eval split, non-finite gradients) or
             # a thin test split skips its cells with the first error that
@@ -133,7 +137,8 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
                         f"{len(fit_batches)} batches of size {bsz}; need >= 2")
                 det = detector.fit_detector(gradfeatures.log_features(
                     gradfeatures.feature_matrix(model, fit_batches)))
-                h_hat = baselines.fit_typicality(model, fit_rows)
+                if h_hat is None:
+                    h_hat = baselines.fit_typicality(model, fit_rows)
                 in_scores = _method_scores(
                     model, det, h_hat, eval_batches(train_name, b_idx))
                 column_error = None

@@ -103,7 +103,7 @@ def score_columns(model, x: np.ndarray, weight_map) -> np.ndarray:
             out[:, cols_of[i]] = a[:, idx] if b is None else \
                 a[:, idx // b.shape[1]] * b[:, idx % b.shape[1]]
 
-    return sweep_chunks(model, x, 1, sink, names.tolist())
+    return sweep_chunks(model, x, 1, sink, names.tolist())[0]
 
 
 def normalize_fim(matrix: np.ndarray) -> np.ndarray:

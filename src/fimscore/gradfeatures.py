@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import _parse_csv, json_text, read_json, read_text, save_csv, write_atomic
-from .errors import DatasetFormatError, DomainError, InsufficientDataError
+from .errors import DatasetFormatError, DomainError, InsufficientDataError, require_int
 from .models import group_sums, sweep_chunks
 
 FLOOR = 1e-300
@@ -38,9 +38,15 @@ def log_features(features: np.ndarray) -> np.ndarray:
 
 
 def feature_matrix(model, batches) -> np.ndarray:
-    """gradient_features of every batch of a (batches, batch size, dim) array,
-    one row per batch, from ``sweep_chunks``; within 1e-12 relative of the
-    norms of ``grad_groups`` rows. A non-finite feature names its layer."""
+    """The features of ``feature_sweep``: one row per batch."""
+    return feature_sweep(model, batches)[0]
+
+
+def feature_sweep(model, batches):
+    """``(features, mean_loglik)`` of a (batches, batch size, dim) array from
+    one ``sweep_chunks``: gradient_features rows within 1e-12 relative of
+    ``grad_groups`` norms (a non-finite one names its layer), and each batch's
+    mean log-likelihood, bit for bit ``log_likelihood_batch`` of its chunk."""
     batches = np.asarray(batches, dtype=np.float64)
     if batches.ndim != 3 or batches.shape[0] == 0:
         raise DomainError(f"need >= 1 batch of shape (size, dim), got {batches.shape}")
@@ -50,8 +56,9 @@ def feature_matrix(model, batches) -> np.ndarray:
         s = group_sums(a, b, size).reshape(len(out), -1)
         out[:, i] = np.square(s, out=s).sum(axis=1)
 
-    return sweep_chunks(model, batches.reshape(-1, batches.shape[2]), size, sink,
-                        model.params.names)
+    features, loglik = sweep_chunks(model, batches.reshape(-1, batches.shape[2]),
+                                    size, sink, model.params.names)
+    return features, loglik.reshape(batches.shape[:2]).mean(axis=-1)
 
 
 def batch_view(rows: np.ndarray, batch_size: int, source: str = "rows") -> np.ndarray:
@@ -59,9 +66,7 @@ def batch_view(rows: np.ndarray, batch_size: int, source: str = "rows") -> np.nd
     (batches, batch size, dim) view of ``rows``; remainder dropped. Rows
     too few for one batch are an InsufficientDataError naming ``source``."""
     rows = np.asarray(rows, dtype=np.float64)
-    if batch_size < 1:
-        raise DomainError(f"batch size must be >= 1, got {batch_size}")
-    n = rows.shape[0] // batch_size
+    n = rows.shape[0] // require_int(batch_size, "batch size", 1)
     if n == 0:
         raise InsufficientDataError(f"{source} with {rows.shape[0]} rows yields no "
                                     f"batch of size {batch_size}")

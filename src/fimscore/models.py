@@ -13,10 +13,10 @@ against central finite differences in the tests; there is no autodiff
 tape. Each model has one backward pass, ``factor_sweep(x)``: per layer,
 row factors a, b whose products a_r b_r^T (a_r for a vector layer) are
 the per-row gradients. ``grad_groups`` sums them into one flat row per
-group of rows; ``sweep_chunks`` feeds them to sinks that keep less. The
-flow's forward caches each block's hidden activations for that backward
-while they fit in HIDDEN_CACHE_FLOATS; ``log_likelihood_batch`` runs it
-with no cache.
+group of rows; ``sweep_chunks`` feeds them to sinks that keep less and
+keeps the sweeps' per-row log-likelihood. The flow's forward caches each
+block's hidden activations for that backward while they fit in
+HIDDEN_CACHE_FLOATS; ``log_likelihood_batch`` runs it with no cache.
 
 Checkpoints are JSON (type, dims, hyper, named layers with shapes and
 row-major values; a flow's hyper must give K, H and c, none defaulted),
@@ -398,21 +398,23 @@ def _as_batch(x: np.ndarray, dim: int, group_size: int = 1) -> np.ndarray:
 
 def sweep_chunks(model, x: np.ndarray, group_size: int, sink, columns: list):
     """(groups, len(columns)) array that ``sink(out, i, a, b)`` fills chunk by
-    chunk: ``out`` the rows of at most CHUNK_FLOATS // P whole groups of ``x``
-    (at least one), (i, a, b) each factor of their sweep. A NaN or inf in a
+    chunk, and the per-row log-likelihood of ``x`` from the same sweeps:
+    ``out`` the rows of at most CHUNK_FLOATS // P whole groups of ``x`` (at
+    least one), (i, a, b) each factor of their sweep. A NaN or inf in a
     factor or in column j is a NonFiniteError naming its layer, columns[j]."""
     x = _as_batch(x, model.dim, group_size)
     step = max(1, CHUNK_FLOATS // model.params.n_params)
-    out = np.empty((len(x) // group_size, len(columns)))
+    out, loglik = np.empty((len(x) // group_size, len(columns))), np.empty(len(x))
     for start in range(0, len(out), step):
-        rows = x[start * group_size:(start + step) * group_size]
-        for i, a, b in model.factor_sweep(rows)[1]:
+        rows = slice(start * group_size, (start + step) * group_size)
+        loglik[rows], factors = model.factor_sweep(x[rows])
+        for i, a, b in factors:
             for f in (a, b):
                 if f is not None:
                     require_finite(f, lambda _: model.params.names[i])
             sink(out[start:start + step], i, a, b)
     require_finite(out, columns.__getitem__)
-    return out
+    return out, loglik
 
 
 def score(model, x) -> LayeredParams:

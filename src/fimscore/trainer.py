@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, NonFiniteError
+from .errors import DomainError, InsufficientDataError, NonFiniteError, require_int
 from .models import require_finite
 from .numcore import Rng
 
@@ -42,14 +42,8 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for name in ("epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-        if self.epochs < 0:
-            raise DomainError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, low in (("epochs", 0), ("batch_size", 1), ("seed", None)):
+            require_int(getattr(self, name), name, low)
         rate = self.learning_rate
         if isinstance(rate, bool) or not isinstance(rate, numbers.Real) \
                 or not 0 < rate < math.inf:

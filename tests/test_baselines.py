@@ -3,7 +3,7 @@ import pytest
 
 from fimscore.baselines import fit_typicality, likelihood_score, typicality_score
 from fimscore.errors import InsufficientDataError
-from fimscore.gradfeatures import gradient_features
+from fimscore.gradfeatures import feature_sweep, gradient_features
 from fimscore.models import DiagGaussianModel
 from fimscore.numcore import Rng
 
@@ -13,33 +13,42 @@ HALF_LOG_2PI = 0.9189385332046727
 STD_NORMAL_ENTROPY = 1.4189385332046727
 
 
+def _means(model, batches):
+    """Per-batch mean log-likelihoods from the feature sweep, the scorers'
+    input; one (size, dim) batch gives a scalar."""
+    batches = np.asarray(batches, dtype=np.float64)
+    if batches.ndim == 2:
+        return feature_sweep(model, batches[None])[1][0]
+    return feature_sweep(model, batches)[1]
+
+
 def test_likelihood_score_singleton():
     m = DiagGaussianModel.standard(1)
-    assert abs(likelihood_score(m, np.array([[0.0]])) - HALF_LOG_2PI) < 1e-14
+    assert abs(likelihood_score(_means(m, [[0.0]])) - HALF_LOG_2PI) < 1e-14
 
 
 def test_likelihood_score_is_batch_mean():
     m = DiagGaussianModel.standard(2)
     batch = Rng(1).normals(10).reshape(5, 2)
     want = -float(np.mean(m.log_likelihood_batch(batch)))
-    assert likelihood_score(m, batch) == want
+    assert likelihood_score(_means(m, batch)) == want
 
 
 def test_batch_set_scores_match_single_batches():
     m = DiagGaussianModel.standard(2)
     batches = Rng(5).normals(24).reshape(4, 3, 2)
     h_hat = -2.5
-    lik = likelihood_score(m, batches)
-    typ = typicality_score(m, h_hat, batches)
+    lik = likelihood_score(_means(m, batches))
+    typ = typicality_score(h_hat, _means(m, batches))
     assert lik.shape == typ.shape == (4,)
     for i, batch in enumerate(batches):
-        assert lik[i] == likelihood_score(m, batch)
-        assert typ[i] == typicality_score(m, h_hat, batch)
+        assert lik[i] == likelihood_score(_means(m, batch))
+        assert typ[i] == typicality_score(h_hat, _means(m, batch))
 
 
 def test_likelihood_score_grows_away_from_mode():
     m = DiagGaussianModel.standard(1)
-    scores = [likelihood_score(m, np.array([[x]])) for x in (0.0, 1.0, 2.0, 5.0)]
+    scores = [likelihood_score(_means(m, [[x]])) for x in (0.0, 1.0, 2.0, 5.0)]
     assert all(np.diff(scores) > 0)
 
 
@@ -67,10 +76,13 @@ class _ConstantModel:
 
 
 def test_typicality_score_absolute_deviation():
-    batch = np.zeros((4, 1))
-    assert typicality_score(_ConstantModel(-1.0), -3.0, batch) == 2.0
-    assert typicality_score(_ConstantModel(-5.0), -3.0, batch) == 2.0
-    assert typicality_score(_ConstantModel(-3.0), -3.0, batch) == 0.0
+    """Batches whose mean log-likelihood sits 2 above, 2 below and at H_hat,
+    as a batch set and one at a time; the constant model's H_hat is its
+    constant."""
+    assert fit_typicality(_ConstantModel(-3.0), np.zeros((4, 1))) == -3.0
+    means = np.array([-1.0, -5.0, -3.0])
+    assert typicality_score(-3.0, means).tolist() == [2.0, 2.0, 0.0]
+    assert [typicality_score(-3.0, v) for v in means] == [2.0, 2.0, 0.0]
 
 
 def test_typicality_flags_too_likely_batches():
@@ -81,8 +93,9 @@ def test_typicality_flags_too_likely_batches():
     h_hat = fit_typicality(m, fit)
     at_mode = np.zeros((10, 2))
     typical = m.sample(Rng(4), 10)
-    assert typicality_score(m, h_hat, at_mode) > typicality_score(m, h_hat, typical)
-    assert likelihood_score(m, at_mode) < likelihood_score(m, typical)
+    assert typicality_score(h_hat, _means(m, at_mode)) > \
+        typicality_score(h_hat, _means(m, typical))
+    assert likelihood_score(_means(m, at_mode)) < likelihood_score(_means(m, typical))
 
 
 def test_likelihood_depends_on_representation_features_do_not():
@@ -98,7 +111,8 @@ def test_likelihood_depends_on_representation_features_do_not():
     batch_scaled = scale * batch
 
     # likelihood under the rescaled representation shifts by ln(scale)
-    shift = likelihood_score(m_scaled, batch_scaled) - likelihood_score(m, batch)
+    shift = likelihood_score(_means(m_scaled, batch_scaled)) - \
+        likelihood_score(_means(m, batch))
     assert abs(shift - np.log(scale)) < 1e-12
 
     # per-layer squared gradient norms are invariant: z is unchanged and

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from fimscore.errors import DomainError, InsufficientDataError
 from fimscore.evaluation import METHODS, auroc, render_grid, run_pairings
-from fimscore.models import DiagGaussianModel
+from fimscore.models import CouplingFlowModel
 from fimscore.numcore import Rng
 
 from gaussian_mle import analytic_mle_gaussian
@@ -143,23 +143,31 @@ def test_run_pairings_thin_eval_split_skips_only_its_cells():
                     "eval split 'near' with 3 rows yields no batch of size 5"
 
 
-def test_run_pairings_scores_each_batch_set_in_one_call(monkeypatch):
-    """Likelihood calls per grid do not grow with the number of batches."""
-    entries, evals = _two_gaussian_setup()
-    calls = []
-    original = DiagGaussianModel.log_likelihood_batch
+def test_run_pairings_sweeps_each_batch_set_once(monkeypatch):
+    """One factor_sweep per batch set: per column and batch size, its fit
+    set, its own eval split and the other one. One likelihood pass per
+    column, for H_hat. Neither count grows with the number of eval batches.
+    Flows keep the two counts apart: a Gaussian's likelihood pass is itself
+    a factor_sweep."""
+    entries, evals = {}, {}
+    for k, (name, shift) in enumerate((("near", 0.0), ("far", 5.0))):
+        rows = shift + Rng(50 + k).normals(1200).reshape(600, 2)
+        model = CouplingFlowModel.init_random(2, Rng(60 + k), n_blocks=2, hidden=8)
+        entries[name], evals[name] = (model, rows[:300]), rows[300:]
+    calls = {"factor_sweep": 0, "log_likelihood_batch": 0}
+    for name in calls:
+        original = getattr(CouplingFlowModel, name)
 
-    def counted(self, x):
-        calls.append(len(x))
-        return original(self, x)
+        def counted(self, x, name=name, original=original):
+            calls[name] += 1
+            return original(self, x)
 
-    monkeypatch.setattr(DiagGaussianModel, "log_likelihood_batch", counted)
-    counts = []
+        monkeypatch.setattr(CouplingFlowModel, name, counted)
     for n_batches in (10, 50):
-        calls.clear()
-        run_pairings(entries, evals, batch_sizes=[1, 5], n_eval_batches=n_batches)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        calls.update(factor_sweep=0, log_likelihood_batch=0)
+        reports = run_pairings(entries, evals, batch_sizes=[1, 5], n_eval_batches=n_batches)
+        assert all(row["auroc"] is not None for r in reports for row in r.rows)
+        assert calls == {"factor_sweep": 2 * 2 * 3, "log_likelihood_batch": 2}
 
 
 def test_run_pairings_validation():
@@ -176,6 +184,14 @@ def test_run_pairings_validation():
         run_pairings(entries, evals, batch_sizes=[5, 1, 5])
     with pytest.raises(DomainError, match="methods must be distinct, 'ours' repeats"):
         run_pairings(entries, evals, methods=("ours", "ours"))
+    for kwargs in ({"batch_sizes": [1, 2.5]}, {"batch_sizes": [True]},
+                   {"batch_sizes": [np.float64(5)]}, {"batch_sizes": ["5"]},
+                   {"n_eval_batches": 2.5}, {"n_eval_batches": True}):
+        with pytest.raises(DomainError, match="must be an integer, got"):
+            run_pairings(entries, evals, **kwargs)
+    for kwargs in ({"batch_sizes": []}, {"methods": ()}):
+        with pytest.raises(DomainError, match="must not be empty"):
+            run_pairings(entries, evals, **kwargs)
 
 
 def test_run_pairings_rejects_eval_batch_count_below_one():
@@ -183,6 +199,15 @@ def test_run_pairings_rejects_eval_batch_count_below_one():
     for n_batches in (0, -1):
         with pytest.raises(DomainError, match="eval batch count"):
             run_pairings(entries, evals, n_eval_batches=n_batches)
+
+
+def test_run_pairings_stores_numpy_integers_as_int():
+    entries, evals = _two_gaussian_setup()
+    got = run_pairings(entries, evals, batch_sizes=np.array([2, 1]),
+                       n_eval_batches=np.int64(10))
+    want = run_pairings(entries, evals, batch_sizes=[2, 1], n_eval_batches=10)
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+    assert all(type(row["batch_size"]) is int for r in got for row in r.rows)
 
 
 def test_render_grid_contents():

@@ -10,6 +10,7 @@ from fimscore.gradfeatures import (
     FLOOR,
     batch_view,
     feature_matrix,
+    feature_sweep,
     gradient_features,
     layer_correlation_profile,
     load_features,
@@ -81,8 +82,12 @@ def test_batch_view_contiguity_and_remainder():
     batches = batch_view(rows, 3)
     assert len(batches) == 3  # 2 remainder rows dropped
     assert np.array_equal(batches[1], rows[3:6])
-    with pytest.raises(DomainError):
+    assert np.array_equal(batch_view(rows, np.int64(3)), batches)
+    with pytest.raises(DomainError, match="^batch size must be >= 1, got 0$"):
         batch_view(rows, 0)
+    for size in (2.5, 3.0, np.float64(3), True, "3"):
+        with pytest.raises(DomainError, match="^batch size must be an integer, got "):
+            batch_view(rows, size)
     with pytest.raises(InsufficientDataError,
                        match="^split 'x' with 11 rows yields no batch of size 12$"):
         batch_view(rows, 12, "split 'x'")
@@ -241,6 +246,39 @@ def test_features_match_materialised_gradients(make, batch_size):
     want = np.stack([np.sum(np.square(v.reshape(30, -1)), axis=1)
                      for v in m.params.views(grads)], axis=1)
     np.testing.assert_allclose(feature_matrix(m, batches), want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("batch_size", [1, 5])
+@pytest.mark.parametrize("make", [
+    lambda: DiagGaussianModel(np.array([0.5, -1.0, 2.0]), np.array([0.1, -0.3, 0.4])),
+    lambda: jittered_flow(2, 32),
+    lambda: jittered_flow(16, 64),
+], ids=["gaussian", "flow_d2_h32", "flow_d16_h64"])
+def test_sweep_mean_loglik_is_bitwise_the_likelihood_pass(chunk_spy, make, batch_size):
+    """feature_sweep's per-batch mean log-likelihood is the mean of
+    log_likelihood_batch rows bit for bit, over the same rows: all of them
+    in one chunk, each chunk's own when four chunks split them. Across the
+    two splits it agrees to 1e-12 relative, because BLAS picks its product
+    kernel by row count (the d = 16 flow's K = 64 products differ in their
+    last bits between 40 and 150 rows). Its features are feature_matrix's."""
+    m = make()
+    batches = 1.5 * Rng(9).normals(30 * batch_size * m.dim).reshape(30, batch_size, m.dim)
+
+    def likelihood_means(groups):
+        part = batches[groups]
+        return m.log_likelihood_batch(part.reshape(-1, m.dim)).reshape(
+            part.shape[:2]).mean(-1)
+
+    want = likelihood_means(slice(None))
+    per_chunk = np.concatenate([likelihood_means(slice(g, g + 8)) for g in range(0, 30, 8)])
+    features, means = feature_sweep(m, batches)
+    assert np.array_equal(means, want)
+    assert np.array_equal(features, feature_matrix(m, batches))
+    sizes = chunk_spy(m, 8, batch_size)
+    chunked = feature_sweep(m, batches)[1]
+    assert sizes == [8, 8, 8, 6]
+    assert np.array_equal(chunked, per_chunk)
+    np.testing.assert_allclose(chunked, want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("batch_size", [1, 2])
