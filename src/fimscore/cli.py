@@ -127,8 +127,8 @@ def _cmd_features(args):
     model = M.load_model(args.model)
     rows = data.load_dmat(args.data)
     _require_dim("--data", args.data, rows, model)
-    feats = gradfeatures.feature_matrix(
-        model, gradfeatures.batch_view(rows, args.batch_size, f"--data '{args.data}'"))
+    feats = gradfeatures.feature_sweep(
+        model, gradfeatures.batch_view(rows, args.batch_size, f"--data '{args.data}'"))[0]
     provenance = {
         "model_checksum": M.model_checksum(model),
         "batch_size": args.batch_size,
@@ -152,10 +152,7 @@ def _cmd_score(args):
         if provenance[key] != want:
             raise DomainError(f"{key} differs: the detector was fit on {want!r}, "
                               f"the features have {provenance[key]!r}")
-    logf = gradfeatures.log_features(feats)
-    scorer = detector.ood_score if args.method == "ours" \
-        else detector.fisher_method_score
-    scores = scorer(det, logf)
+    scores = evaluation.METHODS[args.method][1](det, gradfeatures.log_features(feats), None)
     table = np.column_stack([np.arange(scores.size, dtype=np.float64), scores])
     data.save_csv(args.out, table, header=["batch_id", "score"])
     return f"scored {scores.shape[0]} batches with method={args.method}"

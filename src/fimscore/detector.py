@@ -103,9 +103,11 @@ def load_detector(path: str):
     try:
         mu = np.asarray(obj["mu"], dtype=np.float64)
         sigma2 = np.asarray(obj["sigma2"], dtype=np.float64)
-        det = DetectorModel(mu, sigma2, int(obj["n_fit"]))
+        det = DetectorModel(mu, sigma2, obj["n_fit"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"malformed detector file '{path}': {exc}") from exc
+    if type(det.n_fit) is not int or det.n_fit < 2:
+        raise DatasetFormatError(f"'{path}': n_fit must be an int >= 2")
     if mu.shape != sigma2.shape or mu.ndim != 1:
         raise DatasetFormatError(f"'{path}': mu and sigma2 must be equal-length vectors")
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma2))):

@@ -9,12 +9,12 @@ of the scores leaves the value unchanged.
 
 The harness mirrors the grid experiments: every distribution that has a
 trained model becomes a column; every distribution with an eval split
-becomes a row. For each column, each method is calibrated on that
+becomes a row. Each column fits only what its methods read, on its
 model's held-out fit split (detectors on gradient features of disjoint
-contiguous fit batches, typicality on the split's mean log-likelihood),
-then every row's eval batch sets are scored, each by one feature sweep
-that feeds all four methods, and each off-diagonal cell gets an AUROC
-against the column's own eval scores. A cell that cannot be
+contiguous fit batches, typicality on the split's mean log-likelihood).
+Every row's eval batch sets are then scored, each by one pass (a feature
+sweep if a method reads the detector), and each off-diagonal cell gets
+an AUROC against the column's own eval scores. A cell that cannot be
 scored is skipped with the first error that stopped it (``auroc`` None).
 
 Batches are reproducible: the eval split of distribution d at batch
@@ -36,13 +36,22 @@ from .errors import (DomainError, FimscoreError, InsufficientDataError,
 from .models import model_checksum
 from .numcore import Rng
 
-METHODS = ("ours", "fisher", "typicality", "likelihood")
+# name -> (the column fit it reads, its score of a batch set from that fit, the
+# set's log features and mean log-likelihoods); scorers resolve at call time
+METHODS = {
+    "ours": ("detector", lambda det, logf, ll: detector.ood_score(det, logf)),
+    "fisher": ("detector", lambda det, logf, ll: detector.fisher_method_score(det, logf)),
+    "typicality": ("h_hat", lambda h_hat, logf, ll: baselines.typicality_score(h_hat, ll)),
+    "likelihood": (None, lambda _, logf, ll: baselines.likelihood_score(ll)),
+}
 
 
 def auroc(scores_in, scores_out) -> float:
     """P(out-score > in-score) with half credit for ties, by rank sums."""
     a = np.asarray(scores_in, dtype=np.float64)
     b = np.asarray(scores_out, dtype=np.float64)
+    if a.ndim != 1 or b.ndim != 1:
+        raise DomainError(f"scores must be 1-D, got shapes {a.shape} and {b.shape}")
     if a.size == 0 or b.size == 0:
         raise InsufficientDataError("auroc needs at least one score on each side")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
@@ -67,19 +76,18 @@ class PairingReport:
                           "metadata": self.metadata})
 
 
-def _method_scores(model, det, h_hat, batches):
-    features, mean_loglik = gradfeatures.feature_sweep(model, batches)
-    logf = gradfeatures.log_features(features)
-    return {
-        "ours": detector.ood_score(det, logf),
-        "fisher": detector.fisher_method_score(det, logf),
-        "typicality": baselines.typicality_score(h_hat, mean_loglik),
-        "likelihood": baselines.likelihood_score(mean_loglik),
-    }
+def _method_scores(model, fits, methods, batches):
+    if "detector" in fits:
+        features, mean_loglik = gradfeatures.feature_sweep(model, batches)
+        logf = gradfeatures.log_features(features)
+    else:
+        logf, mean_loglik = None, model.log_likelihood_batch(
+            batches.reshape(-1, batches.shape[2])).reshape(batches.shape[:2]).mean(axis=-1)
+    return {m: METHODS[m][1](fits.get(METHODS[m][0]), logf, mean_loglik) for m in methods}
 
 
 def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
-                 n_eval_batches: int = 200, methods=METHODS, seed: int = 0):
+                 n_eval_batches: int = 200, methods=tuple(METHODS), seed: int = 0):
     """Full grid evaluation; returns one PairingReport per trained model.
 
     ``train_entries`` maps name -> (model, fit_rows); ``eval_splits``
@@ -90,6 +98,7 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
         raise InsufficientDataError("need at least two distributions to pair")
     batch_sizes = [require_int(b, "batch size", 1) for b in batch_sizes]
     n_eval_batches = require_int(n_eval_batches, "eval batch count", 1)
+    seed = require_int(seed, "seed")
     if len(batch_sizes) == 0 or len(methods) == 0:
         raise DomainError("batch_sizes and methods must not be empty")
     unknown = [m for m in methods if m not in METHODS]
@@ -100,6 +109,7 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
     missing = [n for n in train_entries if n not in eval_splits]
     if missing:
         raise DomainError(f"train distributions without eval split: {missing}")
+    needs = {METHODS[m][0] for m in methods}
     root = Rng(seed)
     eval_names = sorted(eval_splits)
     batch_cache = {}
@@ -123,24 +133,24 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
             "seed": seed, "batch_sizes": list(batch_sizes), "methods": list(methods),
             "n_eval_batches": n_eval_batches, "model_checksum": model_checksum(model),
             "n_fit_rows": int(fit_rows.shape[0])})
-        h_hat = None  # one likelihood pass per column, on its first fitted cell
+        fits = {}  # the detector of this batch size; H_hat, on the first fitted cell
         for b_idx, bsz in enumerate(batch_sizes):
             # a bad column (thin fit or eval split, non-finite gradients) or
             # a thin test split skips its cells with the first error that
             # stopped them, instead of killing the whole grid run
             try:
-                fit_batches = gradfeatures.batch_view(
-                    fit_rows, bsz, f"fit split of '{train_name}'")
-                if len(fit_batches) < 2:
-                    raise InsufficientDataError(
-                        f"fit split of '{train_name}' yields "
-                        f"{len(fit_batches)} batches of size {bsz}; need >= 2")
-                det = detector.fit_detector(gradfeatures.log_features(
-                    gradfeatures.feature_matrix(model, fit_batches)))
-                if h_hat is None:
-                    h_hat = baselines.fit_typicality(model, fit_rows)
+                if "detector" in needs:
+                    source = f"fit split of '{train_name}'"
+                    fit_batches = gradfeatures.batch_view(fit_rows, bsz, source)
+                    if len(fit_batches) < 2:
+                        raise InsufficientDataError(f"{source} yields {len(fit_batches)} "
+                                                    f"batches of size {bsz}; need >= 2")
+                    fits["detector"] = detector.fit_detector(gradfeatures.log_features(
+                        gradfeatures.feature_sweep(model, fit_batches)[0]))
+                if "h_hat" in needs and "h_hat" not in fits:
+                    fits["h_hat"] = baselines.fit_typicality(model, fit_rows)
                 in_scores = _method_scores(
-                    model, det, h_hat, eval_batches(train_name, b_idx))
+                    model, fits, methods, eval_batches(train_name, b_idx))
                 column_error = None
             except FimscoreError as exc:
                 column_error = str(exc)
@@ -149,7 +159,7 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
                 if error is None:
                     try:
                         out_scores = _method_scores(
-                            model, det, h_hat, eval_batches(test_name, b_idx))
+                            model, fits, methods, eval_batches(test_name, b_idx))
                     except FimscoreError as exc:
                         error = str(exc)
                 for m in methods:

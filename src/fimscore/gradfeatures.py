@@ -26,7 +26,7 @@ FLOOR = 1e-300
 
 def gradient_features(model, batch: np.ndarray) -> np.ndarray:
     """Per-layer squared gradient norms of the batch-summed objective."""
-    return feature_matrix(model, np.asarray(batch, dtype=np.float64)[None])[0]
+    return feature_sweep(model, np.asarray(batch, dtype=np.float64)[None])[0][0]
 
 
 def log_features(features: np.ndarray) -> np.ndarray:
@@ -35,11 +35,6 @@ def log_features(features: np.ndarray) -> np.ndarray:
     if np.any(features < 0.0):
         raise DomainError("squared norms cannot be negative")
     return np.log(np.maximum(features, FLOOR))
-
-
-def feature_matrix(model, batches) -> np.ndarray:
-    """The features of ``feature_sweep``: one row per batch."""
-    return feature_sweep(model, batches)[0]
 
 
 def feature_sweep(model, batches):

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import fimscore
-from fimscore import cli
+from fimscore import cli, detector
 from fimscore.data import load_csv, load_dmat, save_dmat
+from fimscore.gradfeatures import load_features, log_features
 
 
 def src_env():
@@ -223,6 +224,18 @@ def test_score_csv_schema(pipeline):
     with open(pipeline["scores"]) as fh:
         assert fh.readline().strip() == "batch_id,score"
     assert np.all(np.isfinite(table[:, 1]))
+
+
+@pytest.mark.parametrize("method,scorer", [("ours", "ood_score"),
+                                           ("fisher", "fisher_method_score")])
+def test_score_method_picks_its_detector_scorer(pipeline, tmp_path, method, scorer):
+    det, _ = detector.load_detector(pipeline["det"])
+    feats, _ = load_features(pipeline["feats"])
+    out = str(tmp_path / "s.csv")
+    assert run(["score", "--detector", pipeline["det"], "--features", pipeline["feats"],
+                "--method", method, "--out", out]) == 0
+    want = getattr(detector, scorer)(det, log_features(feats))
+    np.testing.assert_allclose(load_csv(out)[:, 1], want, rtol=1e-15, atol=0)
 
 
 def test_score_checksum_mismatch(pipeline, tmp_path, capsys):
@@ -598,6 +611,22 @@ def test_eval_grid_and_determinism(tmp_path):
         a = open(os.path.join(out1, name), "rb").read()
         b = open(os.path.join(out2, name), "rb").read()
         assert a == b
+
+
+def test_eval_writes_only_the_requested_methods(pipeline, tmp_path):
+    model = os.path.join(pipeline["model"], "model.json")
+    fit = os.path.join(pipeline["model"], "fit_split.dmat")
+    out = str(tmp_path / "e")
+    assert run(["eval", "--train", f"a={model}:{fit}",
+                "--eval", f"a={os.path.join(pipeline['data'], 'eval.dmat')}",
+                "--eval", f"b={os.path.join(pipeline['data'], 'train.dmat')}",
+                "--methods", "likelihood", "--batch-sizes", "1,2", "--n-batches", 10,
+                "--out", out]) == 0
+    assert sorted(os.listdir(out)) == ["grid_likelihood_B1.txt", "grid_likelihood_B2.txt",
+                                       "manifest.json", "report_a.json"]
+    rows = read_json(os.path.join(out, "report_a.json"))["rows"]
+    assert [r["method"] for r in rows] == ["likelihood"] * 2
+    assert all(0.0 <= r["auroc"] <= 1.0 for r in rows)
 
 
 def test_seed_resolution(tmp_path, monkeypatch):

@@ -176,6 +176,9 @@ def test_load_detector_errors(tmp_path):
         {**good, "batch_size": True},
         {**good, "batch_size": 5.0},
         {**good, "batch_size": "5"},
+        {**good, "n_fit": True},
+        {**good, "n_fit": 2.7},
+        {**good, "n_fit": -4},
     ]:
         with open(path, "w") as fh:
             json.dump(obj, fh)

@@ -59,6 +59,11 @@ def test_auroc_validation():
         auroc([], [1.0])
     with pytest.raises(DomainError):
         auroc([float("nan")], [1.0])
+    # a side that is not 1-D is refused, naming both shapes
+    with pytest.raises(DomainError, match=r"got shapes \(2, 2\) and \(1, 2\)"):
+        auroc([[0.1, 0.2], [0.3, 0.4]], [[0.5, 0.6]])
+    with pytest.raises(DomainError, match=r"got shapes \(\) and \(1,\)"):
+        auroc(0.1, [0.5])
 
 
 def test_auroc_null_near_half():
@@ -143,17 +148,17 @@ def test_run_pairings_thin_eval_split_skips_only_its_cells():
                     "eval split 'near' with 3 rows yields no batch of size 5"
 
 
-def test_run_pairings_sweeps_each_batch_set_once(monkeypatch):
-    """One factor_sweep per batch set: per column and batch size, its fit
-    set, its own eval split and the other one. One likelihood pass per
-    column, for H_hat. Neither count grows with the number of eval batches.
-    Flows keep the two counts apart: a Gaussian's likelihood pass is itself
-    a factor_sweep."""
+def _two_flow_setup():
     entries, evals = {}, {}
     for k, (name, shift) in enumerate((("near", 0.0), ("far", 5.0))):
         rows = shift + Rng(50 + k).normals(1200).reshape(600, 2)
         model = CouplingFlowModel.init_random(2, Rng(60 + k), n_blocks=2, hidden=8)
         entries[name], evals[name] = (model, rows[:300]), rows[300:]
+    return entries, evals
+
+
+def _count_flow_passes(monkeypatch):
+    """Counts of the flows' factor_sweep and log_likelihood_batch calls."""
     calls = {"factor_sweep": 0, "log_likelihood_batch": 0}
     for name in calls:
         original = getattr(CouplingFlowModel, name)
@@ -163,11 +168,60 @@ def test_run_pairings_sweeps_each_batch_set_once(monkeypatch):
             return original(self, x)
 
         monkeypatch.setattr(CouplingFlowModel, name, counted)
+    return calls
+
+
+def test_run_pairings_sweeps_each_batch_set_once(monkeypatch):
+    """One factor_sweep per batch set: per column and batch size, its fit
+    set, its own eval split and the other one. One likelihood pass per
+    column, for H_hat. Neither count grows with the number of eval batches.
+    Flows keep the two counts apart: a Gaussian's likelihood pass is itself
+    a factor_sweep."""
+    entries, evals = _two_flow_setup()
+    calls = _count_flow_passes(monkeypatch)
     for n_batches in (10, 50):
         calls.update(factor_sweep=0, log_likelihood_batch=0)
         reports = run_pairings(entries, evals, batch_sizes=[1, 5], n_eval_batches=n_batches)
         assert all(row["auroc"] is not None for r in reports for row in r.rows)
         assert calls == {"factor_sweep": 2 * 2 * 3, "log_likelihood_batch": 2}
+
+
+@pytest.mark.parametrize("methods,passes", [
+    (("likelihood",), 2 * 2 * 2),  # per column and batch size: two eval sets
+    (("typicality", "likelihood"), 2 * 2 * 2 + 2),  # plus H_hat per column
+])
+def test_run_pairings_subset_fits_and_sweeps_only_its_methods(monkeypatch, methods,
+                                                             passes):
+    """Without "ours" or "fisher" no detector is fit and no batch set gets a
+    factor_sweep: one likelihood pass per batch set scores it. The rows are
+    the full run's rows for those methods, bit for bit."""
+    entries, evals = _two_flow_setup()
+    full = run_pairings(entries, evals, batch_sizes=[1, 5], n_eval_batches=50)
+    calls = _count_flow_passes(monkeypatch)
+    subset = run_pairings(entries, evals, batch_sizes=[1, 5], n_eval_batches=50,
+                          methods=methods)
+    assert calls == {"factor_sweep": 0, "log_likelihood_batch": passes}
+    for got, want in zip(subset, full):
+        assert got.rows == [row for row in want.rows if row["method"] in methods]
+        assert all(row["auroc"] is not None for row in got.rows)
+
+
+def test_run_pairings_likelihood_alone_scores_a_thin_fit_split():
+    """A fit split too thin for a detector skips the full grid's column,
+    but the likelihood score reads no fit: a likelihood-only run scores
+    those cells, as a run with the whole fit split does."""
+    entries, evals = _two_flow_setup()
+    whole = run_pairings(entries, evals, batch_sizes=[5], n_eval_batches=10)
+    model, fit = entries["near"]
+    entries["near"] = (model, fit[:5])  # one batch of 5, below the minimum
+    full = run_pairings(entries, evals, batch_sizes=[5], n_eval_batches=10)
+    assert [r.train for r in full] == ["far", "near"]
+    assert all("need >= 2" in row["skipped"] for row in full[1].rows)
+    alone = run_pairings(entries, evals, batch_sizes=[5], n_eval_batches=10,
+                         methods=("likelihood",))
+    for got, want in zip(alone, whole):
+        assert got.rows == [row for row in want.rows if row["method"] == "likelihood"]
+        assert all(0.0 <= row["auroc"] <= 1.0 for row in got.rows)
 
 
 def test_run_pairings_validation():
@@ -186,7 +240,8 @@ def test_run_pairings_validation():
         run_pairings(entries, evals, methods=("ours", "ours"))
     for kwargs in ({"batch_sizes": [1, 2.5]}, {"batch_sizes": [True]},
                    {"batch_sizes": [np.float64(5)]}, {"batch_sizes": ["5"]},
-                   {"n_eval_batches": 2.5}, {"n_eval_batches": True}):
+                   {"n_eval_batches": 2.5}, {"n_eval_batches": True},
+                   {"seed": 2.5}, {"seed": True}, {"seed": "3"}):
         with pytest.raises(DomainError, match="must be an integer, got"):
             run_pairings(entries, evals, **kwargs)
     for kwargs in ({"batch_sizes": []}, {"methods": ()}):
@@ -204,9 +259,10 @@ def test_run_pairings_rejects_eval_batch_count_below_one():
 def test_run_pairings_stores_numpy_integers_as_int():
     entries, evals = _two_gaussian_setup()
     got = run_pairings(entries, evals, batch_sizes=np.array([2, 1]),
-                       n_eval_batches=np.int64(10))
-    want = run_pairings(entries, evals, batch_sizes=[2, 1], n_eval_batches=10)
+                       n_eval_batches=np.int64(10), seed=np.int64(3))
+    want = run_pairings(entries, evals, batch_sizes=[2, 1], n_eval_batches=10, seed=3)
     assert [r.to_json() for r in got] == [r.to_json() for r in want]
+    assert all(type(r.metadata["seed"]) is int for r in got)
     assert all(type(row["batch_size"]) is int for r in got for row in r.rows)
 
 

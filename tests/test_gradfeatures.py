@@ -9,7 +9,6 @@ from fimscore.fim import mc_fim_slice, score_columns
 from fimscore.gradfeatures import (
     FLOOR,
     batch_view,
-    feature_matrix,
     feature_sweep,
     gradient_features,
     layer_correlation_profile,
@@ -47,7 +46,7 @@ def test_batch_feature_is_norm_of_summed_scores():
     m = CouplingFlowModel.init_random(2, Rng(3), n_blocks=3, hidden=8)
     for size in (1, 3, 7):
         batches = batch_view(m.sample(Rng(4), 4 * size), size)
-        f = feature_matrix(m, batches)
+        f = feature_sweep(m, batches)[0]
         assert f.shape == (4, len(m.params.names))
         for row, batch in zip(f, batches):
             per = m.score_batch(batch)
@@ -71,10 +70,10 @@ def test_log_features_validation():
 def test_feature_matrix_shape_and_empty():
     m = DiagGaussianModel.standard(2)
     rows = Rng(5).normals(24).reshape(12, 2)
-    fm = feature_matrix(m, batch_view(rows, 4))
+    fm = feature_sweep(m, batch_view(rows, 4))[0]
     assert fm.shape == (3, 2)
     with pytest.raises(DomainError):
-        feature_matrix(m, [])
+        feature_sweep(m, [])[0]
 
 
 def test_batch_view_contiguity_and_remainder():
@@ -214,7 +213,7 @@ def test_nonfinite_gradient_names_layer():
     draws keep every factor finite, and mc_fim_slice's s^T s overflows."""
     m = DiagGaussianModel(np.array([0.0]), np.array([-400.0]))
     calls = [lambda: gradient_features(m, np.array([[3.0]])),
-             lambda: feature_matrix(m, np.array([[[3.0]]])),
+             lambda: feature_sweep(m, np.array([[[3.0]]]))[0],
              lambda: score_columns(m, np.array([[3.0]]), [("log_sigma", 0)]),
              lambda: m.grad_groups(np.array([[3.0]]), 1),
              lambda: mc_fim_slice(m, ["mu"], Rng(0), 8)]
@@ -245,7 +244,7 @@ def test_features_match_materialised_gradients(make, batch_size):
     grads = m.grad_groups(batches.reshape(-1, m.dim), batch_size)[0]
     want = np.stack([np.sum(np.square(v.reshape(30, -1)), axis=1)
                      for v in m.params.views(grads)], axis=1)
-    np.testing.assert_allclose(feature_matrix(m, batches), want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(feature_sweep(m, batches)[0], want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("batch_size", [1, 5])
@@ -260,7 +259,7 @@ def test_sweep_mean_loglik_is_bitwise_the_likelihood_pass(chunk_spy, make, batch
     in one chunk, each chunk's own when four chunks split them. Across the
     two splits it agrees to 1e-12 relative, because BLAS picks its product
     kernel by row count (the d = 16 flow's K = 64 products differ in their
-    last bits between 40 and 150 rows). Its features are feature_matrix's."""
+    last bits between 40 and 150 rows). Its features repeat on a second sweep."""
     m = make()
     batches = 1.5 * Rng(9).normals(30 * batch_size * m.dim).reshape(30, batch_size, m.dim)
 
@@ -273,7 +272,7 @@ def test_sweep_mean_loglik_is_bitwise_the_likelihood_pass(chunk_spy, make, batch
     per_chunk = np.concatenate([likelihood_means(slice(g, g + 8)) for g in range(0, 30, 8)])
     features, means = feature_sweep(m, batches)
     assert np.array_equal(means, want)
-    assert np.array_equal(features, feature_matrix(m, batches))
+    assert np.array_equal(features, feature_sweep(m, batches)[0])
     sizes = chunk_spy(m, 8, batch_size)
     chunked = feature_sweep(m, batches)[1]
     assert sizes == [8, 8, 8, 6]
@@ -285,9 +284,9 @@ def test_sweep_mean_loglik_is_bitwise_the_likelihood_pass(chunk_spy, make, batch
 def test_feature_matrix_chunk_boundaries_match_one_chunk(chunk_spy, batch_size):
     m = CouplingFlowModel.init_random(2, Rng(0), n_blocks=2, hidden=8)
     batches = Rng(6).normals(20 * batch_size).reshape(10, batch_size, 2)
-    whole = feature_matrix(m, batches)
+    whole = feature_sweep(m, batches)[0]
     sizes = chunk_spy(m, 3, batch_size)
-    chunked = feature_matrix(m, batches)
+    chunked = feature_sweep(m, batches)[0]
     assert sizes == [3, 3, 3, 1]
     np.testing.assert_allclose(chunked, whole, rtol=1e-10, atol=0)
 
@@ -299,7 +298,7 @@ def test_feature_matrix_memory_is_bounded_by_the_chunk():
     m = CouplingFlowModel.init_random(2, Rng(0), n_blocks=6, hidden=32)
     batches = Rng(7).normals(20_000).reshape(10_000, 1, 2)
     tracemalloc.start()
-    feature_matrix(m, batches)
+    feature_sweep(m, batches)[0]
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak <= 24e6
@@ -313,7 +312,7 @@ def test_feature_matrix_memory_holds_at_large_batches():
     m = CouplingFlowModel.init_random(2, Rng(0), n_blocks=6, hidden=32)
     batches = Rng(7).normals(100_000).reshape(2_000, 25, 2)
     tracemalloc.start()
-    feature_matrix(m, batches)
+    feature_sweep(m, batches)[0]
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak <= 56e6
