@@ -10,7 +10,8 @@ average outer products of the restricted score over n model draws,
 
 Per-sample scores are built only at the k probed weights, from the
 backward factors (weight (i, j) of a layer with row gradients a b^T is
-a[:, i] * b[:, j]), so no (n, P) score matrix is formed. Past one chunk,
+a[:, i] * b[:, j]), so no (n, P) score matrix is formed; their sink drops
+the other factors, so it checks every factor itself. Past one chunk,
 BLAS rounding moves them up to about 1e-14 relative from one whole-array
 sweep; reruns stay byte-identical. Normalizing by the diagonal turns a
 slice into a correlation-like matrix whose off-diagonal mass measures
@@ -69,8 +70,6 @@ def select_weights(params, layer_names, rng: Rng):
     reject_repeats(layer_names, "probe layers")
     weight_map = []
     for name in layer_names:
-        if name not in params.names:
-            raise DomainError(f"model has no layer named '{name}'")
         size = params[name].size
         k = min(MAX_PER_LAYER, size)
         chosen = sorted(int(i) for i in rng.permutation(size)[:k])
@@ -97,13 +96,17 @@ def score_columns(model, x: np.ndarray, weight_map) -> np.ndarray:
     names, flat = (np.array(v) for v in zip(*weight_map))
     cols_of = {model.params.names.index(n): np.flatnonzero(names == n) for n in set(names)}
 
-    def sink(out, i, a, b):
-        if i in cols_of:
-            idx = flat[cols_of[i]]
-            out[:, cols_of[i]] = a[:, idx] if b is None else \
-                a[:, idx // b.shape[1]] * b[:, idx % b.shape[1]]
+    def sink(out, factors):
+        for i, a, b in factors:
+            for f in (a, b):  # the only sink that drops factors checks them all
+                if f is not None:
+                    require_finite(f, lambda _: model.params.names[i])
+            if i in cols_of:
+                idx = flat[cols_of[i]]
+                out[:, cols_of[i]] = a[:, idx] if b is None else \
+                    a[:, idx // b.shape[1]] * b[:, idx % b.shape[1]]
 
-    return sweep_chunks(model, x, 1, sink, names.tolist())[0]
+    return sweep_chunks(model, x, 1, sink, len(weight_map), lambda j: weight_map[j][0])[0]
 
 
 def normalize_fim(matrix: np.ndarray) -> np.ndarray:
@@ -157,11 +160,12 @@ def exact_score_test_gaussian(model, x: np.ndarray):
             f"points must have shape (D,), (N, D) or (M, n, D) with "
             f"D = {model.dim}, got {arr.shape}"
         )
+    sigma = np.exp(model.params["log_sigma"])  # a model without it fails before the sweep
     batches = arr if arr.ndim == 3 else arr.reshape(-1, 1, model.dim)
     m, n, dim = batches.shape
     # the model's summed score per batch: sum z / sigma, then sum (z^2 - 1)
     s = model.grad_groups(batches.reshape(m * n, dim), n)[0]
-    s_mu = s[:, :dim] * np.exp(model.params["log_sigma"])
+    s_mu = s[:, :dim] * sigma
     stat = np.sum(s_mu ** 2 / n + s[:, dim:] ** 2 / (2.0 * n), axis=1)
     dof = 2 * model.dim
     return (float(stat[0]), dof) if arr.ndim == 1 else (stat, dof)

@@ -5,10 +5,12 @@ parameter layer, of the gradient of the batch-summed log-likelihood:
 
     f_j(x_1..x_B) = || grad_{theta_j} sum_b log p(x_b) ||_2^2.
 
-Features come from each layer's backward factors, chunk by chunk, so no
-(batches, P) gradient matrix is formed. Scoring happens on ln f_j;
-exact zeros (they occur, for instance, in the mean layer of a Gaussian
-at its MLE) are raised to FLOOR first so downstream Gaussians stay finite.
+Features come from a ``sweep_chunks`` sink of each layer's backward
+factors, chunk by chunk, so no (batches, P) gradient matrix is formed; the
+sink keeps every factor, so the driver's row check names a bad one's layer.
+Scoring happens on ln f_j; exact zeros (they occur, for instance, in the
+mean layer of a Gaussian at its MLE) are raised to FLOOR first so
+downstream Gaussians stay finite.
 A feature CSV has a required JSON sidecar: its provenance record (model
 checksum, layer names, batch size), which read_provenance validates.
 """
@@ -47,20 +49,24 @@ def feature_sweep(model, batches):
         raise DomainError(f"need >= 1 batch of shape (size, dim), got {batches.shape}")
     size = batches.shape[1]
 
-    def sink(out, i, a, b):
-        s = group_sums(a, b, size).reshape(len(out), -1)
-        out[:, i] = np.square(s, out=s).sum(axis=1)
+    def sink(out, factors):
+        for i, a, b in factors:
+            s = group_sums(a, b, size).reshape(len(out), -1)
+            out[:, i] = np.square(s, out=s).sum(axis=1)
 
-    features, loglik = sweep_chunks(model, batches.reshape(-1, batches.shape[2]),
-                                    size, sink, model.params.names)
+    features, loglik = sweep_chunks(model, batches.reshape(-1, batches.shape[2]), size, sink,
+                                    len(model.params.names), model.params.names.__getitem__)
     return features, loglik.reshape(batches.shape[:2]).mean(axis=-1)
 
 
 def batch_view(rows: np.ndarray, batch_size: int, source: str = "rows") -> np.ndarray:
     """Disjoint contiguous batches of the given size as one
     (batches, batch size, dim) view of ``rows``; remainder dropped. Rows
-    too few for one batch are an InsufficientDataError naming ``source``."""
+    too few for one batch are an InsufficientDataError naming ``source``, and
+    rows that are not 2-D a DomainError naming it."""
     rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
+        raise DomainError(f"{source} must be 2-D (rows, dim), got shape {rows.shape}")
     n = rows.shape[0] // require_int(batch_size, "batch size", 1)
     if n == 0:
         raise InsufficientDataError(f"{source} with {rows.shape[0]} rows yields no "

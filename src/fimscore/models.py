@@ -12,11 +12,11 @@ Backward passes are derived by hand per architecture and verified
 against central finite differences in the tests; there is no autodiff
 tape. Each model has one backward pass, ``factor_sweep(x)``: per layer,
 row factors a, b whose products a_r b_r^T (a_r for a vector layer) are
-the per-row gradients. ``grad_groups`` sums them into one flat row per
-group of rows; ``sweep_chunks`` feeds them to sinks that keep less and
-keeps the sweeps' per-row log-likelihood. The flow's forward caches each
-block's hidden activations for that backward while they fit in
-HIDDEN_CACHE_FLOATS; ``log_likelihood_batch`` runs it with no cache.
+the per-row gradients. ``sweep_chunks`` is the one driver of that pass: it
+hands each chunk's factors to a sink, checks the filled rows once and keeps
+the per-row log-likelihood; ``grad_groups`` is its full-row sink. The flow's
+forward caches each block's hidden activations for that backward while they
+fit in HIDDEN_CACHE_FLOATS; ``log_likelihood_batch`` runs it with no cache.
 
 Checkpoints are JSON (type, dims, hyper, named layers with shapes and
 row-major values; a flow's hyper must give K, H and c, none defaulted),
@@ -35,7 +35,8 @@ import math
 import numpy as np
 
 from .data import json_text, read_json, write_atomic
-from .errors import DatasetFormatError, DomainError, FimscoreError, NonFiniteError
+from .errors import (DatasetFormatError, DomainError, FimscoreError, NonFiniteError,
+                     require_int)
 from .numcore import Rng
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -76,6 +77,8 @@ class LayeredParams:
         return iter(zip(self.names, self.arrays))
 
     def __getitem__(self, name: str) -> np.ndarray:
+        if name not in self.names:
+            raise DomainError(f"no layer named '{name}'")
         return self.arrays[self.names.index(name)]
 
     @property
@@ -120,14 +123,13 @@ def group_sums(a: np.ndarray, b, group_size: int, out=None) -> np.ndarray:
 
 def _grad_groups(self, x: np.ndarray, group_size: int):
     """``(grads, loglik)``: a flat gradient row per group of rows, loglik per row."""
-    x = _as_batch(x, self.dim, group_size)
-    grads = np.empty((len(x) // group_size, self.params.n_params))
-    views = self.params.views(grads)
-    loglik, factors = self.factor_sweep(x)
-    for i, a, b in factors:
-        group_sums(a, b, group_size, out=views[i])
-    require_finite(grads, self.params.layer_of)
-    return grads, loglik
+
+    def sink(out, factors):
+        views = self.params.views(out)
+        for i, a, b in factors:
+            group_sums(a, b, group_size, out=views[i])
+
+    return sweep_chunks(self, x, group_size, sink, self.params.n_params, self.params.layer_of)
 
 
 def _log_likelihood_batch(self, x: np.ndarray) -> np.ndarray:
@@ -390,30 +392,27 @@ def _as_batch(x: np.ndarray, dim: int, group_size: int = 1) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != dim:
         raise DomainError(f"expected points of dimension {dim}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
-        raise NonFiniteError("input points contain non-finite values")
+        row, col = np.argwhere(~np.isfinite(x))[0]
+        raise NonFiniteError(f"input point {row} has a non-finite value in column {col}")
     if group_size < 1 or len(x) % group_size:
         raise DomainError(f"{len(x)} rows do not split into groups of {group_size}")
     return x
 
 
-def sweep_chunks(model, x: np.ndarray, group_size: int, sink, columns: list):
-    """(groups, len(columns)) array that ``sink(out, i, a, b)`` fills chunk by
-    chunk, and the per-row log-likelihood of ``x`` from the same sweeps:
-    ``out`` the rows of at most CHUNK_FLOATS // P whole groups of ``x`` (at
-    least one), (i, a, b) each factor of their sweep. A NaN or inf in a
-    factor or in column j is a NonFiniteError naming its layer, columns[j]."""
+def sweep_chunks(model, x: np.ndarray, group_size: int, sink, width: int, name_of):
+    """(groups, width) array that ``sink(out, factors)`` fills chunk by chunk,
+    and the per-row log-likelihood of ``x`` from the same sweeps: ``out`` the
+    rows of at most CHUNK_FLOATS // P whole groups (at least one), ``factors``
+    their sweep's (i, a, b) stream. A NaN or inf in column j is a
+    NonFiniteError naming ``name_of(j)``; a sink that drops factors checks them."""
     x = _as_batch(x, model.dim, group_size)
     step = max(1, CHUNK_FLOATS // model.params.n_params)
-    out, loglik = np.empty((len(x) // group_size, len(columns))), np.empty(len(x))
+    out, loglik = np.empty((len(x) // group_size, width)), np.empty(len(x))
     for start in range(0, len(out), step):
         rows = slice(start * group_size, (start + step) * group_size)
         loglik[rows], factors = model.factor_sweep(x[rows])
-        for i, a, b in factors:
-            for f in (a, b):
-                if f is not None:
-                    require_finite(f, lambda _: model.params.names[i])
-            sink(out[start:start + step], i, a, b)
-    require_finite(out, columns.__getitem__)
+        sink(out[start:start + step], factors)
+    require_finite(out, name_of)
     return out, loglik
 
 
@@ -457,10 +456,14 @@ def save_model(model, path: str) -> None:
 def model_from_dict(obj: dict):
     try:
         mtype = obj["type"]
-        dims = int(obj["dims"])
+        dims = require_int(obj["dims"], "dims")  # its refusals are ValueErrors, caught below
         if mtype == CouplingFlowModel.type_name:
             hyper = obj["hyper"]
-            n_blocks, hidden, clamp = int(hyper["K"]), int(hyper["H"]), float(hyper["c"])
+            n_blocks, hidden = require_int(hyper["K"], "K"), require_int(hyper["H"], "H")
+            if isinstance(hyper["c"], (bool, str)):
+                raise DatasetFormatError(f"malformed checkpoint: c must be a number, "
+                                         f"got {hyper['c']!r}")
+            clamp = float(hyper["c"])
         layers = obj["layers"]
         items = []
         for entry in layers:

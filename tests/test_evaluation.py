@@ -148,6 +148,28 @@ def test_run_pairings_thin_eval_split_skips_only_its_cells():
                     "eval split 'near' with 3 rows yields no batch of size 5"
 
 
+def test_run_pairings_one_dimensional_split_skips_only_its_cells():
+    """A 1-D eval split, or 1-D fit rows, is refused by batch_view with a
+    DomainError naming it: the grid skips the cells that read it and
+    scores every other cell."""
+    entries, evals = _two_gaussian_setup()
+    evals["flat"] = evals["far"][:, 0].copy()
+    runs = [run_pairings(entries, evals, batch_sizes=[5], n_eval_batches=10)]
+    entries["near"] = (entries["near"][0], entries["near"][1][:, 0].copy())
+    runs.append(run_pairings(entries, evals, batch_sizes=[5], n_eval_batches=10))
+    for k, reports in enumerate(runs):
+        for report in reports:
+            for row in report.rows:
+                if k == 1 and report.train == "near":
+                    assert row["skipped"] == \
+                        "fit split of 'near' must be 2-D (rows, dim), got shape (300,)"
+                elif row["test"] == "flat":
+                    assert row["skipped"] == \
+                        "eval split 'flat' must be 2-D (rows, dim), got shape (300,)"
+                else:
+                    assert 0.0 <= row["auroc"] <= 1.0
+
+
 def _two_flow_setup():
     entries, evals = {}, {}
     for k, (name, shift) in enumerate((("near", 0.0), ("far", 5.0))):

@@ -201,12 +201,18 @@ def test_exact_score_test_batch_variance_curve():
         assert abs(var - want) <= 0.10 * want, f"n = {n}: variance {var:.2f} vs {want:.1f}"
 
 
-def test_exact_score_test_batch_errors():
+def test_exact_score_test_batch_errors(chunk_spy):
     m = DiagGaussianModel.standard(2)
     with pytest.raises(DomainError):
         exact_score_test_gaussian(m, np.zeros((4, 5, 3)))
     with pytest.raises(DomainError):
         exact_score_test_gaussian(m, np.zeros((4, 0, 2)))
+    # a model with no log_sigma layer is refused, naming it, before any sweep
+    flow = CouplingFlowModel.init_random(2, Rng(0), n_blocks=1, hidden=4)
+    sizes = chunk_spy(flow, 1)
+    with pytest.raises(DomainError, match="no layer named 'log_sigma'"):
+        exact_score_test_gaussian(flow, np.zeros((3, 2)))
+    assert sizes == []
 
 
 def test_prior_diag_fallbacks():

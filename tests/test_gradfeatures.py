@@ -208,9 +208,11 @@ def test_load_features_rejects_mistyped_sidecar_fields(tmp_path):
 
 
 def test_nonfinite_gradient_names_layer():
-    """sigma = e^-400: at x = 3 the mu factor z / sigma overflows, so the
-    sweep's factor check fires even where mu is not probed; the model's own
-    draws keep every factor finite, and mc_fim_slice's s^T s overflows."""
+    """sigma = e^-400: at x = 3 the mu factor z / sigma overflows. Feature
+    and gradient rows keep every factor, so sweep_chunks' one output check
+    names mu; score_columns drops mu's factor, so its sink's factor check
+    names it. The model's own draws keep every factor finite, and
+    mc_fim_slice's s^T s overflows."""
     m = DiagGaussianModel(np.array([0.0]), np.array([-400.0]))
     calls = [lambda: gradient_features(m, np.array([[3.0]])),
              lambda: feature_sweep(m, np.array([[[3.0]]]))[0],

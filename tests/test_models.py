@@ -287,6 +287,30 @@ def test_remade_hidden_activations_give_the_cached_gradients(monkeypatch):
     assert np.array_equal(m.grad_groups(x, 1)[0], cached)
 
 
+@pytest.mark.parametrize("size", [1, 2])
+def test_grad_groups_runs_the_chunked_sweep(chunk_spy, size):
+    """grad_groups is a sink of sweep_chunks: capped at three groups a
+    chunk, ten groups take four sweeps, and each chunk's rows are bit for
+    bit those of grad_groups on that chunk alone."""
+    m = warped_flow(seed=20, dim=2, n_blocks=2, hidden=8)
+    x = sample(m, Rng(51), 10 * size)
+    per_chunk = [m.grad_groups(x[i:i + 3 * size], size) for i in range(0, len(x), 3 * size)]
+    sizes = chunk_spy(m, 3, size)
+    grads, loglik = m.grad_groups(x, size)
+    assert sizes == [3, 3, 3, 1]
+    assert np.array_equal(grads, np.vstack([g for g, _ in per_chunk]))
+    assert np.array_equal(loglik, np.concatenate([ll for _, ll in per_chunk]))
+
+
+def test_training_step_is_one_sweep(chunk_spy):
+    """A 128-row loglik_and_grad_sum is one group, so it is one factor_sweep
+    call even when a chunk is capped at a single group."""
+    m = warped_flow(seed=21, dim=2, n_blocks=6, hidden=32)
+    sizes = chunk_spy(m, 1, 128)
+    m.loglik_and_grad_sum(sample(m, Rng(52), 128))
+    assert sizes == [1]
+
+
 def test_loglik_and_grad_sum_hands_out_the_checked_row():
     """``loglik_and_grad_sum`` returns the one-group ``grad_groups`` row
     itself, read-only and bit for bit, with the summed log-likelihood."""
@@ -348,12 +372,26 @@ def test_malformed_checkpoints(tmp_path):
             json.dump(obj, fh)
         with pytest.raises(DatasetFormatError):
             load_model(path)
+    save_model(DiagGaussianModel.standard(2), path)
+    with open(path) as fh:
+        good = json.load(fh)
+    for dims in (2.5, "2", True):  # a whole dims field, never coerced
+        with open(path, "w") as fh:
+            json.dump({**good, "dims": dims}, fh)
+        with pytest.raises(DatasetFormatError, match="malformed checkpoint: dims"):
+            load_model(path)
 
 
-@pytest.mark.parametrize("hyper", [[], {"K": "x"}, {"K": None}, {"K": float("inf")},
-                                   {}, {"K": 2, "H": 5}],
-                         ids=["list", "string", "null", "inf", "empty", "no_clamp"])
-def test_malformed_checkpoint_hyper(tmp_path, hyper):
+@pytest.mark.parametrize("hyper,field", [
+    ([], ""), ({"K": "x"}, "K"), ({"K": None}, "K"), ({"K": float("inf")}, "K"),
+    ({}, ""), ({"K": 2, "H": 5}, "c"), ({"K": 2.5, "H": 4, "c": 5.0}, "K"),
+    ({"K": 2, "H": 4.9, "c": 5.0}, "H"), ({"K": True, "H": 4, "c": 5.0}, "K"),
+    ({"K": 2, "H": 4, "c": True}, "c"), ({"K": 2, "H": 4, "c": "5"}, "c")],
+    ids=["list", "string", "null", "inf", "empty", "no_clamp", "float_K", "float_H",
+         "bool_K", "bool_c", "string_c"])
+def test_malformed_checkpoint_hyper(tmp_path, hyper, field):
+    """A hyper value that is missing or of the wrong JSON type is refused,
+    naming its field: no count is rounded and no bool or string is coerced."""
     path = str(tmp_path / "model.json")
     save_model(zero_flow(n_blocks=2), path)
     with open(path) as fh:
@@ -361,7 +399,7 @@ def test_malformed_checkpoint_hyper(tmp_path, hyper):
     obj["hyper"] = hyper
     with open(path, "w") as fh:
         json.dump(obj, fh)
-    with pytest.raises(DatasetFormatError, match="malformed checkpoint"):
+    with pytest.raises(DatasetFormatError, match=f"malformed checkpoint: '?{field}"):
         load_model(path)
 
 
@@ -394,6 +432,8 @@ def test_layered_params_invariants():
     assert np.array_equal(q.flat(), np.arange(7.0))
     with pytest.raises(NonFiniteError, match="layer 'b'"):
         p.from_flat([0.0, 1.0, 2.0, 3.0, 4.0, float("nan"), 6.0])
+    with pytest.raises(DomainError, match="no layer named 'nope'"):
+        p["nope"]
 
 
 def test_flow_constructor_validation():
@@ -407,6 +447,11 @@ def test_batch_shape_validation():
     m = DiagGaussianModel.standard(2)
     with pytest.raises(DomainError):
         m.log_likelihood_batch(np.zeros((3, 5)))
+    for bad in (np.nan, np.inf):
+        x = np.zeros((4, 2))
+        x[2, 1], x[3, 0] = bad, bad  # the first bad entry in row order is named
+        with pytest.raises(NonFiniteError, match="input point 2 .* column 1$"):
+            m.grad_groups(x, 1)
     with pytest.raises(DomainError):
         sample(m, Rng(0), 0)
     with pytest.raises(DomainError):
