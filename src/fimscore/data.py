@@ -44,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetFormatError, DomainError, NonFiniteError
+from .errors import (DatasetFormatError, DomainError, NonFiniteError, require_finite,
+                     require_int)
 from .numcore import Rng
 
 DMAT_MAGIC = b"DMAT"
@@ -62,7 +63,9 @@ def two_moons(n: int, rng: Rng, noise: float = 0.1) -> np.ndarray:
     Upper moon: (cos t, sin t); lower moon: (1 - cos t, 0.5 - sin t),
     t uniform on [0, pi], Gaussian noise added per coordinate.
     """
-    _check_n_noise(n, noise)
+    n = require_int(n, "n", 1)
+    if not noise >= 0:
+        raise DomainError(f"noise must be >= 0, got {noise}")
     lower = rng.uniforms(n) < 0.5
     t = rng.uniforms(n) * math.pi
     eps = noise * rng.normals(2 * n).reshape(n, 2)
@@ -73,7 +76,9 @@ def two_moons(n: int, rng: Rng, noise: float = 0.1) -> np.ndarray:
 
 def rings(n: int, rng: Rng, radii=(1.0, 2.0), noise: float = 0.05) -> np.ndarray:
     """Concentric circles with radial Gaussian jitter."""
-    _check_n_noise(n, noise)
+    n = require_int(n, "n", 1)
+    if not noise >= 0:
+        raise DomainError(f"noise must be >= 0, got {noise}")
     radii = np.asarray(radii, dtype=np.float64)
     if radii.ndim != 1 or radii.size < 1 or np.any(radii <= 0):
         raise DomainError(f"radii must be positive, got {radii}")
@@ -86,10 +91,8 @@ def rings(n: int, rng: Rng, radii=(1.0, 2.0), noise: float = 0.05) -> np.ndarray
 def gauss_grid(n: int, rng: Rng, k: int = 3, spacing: float = 1.5,
                sigma: float = 0.15) -> np.ndarray:
     """Mixture of k*k equal-weight Gaussians on a centered square grid."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if (not isinstance(k, (int, np.integer)) or not 1 <= k <= MAX_GRID_SIDE
-            or not spacing > 0 or not sigma > 0):
+    n, k = require_int(n, "n", 1), require_int(k, "k", 1)
+    if k > MAX_GRID_SIDE or not spacing > 0 or not sigma > 0:
         raise DomainError(f"invalid grid: k={k}, spacing={spacing}, sigma={sigma}")
     # center c sits at grid row c // k, column c % k; only the chosen
     # centers are built
@@ -100,10 +103,8 @@ def gauss_grid(n: int, rng: Rng, k: int = 3, spacing: float = 1.5,
 
 def checkerboard(n: int, rng: Rng, cells: int = 4, side: float = 4.0) -> np.ndarray:
     """Uniform on the black cells of a cells x cells board over a square."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if (not isinstance(cells, (int, np.integer)) or not 2 <= cells <= MAX_GRID_SIDE
-            or not side > 0):
+    n, cells = require_int(n, "n", 1), require_int(cells, "cells", 2)
+    if cells > MAX_GRID_SIDE or not side > 0:
         raise DomainError(f"invalid board: cells={cells}, side={side}")
     # black cells (i + j even) in row-major order: each pair of rows holds
     # `up` cells of the even row (j = 0, 2, ...) then the odd row's (j = 1,
@@ -123,8 +124,7 @@ def checkerboard(n: int, rng: Rng, cells: int = 4, side: float = 4.0) -> np.ndar
 
 def uniform_square(n: int, rng: Rng, side: float = 2.0) -> np.ndarray:
     """Uniform on the centered axis-aligned square of the given side."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = require_int(n, "n", 1)
     if not side > 0:
         raise DomainError(f"side must be positive, got {side}")
     return (rng.uniforms(2 * n).reshape(n, 2) - 0.5) * side
@@ -163,11 +163,11 @@ def generate(dist: str, n: int, seed: int, **params) -> Dataset:
         raise DomainError(
             f"unknown distribution '{dist}'; choose from {sorted(GENERATORS)}"
         )
-    rng = Rng(seed)
+    rng = Rng(require_int(seed, "seed"))
     with np.errstate(over="ignore", invalid="ignore"):
         points = GENERATORS[dist](n, rng, **params)
-    if not np.all(np.isfinite(points)):
-        raise DomainError(f"'{dist}' with parameters {params} gives non-finite points")
+    require_finite(points, lambda i: DomainError(
+        f"'{dist}' with parameters {params} gives non-finite points, first at row {i[0]}"))
     n_train = math.ceil(SPLIT[0] * n)
     n_fit = min(n - n_train, math.ceil(SPLIT[1] * n))
     for tag, count in zip(TAG_NAMES, (n_train, n_fit, n - n_train - n_fit)):
@@ -287,13 +287,9 @@ def load_dmat(path: str) -> np.ndarray:
 
 def _check_finite(path: str, data: np.ndarray, first_row: int) -> None:
     """Locate the first non-finite cell; data row 0 is file row first_row."""
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        r, c = (int(i) for i in bad[0])
-        raise DatasetFormatError(
-            f"'{path}' has non-finite value {data[r, c]} (data rows count "
-            f"from {first_row}, columns from 0)", row=r + first_row, col=c
-        )
+    require_finite(data, lambda index: DatasetFormatError(
+        f"'{path}' has non-finite value {data[index]} (data rows count "
+        f"from {first_row}, columns from 0)", row=index[0] + first_row, col=index[1]))
 
 
 def save_csv(path: str, matrix: np.ndarray, header=None) -> None:
@@ -339,10 +335,3 @@ def _parse_csv(text: str, path: str) -> np.ndarray:
     matrix = np.asarray(out, dtype=np.float64)
     _check_finite(path, matrix, first_row=1)
     return matrix
-
-
-def _check_n_noise(n: int, noise: float) -> None:
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if not noise >= 0:
-        raise DomainError(f"noise must be >= 0, got {noise}")

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import json_text, read_json, write_atomic
-from .errors import DatasetFormatError, DomainError, InsufficientDataError
+from .errors import (DatasetFormatError, DomainError, InsufficientDataError, require_finite,
+                     require_int)
 from .gradfeatures import read_provenance
 from .numcore import std_normal_cdf
 
@@ -48,11 +49,14 @@ def fit_detector(log_feats: np.ndarray) -> DetectorModel:
         raise InsufficientDataError(
             f"need >= 2 fit batches to estimate variances, got {f.shape[0]}"
         )
-    if not np.all(np.isfinite(f)):
-        raise DomainError("log features must be finite")
+    require_finite(f, _nonfinite_feature)
     mu = f.mean(axis=0)
     sigma2 = np.maximum(f.var(axis=0), VAR_FLOOR)
     return DetectorModel(mu, sigma2, int(f.shape[0]))
+
+
+def _nonfinite_feature(index) -> DomainError:
+    return DomainError("log feature of batch {}, layer {} is not finite".format(*index))
 
 
 def _checked(det: DetectorModel, log_feats: np.ndarray) -> np.ndarray:
@@ -62,6 +66,7 @@ def _checked(det: DetectorModel, log_feats: np.ndarray) -> np.ndarray:
             f"log features of shape {f.shape} do not match a detector with "
             f"{det.mu.shape[0]} layers; want (layers,) or (batches, layers)"
         )
+    require_finite(np.atleast_2d(f), _nonfinite_feature)
     return f
 
 
@@ -103,15 +108,14 @@ def load_detector(path: str):
     try:
         mu = np.asarray(obj["mu"], dtype=np.float64)
         sigma2 = np.asarray(obj["sigma2"], dtype=np.float64)
-        det = DetectorModel(mu, sigma2, obj["n_fit"])
-    except (KeyError, TypeError, ValueError) as exc:
+        det = DetectorModel(mu, sigma2, require_int(obj["n_fit"], "n_fit", 2))
+    except (KeyError, TypeError, ValueError) as exc:  # require_int's DomainError too
         raise DatasetFormatError(f"malformed detector file '{path}': {exc}") from exc
-    if type(det.n_fit) is not int or det.n_fit < 2:
-        raise DatasetFormatError(f"'{path}': n_fit must be an int >= 2")
     if mu.shape != sigma2.shape or mu.ndim != 1:
         raise DatasetFormatError(f"'{path}': mu and sigma2 must be equal-length vectors")
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma2))):
-        raise DatasetFormatError(f"'{path}': mu and sigma2 entries must be finite")
+    for name, v in (("mu", mu), ("sigma2", sigma2)):
+        require_finite(v, lambda index: DatasetFormatError(
+            f"'{path}': {name} entry {index[0]} is not finite"))
     if np.any(sigma2 <= 0.0):
         raise DatasetFormatError(f"'{path}': sigma2 entries must be positive")
     return det, read_provenance(obj, path, mu.size)

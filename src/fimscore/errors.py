@@ -2,11 +2,15 @@
 
 Every error raised by library code derives from FimscoreError so the CLI
 can map domain failures to a single exit code. Subclasses carry enough
-context (row/column, epoch/batch) to be actionable. reject_repeats is the
-one check for list arguments whose entries must be distinct.
+context (row/column, epoch/batch) to be actionable. The package's three
+argument checks live here: require_int (counts and seeds), require_finite
+(arrays free of NaN and infinity) and reject_repeats (distinct entries).
 """
 
+import math
 import numbers
+
+import numpy as np
 
 
 class FimscoreError(Exception):
@@ -59,3 +63,10 @@ def require_int(value, name: str, low=None) -> int:
     if low is not None and value < low:
         raise DomainError(f"{name} must be >= {low}, got {value}")
     return int(value)
+
+
+def require_finite(arr: np.ndarray, fail) -> None:
+    """Raise ``fail(index)``, ``index`` the first NaN or infinity of ``arr`` in row order."""
+    # min and max carry any NaN or infinity without a buffer-sized mask
+    if not (math.isfinite(arr.min(initial=0.0)) and math.isfinite(arr.max(initial=0.0))):
+        raise fail(tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0]))

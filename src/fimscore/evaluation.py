@@ -32,7 +32,7 @@ import numpy as np
 from . import baselines, detector, gradfeatures
 from .data import json_text
 from .errors import (DomainError, FimscoreError, InsufficientDataError,
-                     reject_repeats, require_int)
+                     reject_repeats, require_finite, require_int)
 from .models import model_checksum
 from .numcore import Rng
 
@@ -54,8 +54,8 @@ def auroc(scores_in, scores_out) -> float:
         raise DomainError(f"scores must be 1-D, got shapes {a.shape} and {b.shape}")
     if a.size == 0 or b.size == 0:
         raise InsufficientDataError("auroc needs at least one score on each side")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise DomainError("scores must be finite")
+    for name, v in (("scores_in", a), ("scores_out", b)):
+        require_finite(v, lambda i: DomainError(f"{name} entry {i[0]} is not finite"))
     # tied run at sorted positions i..j: average 1-based rank (i + j)/2 + 1
     _, run, counts = np.unique(np.concatenate([a, b]), return_inverse=True,
                                return_counts=True)
@@ -114,15 +114,15 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
     eval_names = sorted(eval_splits)
     batch_cache = {}
 
-    def eval_batches(name, b_idx):
-        # built on first use, inside the cell's try, so a split too thin
-        # for one batch size skips only the cells that need it
-        key = (name, batch_sizes[b_idx])
+    def eval_batches(name, b_idx, dim):
+        # built on first use, inside the cell's try, so a split too thin for
+        # one batch size, or of the wrong width, skips only the cells it is in
+        key = (name, batch_sizes[b_idx], dim)
         if key not in batch_cache:
             rng = root.child(1 + eval_names.index(name) * len(batch_sizes) + b_idx)
             batch_cache[key] = gradfeatures.batch_view(
                 rng.shuffled(eval_splits[name]), key[1],
-                f"eval split '{name}'")[:n_eval_batches]
+                f"eval split '{name}'", dim)[:n_eval_batches]
         return batch_cache[key]
 
     reports = []
@@ -132,25 +132,26 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
         report = PairingReport(train=train_name, metadata={
             "seed": seed, "batch_sizes": list(batch_sizes), "methods": list(methods),
             "n_eval_batches": n_eval_batches, "model_checksum": model_checksum(model),
-            "n_fit_rows": int(fit_rows.shape[0])})
+            "n_fit_rows": len(fit_rows) if fit_rows.ndim else 0})
         fits = {}  # the detector of this batch size; H_hat, on the first fitted cell
         for b_idx, bsz in enumerate(batch_sizes):
             # a bad column (thin fit or eval split, non-finite gradients) or
             # a thin test split skips its cells with the first error that
             # stopped them, instead of killing the whole grid run
             try:
+                source = f"fit split of '{train_name}'"
                 if "detector" in needs:
-                    source = f"fit split of '{train_name}'"
-                    fit_batches = gradfeatures.batch_view(fit_rows, bsz, source)
+                    fit_batches = gradfeatures.batch_view(fit_rows, bsz, source, model.dim)
                     if len(fit_batches) < 2:
                         raise InsufficientDataError(f"{source} yields {len(fit_batches)} "
                                                     f"batches of size {bsz}; need >= 2")
                     fits["detector"] = detector.fit_detector(gradfeatures.log_features(
                         gradfeatures.feature_sweep(model, fit_batches)[0]))
-                if "h_hat" in needs and "h_hat" not in fits:
-                    fits["h_hat"] = baselines.fit_typicality(model, fit_rows)
+                if "h_hat" in needs and "h_hat" not in fits:  # batch_view names a bad split
+                    fits["h_hat"] = baselines.fit_typicality(
+                        model, gradfeatures.batch_view(fit_rows, 1, source, model.dim)[:, 0])
                 in_scores = _method_scores(
-                    model, fits, methods, eval_batches(train_name, b_idx))
+                    model, fits, methods, eval_batches(train_name, b_idx, model.dim))
                 column_error = None
             except FimscoreError as exc:
                 column_error = str(exc)
@@ -159,7 +160,7 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
                 if error is None:
                     try:
                         out_scores = _method_scores(
-                            model, fits, methods, eval_batches(test_name, b_idx))
+                            model, fits, methods, eval_batches(test_name, b_idx, model.dim))
                     except FimscoreError as exc:
                         error = str(exc)
                 for m in methods:

@@ -44,8 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, DomainError, NonFiniteError, reject_repeats
-from .models import require_finite, sample, sweep_chunks
+from .errors import (DegenerateDataError, DomainError, NonFiniteError, reject_repeats,
+                     require_finite)
+from .models import layer_fail, sample, sweep_chunks
 from .numcore import Rng
 
 
@@ -87,7 +88,7 @@ def mc_fim_slice(model, layer_names, rng: Rng, n: int) -> FimSlice:
     weight_map = select_weights(model.params, layer_names, rng)
     s = score_columns(model, sample(model, rng, n), weight_map)
     matrix = (s.T @ s) / n
-    require_finite(matrix, lambda col: weight_map[col][0])
+    require_finite(matrix, layer_fail(lambda col: weight_map[col][0]))
     return FimSlice(matrix=matrix, weight_map=weight_map, n_samples=n)
 
 
@@ -100,7 +101,7 @@ def score_columns(model, x: np.ndarray, weight_map) -> np.ndarray:
         for i, a, b in factors:
             for f in (a, b):  # the only sink that drops factors checks them all
                 if f is not None:
-                    require_finite(f, lambda _: model.params.names[i])
+                    require_finite(f, layer_fail(lambda _: model.params.names[i]))
             if i in cols_of:
                 idx = flat[cols_of[i]]
                 out[:, cols_of[i]] = a[:, idx] if b is None else \
@@ -206,9 +207,7 @@ def sherman_morrison_score(grad_samples, a0_diag: np.ndarray, s_x: np.ndarray,
             f"{a0.shape} and {sx.shape}"
         )
     for name, v in (("a0_diag", a0), ("s_x", sx)):
-        if not np.all(np.isfinite(v)):
-            bad = int(np.nonzero(~np.isfinite(v))[0][0])
-            raise NonFiniteError(f"{name} entry {bad} is not finite")
+        require_finite(v, lambda i: NonFiniteError(f"{name} entry {i[0]} is not finite"))
     if np.any(a0 <= 0.0):
         bad = int(np.nonzero(a0 <= 0.0)[0][0])
         raise DomainError(f"prior diagonal entry {bad} must be positive")
@@ -217,10 +216,7 @@ def sherman_morrison_score(grad_samples, a0_diag: np.ndarray, s_x: np.ndarray,
         if row.shape != a0.shape:
             raise DomainError(f"gradient sample {i} has shape {row.shape}")
     s = np.array(rows).reshape(len(rows), a0.size)
-    finite = np.isfinite(s).all(axis=1)
-    if not finite.all():
-        bad = int(np.nonzero(~finite)[0][0])
-        raise NonFiniteError(f"grad_samples[{bad}] has non-finite entries")
+    require_finite(s, lambda i: NonFiniteError(f"grad_samples[{i[0]}] is not finite"))
     root = np.sqrt(a0)
     r = s / root
     y = sx / root

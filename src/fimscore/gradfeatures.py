@@ -59,14 +59,16 @@ def feature_sweep(model, batches):
     return features, loglik.reshape(batches.shape[:2]).mean(axis=-1)
 
 
-def batch_view(rows: np.ndarray, batch_size: int, source: str = "rows") -> np.ndarray:
-    """Disjoint contiguous batches of the given size as one
-    (batches, batch size, dim) view of ``rows``; remainder dropped. Rows
-    too few for one batch are an InsufficientDataError naming ``source``, and
-    rows that are not 2-D a DomainError naming it."""
+def batch_view(rows: np.ndarray, batch_size: int, source="rows", dim=None) -> np.ndarray:
+    """Disjoint contiguous batches of the given size as one (batches, batch
+    size, dim) view of ``rows``; remainder dropped. Rows too few for one batch
+    are an InsufficientDataError naming ``source``, and rows not 2-D, or not
+    ``dim`` wide when it is given, a DomainError naming it."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2:
         raise DomainError(f"{source} must be 2-D (rows, dim), got shape {rows.shape}")
+    if dim is not None and rows.shape[1] != dim:
+        raise DomainError(f"{source} must have {dim} columns, got shape {rows.shape}")
     n = rows.shape[0] // require_int(batch_size, "batch size", 1)
     if n == 0:
         raise InsufficientDataError(f"{source} with {rows.shape[0]} rows yields no "

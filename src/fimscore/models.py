@@ -36,7 +36,7 @@ import numpy as np
 
 from .data import json_text, read_json, write_atomic
 from .errors import (DatasetFormatError, DomainError, FimscoreError, NonFiniteError,
-                     require_int)
+                     require_finite, require_int)
 from .numcore import Rng
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -44,12 +44,9 @@ CHUNK_FLOATS = 1 << 20  # gradient floats the groups of one sweep_chunks chunk s
 HIDDEN_CACHE_FLOATS = 1 << 18  # hidden activations a flow sweep may cache
 
 
-def require_finite(arr: np.ndarray, layer_of) -> None:
-    """Raise NonFiniteError naming ``layer_of(j)``, j the first non-finite column."""
-    # min and max carry any NaN or infinity without a buffer-sized mask
-    if not (np.isfinite(arr.min(initial=0.0)) and np.isfinite(arr.max(initial=0.0))):
-        col = np.nonzero(~np.isfinite(arr))[-1].min()
-        raise NonFiniteError(f"layer '{layer_of(col)}' has non-finite entries")
+def layer_fail(layer_of):
+    """The ``require_finite`` failure naming ``layer_of(j)``, j the bad entry's column."""
+    return lambda i: NonFiniteError(f"layer '{layer_of(i[-1])}' has non-finite entries")
 
 
 class LayeredParams:
@@ -67,7 +64,7 @@ class LayeredParams:
         self._layout = [(start, start + a.size, a.shape)
                         for start, (_, a) in zip(self.offsets.tolist(), items)]
         self._adopt(np.concatenate([np.empty(0)] + [a.reshape(-1) for _, a in items]))
-        require_finite(self._buf, self.layer_of)
+        require_finite(self._buf, layer_fail(self.layer_of))
 
     def _adopt(self, buf: np.ndarray) -> None:
         buf.flags.writeable = False
@@ -100,7 +97,7 @@ class LayeredParams:
         flat = np.array(flat, dtype=np.float64)
         if flat.shape != (self.n_params,):
             raise DomainError(f"flat vector has shape {flat.shape}, want ({self.n_params},)")
-        require_finite(flat, self.layer_of)
+        require_finite(flat, layer_fail(self.layer_of))
         return self._over(flat)
 
     def _over(self, buf: np.ndarray) -> "LayeredParams":
@@ -230,18 +227,9 @@ class CouplingFlowModel:
 
     def __init__(self, dim: int, params: LayeredParams, n_blocks: int = 6,
                  hidden: int = 32, clamp: float = 5.0):
-        if dim < 2 or dim % 2 != 0:
-            raise DomainError(f"flow dimension must be even and >= 2, got {dim}")
-        if n_blocks < 1 or hidden < 1 or not clamp > 0:
-            raise DomainError(
-                f"invalid hyperparameters: n_blocks={n_blocks}, hidden={hidden}, "
-                f"clamp={clamp}"
-            )
-        self.dim = dim
-        self.n_blocks = n_blocks
-        self.hidden = hidden
-        self.clamp = float(clamp)
-        self.hyper = {"K": n_blocks, "H": hidden, "c": self.clamp}
+        dim, n_blocks, hidden, clamp = self._hyper(dim, n_blocks, hidden, clamp)
+        self.dim, self.n_blocks, self.hidden, self.clamp = dim, n_blocks, hidden, clamp
+        self.hyper = {"K": n_blocks, "H": hidden, "c": clamp}
         half = dim // 2
         expected = []
         for k in range(n_blocks):
@@ -257,12 +245,23 @@ class CouplingFlowModel:
             )
         self.params = params
 
+    @staticmethod
+    def _hyper(dim, n_blocks, hidden, clamp):
+        """Checked ``(dim, n_blocks, hidden, clamp)``, the clamp as a float."""
+        if require_int(dim, "flow dimension") < 2 or dim % 2 != 0:
+            raise DomainError(f"flow dimension must be even and >= 2, got {dim}")
+        if not 0 < clamp < math.inf:
+            raise DomainError(f"clamp must be positive and finite, got {clamp}")
+        return (int(dim), require_int(n_blocks, "n_blocks", 1),
+                require_int(hidden, "hidden", 1), float(clamp))
+
     @classmethod
     def init_random(cls, dim: int, rng: Rng, n_blocks: int = 6, hidden: int = 32,
                     clamp: float = 5.0) -> "CouplingFlowModel":
         """Seeded init: w_in ~ N(0, 1/half), w_out ~ N(0, (0.01)^2/hidden),
         biases zero. The small output scale keeps the initial map near the
         identity while leaving all layers trainable."""
+        dim, n_blocks, hidden, clamp = cls._hyper(dim, n_blocks, hidden, clamp)
         half = dim // 2
         items = []
         for k in range(n_blocks):
@@ -391,10 +390,9 @@ def _as_batch(x: np.ndarray, dim: int, group_size: int = 1) -> np.ndarray:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != dim:
         raise DomainError(f"expected points of dimension {dim}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        row, col = np.argwhere(~np.isfinite(x))[0]
-        raise NonFiniteError(f"input point {row} has a non-finite value in column {col}")
-    if group_size < 1 or len(x) % group_size:
+    require_finite(x, lambda index: NonFiniteError(
+        "input point {} has a non-finite value in column {}".format(*index)))
+    if len(x) % require_int(group_size, "group size", 1):
         raise DomainError(f"{len(x)} rows do not split into groups of {group_size}")
     return x
 
@@ -412,7 +410,7 @@ def sweep_chunks(model, x: np.ndarray, group_size: int, sink, width: int, name_o
         rows = slice(start * group_size, (start + step) * group_size)
         loglik[rows], factors = model.factor_sweep(x[rows])
         sink(out[start:start + step], factors)
-    require_finite(out, name_of)
+    require_finite(out, layer_fail(name_of))
     return out, loglik
 
 
@@ -422,9 +420,7 @@ def score(model, x) -> LayeredParams:
 
 
 def sample(model, rng: Rng, n: int) -> np.ndarray:
-    if n < 1:
-        raise DomainError(f"sample count must be >= 1, got {n}")
-    return model.sample(rng, n)
+    return model.sample(rng, require_int(n, "sample count", 1))
 
 
 def checkpoint_dict(model) -> dict:
@@ -460,10 +456,10 @@ def model_from_dict(obj: dict):
         if mtype == CouplingFlowModel.type_name:
             hyper = obj["hyper"]
             n_blocks, hidden = require_int(hyper["K"], "K"), require_int(hyper["H"], "H")
-            if isinstance(hyper["c"], (bool, str)):
-                raise DatasetFormatError(f"malformed checkpoint: c must be a number, "
-                                         f"got {hyper['c']!r}")
-            clamp = float(hyper["c"])
+            clamp = hyper["c"]
+            if type(clamp) not in (int, float) or not math.isfinite(clamp):
+                raise DatasetFormatError(f"malformed checkpoint: c must be a finite "
+                                         f"number, got {clamp!r}")
         layers = obj["layers"]
         items = []
         for entry in layers:

@@ -32,7 +32,8 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateDataError, DomainError, SingularMatrixError
+from .errors import (DegenerateDataError, DomainError, SingularMatrixError, require_finite,
+                     require_int)
 from .models import score  # unused here, but the benchmark tracer wraps this name
 from .numcore import Rng
 
@@ -49,8 +50,8 @@ class AffineTransform:
             raise DomainError(
                 f"offset shape {self.b.shape} does not match matrix {self.a.shape}"
             )
-        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
-            raise DomainError("affine matrix and offset entries must be finite")
+        for name, v in (("A", self.a), ("b", self.b)):
+            require_finite(v, lambda i: DomainError(f"affine {name}{list(i)} is not finite"))
         sign, self._logdet = np.linalg.slogdet(self.a)
         if sign == 0.0:
             raise SingularMatrixError(f"affine matrix of shape {self.a.shape} is singular")
@@ -273,8 +274,7 @@ def tv_log_volume(alpha: float, d: int) -> float:
     """
     if not 0.0 < alpha < math.inf:
         raise DomainError(f"alpha must be positive and finite, got {alpha}")
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
+    d = require_int(d, "dimension", 1)
     # ln 2 + ln alpha, not ln(2 alpha): 2 alpha overflows above ~9e307
     return d * (math.log(2.0) + math.log(alpha)) - math.lgamma(d + 1.0)
 
@@ -288,10 +288,9 @@ def tv_volume_mc(alpha: float, d: int, rng: Rng, n: int = 200000):
     hit-fraction variance is floored at one hit in n, so a run with no
     hit (or no miss) still reports an error bar that covers the truth.
     """
+    d, n = require_int(d, "dimension", 1), require_int(n, "sample count", 1)
     if d > 8:
         raise DomainError("Monte Carlo cross-check is meant for small d (<= 8)")
-    if n < 1:
-        raise DomainError(f"sample count must be >= 1, got {n}")
     try:
         cube = (2.0 * alpha) ** d
     except OverflowError:

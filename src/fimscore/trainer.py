@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, NonFiniteError, require_int
-from .models import require_finite
+from .errors import (DomainError, InsufficientDataError, NonFiniteError, require_finite,
+                     require_int)
+from .models import layer_fail
 from .numcore import Rng
 
 BETA1 = 0.9
@@ -120,7 +121,7 @@ def train(model, data: np.ndarray, config: TrainConfig) -> TrainResult:
                 m_hat = m / (1.0 - BETA1 ** step)
                 v_hat = v / (1.0 - BETA2 ** step)
                 theta += config.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
-                require_finite(theta, work.params.layer_of)
+                require_finite(theta, layer_fail(work.params.layer_of))
             except NonFiniteError as exc:
                 raise NonFiniteError(f"{exc} at epoch {epoch}, batch {b}") from exc
         curve.append(float(np.mean(work.log_likelihood_batch(train_rows))))

@@ -170,6 +170,44 @@ def test_run_pairings_one_dimensional_split_skips_only_its_cells():
                     assert 0.0 <= row["auroc"] <= 1.0
 
 
+def test_run_pairings_zero_dimensional_fit_rows_skip_their_column():
+    """0-D fit rows hold no row: their column's cells are skipped, naming the
+    fit split, and the other column is scored."""
+    entries, evals = _two_gaussian_setup()
+    entries["near"] = (entries["near"][0], np.float64(3.0))
+    for methods in (tuple(METHODS), ("typicality",)):
+        reports = {r.train: r for r in run_pairings(entries, evals, batch_sizes=[5],
+                                                    n_eval_batches=10, methods=methods)}
+        assert reports["near"].metadata["n_fit_rows"] == 0
+        assert all(row["auroc"] is None and row["skipped"] ==
+                   "fit split of 'near' must be 2-D (rows, dim), got shape ()"
+                   for row in reports["near"].rows)
+        assert all(row["auroc"] is not None for row in reports["far"].rows)
+
+
+def test_run_pairings_wrong_width_split_names_it():
+    """A split of another width than the model's is skipped naming the split
+    and its own shape, not the shape of the batches cut from it."""
+    entries, evals = _two_gaussian_setup()
+    evals["wide"] = np.zeros((25, 3))
+    runs = [run_pairings(entries, evals, batch_sizes=[1, 5], n_eval_batches=10)]
+    entries["near"] = (entries["near"][0], np.zeros((40, 3)))
+    for methods in (tuple(METHODS), ("typicality",)):
+        runs.append(run_pairings(entries, evals, batch_sizes=[1, 5], n_eval_batches=10,
+                                 methods=methods))
+    for k, reports in enumerate(runs):
+        for report in reports:
+            for row in report.rows:
+                if k >= 1 and report.train == "near":
+                    assert row["skipped"] == ("fit split of 'near' must have 2 columns, "
+                                              "got shape (40, 3)")
+                elif row["test"] == "wide":
+                    assert row["skipped"] == ("eval split 'wide' must have 2 columns, "
+                                              "got shape (25, 3)")
+                else:
+                    assert 0.0 <= row["auroc"] <= 1.0
+
+
 def _two_flow_setup():
     entries, evals = {}, {}
     for k, (name, shift) in enumerate((("near", 0.0), ("far", 5.0))):

@@ -386,12 +386,15 @@ def test_malformed_checkpoints(tmp_path):
     ([], ""), ({"K": "x"}, "K"), ({"K": None}, "K"), ({"K": float("inf")}, "K"),
     ({}, ""), ({"K": 2, "H": 5}, "c"), ({"K": 2.5, "H": 4, "c": 5.0}, "K"),
     ({"K": 2, "H": 4.9, "c": 5.0}, "H"), ({"K": True, "H": 4, "c": 5.0}, "K"),
-    ({"K": 2, "H": 4, "c": True}, "c"), ({"K": 2, "H": 4, "c": "5"}, "c")],
+    ({"K": 2, "H": 4, "c": True}, "c"), ({"K": 2, "H": 4, "c": "5"}, "c"),
+    ({"K": 2, "H": 4, "c": float("inf")}, "c"), ({"K": 2, "H": 4, "c": float("nan")}, "c")],
     ids=["list", "string", "null", "inf", "empty", "no_clamp", "float_K", "float_H",
-         "bool_K", "bool_c", "string_c"])
+         "bool_K", "bool_c", "string_c", "inf_c", "nan_c"])
 def test_malformed_checkpoint_hyper(tmp_path, hyper, field):
     """A hyper value that is missing or of the wrong JSON type is refused,
-    naming its field: no count is rounded and no bool or string is coerced."""
+    naming its field: no count is rounded and no bool or string is coerced.
+    ``json.dump`` writes an infinite or NaN clamp as Infinity or NaN, which
+    reads back as a float and is refused as not finite."""
     path = str(tmp_path / "model.json")
     save_model(zero_flow(n_blocks=2), path)
     with open(path) as fh:
