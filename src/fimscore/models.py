@@ -51,8 +51,8 @@ def layer_fail(layer_of):
 
 class LayeredParams:
     """Ordered, named parameter layers (also used for gradient vectors):
-    read-only row-major views over one flat buffer, which ``flat``
-    returns without copying. ``offsets`` holds each layer's start;
+    read-only row-major views over one flat buffer, made on first use, which
+    ``flat`` returns without copying. ``offsets`` holds each layer's start;
     ``from_flat`` copies a vector into a new instance with this layout."""
 
     def __init__(self, items):
@@ -68,7 +68,13 @@ class LayeredParams:
 
     def _adopt(self, buf: np.ndarray) -> None:
         buf.flags.writeable = False
-        self._buf, self.arrays = buf, self.views(buf)
+        self._buf, self._arrays = buf, None
+
+    @property
+    def arrays(self) -> list:
+        if self._arrays is None:
+            self._arrays = self.views(self._buf)
+        return self._arrays
 
     def __iter__(self):
         return iter(zip(self.names, self.arrays))
@@ -110,6 +116,9 @@ class LayeredParams:
 def group_sums(a: np.ndarray, b, group_size: int, out=None) -> np.ndarray:
     """Sum of a_r b_r^T over each group of ``group_size`` consecutive rows,
     shape (groups, p, q); of a_r alone, shape (groups, p), when b is None."""
+    if out is not None and len(a) == group_size:  # one group: no batched call
+        np.add.reduce(a, axis=0, out=out[0]) if b is None else np.dot(a.T, b, out=out[0])
+        return out
     a_g = a.reshape(-1, group_size, a.shape[1])
     if b is None:
         return a_g.sum(axis=1, out=out)
@@ -202,6 +211,7 @@ class DiagGaussianModel:
     def sample(self, rng: Rng, n: int) -> np.ndarray:
         """n draws; consumes n*dim normals in row-major (sample, coord) order."""
         mu, ls = self.params.arrays
+        n = require_int(n, "sample count", 1)
         z = rng.normals(n * self.dim).reshape(n, self.dim)
         return mu + np.exp(ls) * z
 
@@ -244,6 +254,10 @@ class CouplingFlowModel:
                 f"{expected[:3]}..."
             )
         self.params = params
+        w, lo, hi = params.arrays, slice(0, half), slice(half, dim)
+        # per block: (w_in, b_in, w_out, b_out, transformed slice, pass-through slice)
+        self._blocks = tuple((*w[4 * k:4 * k + 4], *((hi, lo) if k % 2 else (lo, hi)))
+                             for k in range(n_blocks))
 
     @staticmethod
     def _hyper(dim, n_blocks, hidden, clamp):
@@ -277,20 +291,9 @@ class CouplingFlowModel:
         return CouplingFlowModel(self.dim, params, self.n_blocks, self.hidden,
                                  self.clamp)
 
-    def _block_params(self, k: int):
-        """(w_in, b_in, w_out, b_out) of block k."""
-        return self.params.arrays[4 * k : 4 * k + 4]
-
-    def _halves(self, k: int):
-        """(transformed slice, pass-through slice) for block k."""
-        half = self.dim // 2
-        if k % 2 == 0:
-            return slice(0, half), slice(half, self.dim)
-        return slice(half, self.dim), slice(0, half)
-
-    def _hidden(self, k: int, cond: np.ndarray) -> np.ndarray:
-        """tanh(cond @ w_in.T + b_in) of block k, built in one buffer."""
-        w_in, b_in, _, _ = self._block_params(k)
+    @staticmethod
+    def _hidden(w_in: np.ndarray, b_in: np.ndarray, cond: np.ndarray) -> np.ndarray:
+        """tanh(cond @ w_in.T + b_in), built in one buffer."""
         h = np.dot(cond, w_in.T)  # np.matmul is slow on dim 2's outer product
         return np.tanh(np.add(h, b_in, out=h), out=h)
 
@@ -298,21 +301,19 @@ class CouplingFlowModel:
         """Data-to-base pass; with ``keep``, caches per-block intermediates for
         backward, and h too with ``keep_h``. An uncached h is dropped before
         the next block makes its own."""
-        half = self.dim // 2
+        half, c = self.dim // 2, self.clamp
         z = np.array(x, dtype=np.float64)
         logdet = np.zeros(x.shape[0])
         cache = []
-        for k in range(self.n_blocks):
-            _, _, w_out, b_out = self._block_params(k)
-            tsl, csl = self._halves(k)
+        for w_in, b_in, w_out, b_out, tsl, csl in self._blocks:
             act, cond = z[:, tsl], z[:, csl]
             if keep:  # both halves of z change in later blocks
                 act, cond = act.copy(), cond.copy()
-            h = self._hidden(k, cond)
+            h = self._hidden(w_in, b_in, cond)
             o = np.dot(h, w_out.T)
             o += b_out
             s_raw = o[:, :half]
-            s = np.clip(s_raw, -self.clamp, self.clamp)
+            s = np.minimum(np.maximum(s_raw, -c), c)  # np.clip's values, without its wrapper
             es = np.exp(s)
             z[:, tsl] = act * es + o[:, half:]
             logdet += s.sum(axis=1)
@@ -343,11 +344,10 @@ class CouplingFlowModel:
 
     def _factors(self, g: np.ndarray, cache: list):
         for k in range(self.n_blocks - 1, -1, -1):
-            w_in, _, w_out, _ = self._block_params(k)
-            tsl, csl = self._halves(k)
+            w_in, b_in, w_out, _, tsl, csl = self._blocks[k]
             act, cond, s_raw, es, h = cache.pop()
             if h is None:
-                h = self._hidden(k, cond)
+                h = self._hidden(w_in, b_in, cond)
             g_act_out = g[:, tsl]
             ds = (g_act_out * act * es + 1.0) * (np.abs(s_raw) < self.clamp)
             do = np.concatenate([ds, g_act_out], axis=1)
@@ -356,8 +356,9 @@ class CouplingFlowModel:
             yield 4 * k + 3, do, None
             yield 4 * k, du, cond
             yield 4 * k + 1, du, None
-            g[:, tsl] *= es  # do already holds its copy of g_act_out
-            g[:, csl] += du @ w_in
+            if k:  # block 0's g is read by no later block
+                g[:, tsl] *= es  # do already holds its copy of g_act_out
+                g[:, csl] += du @ w_in
 
     grad_groups = _grad_groups
     score_batch = _score_batch
@@ -366,14 +367,12 @@ class CouplingFlowModel:
 
     def sample(self, rng: Rng, n: int) -> np.ndarray:
         """n draws; consumes n*dim base normals, then inverts the chain."""
-        half = self.dim // 2
+        half, c, n = self.dim // 2, self.clamp, require_int(n, "sample count", 1)
         z = rng.normals(n * self.dim).reshape(n, self.dim)
-        for k in range(self.n_blocks - 1, -1, -1):
-            _, _, w_out, b_out = self._block_params(k)
-            tsl, csl = self._halves(k)
-            o = np.dot(self._hidden(k, z[:, csl]), w_out.T)
+        for w_in, b_in, w_out, b_out, tsl, csl in reversed(self._blocks):
+            o = np.dot(self._hidden(w_in, b_in, z[:, csl]), w_out.T)
             o += b_out
-            s = np.clip(o[:, :half], -self.clamp, self.clamp)
+            s = np.minimum(np.maximum(o[:, :half], -c), c)
             z[:, tsl] = (z[:, tsl] - o[:, half:]) * np.exp(-s)
         return z
 
@@ -420,7 +419,7 @@ def score(model, x) -> LayeredParams:
 
 
 def sample(model, rng: Rng, n: int) -> np.ndarray:
-    return model.sample(rng, require_int(n, "sample count", 1))
+    return model.sample(rng, n)  # the model's own sample checks n
 
 
 def checkpoint_dict(model) -> dict:

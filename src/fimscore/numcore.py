@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 
 _MASK64 = (1 << 64) - 1
 _PCG_MULT = 6364136223846793005
@@ -108,7 +108,7 @@ class Rng:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in [0, 1), each from two consecutive 32-bit outputs."""
-        raw = self._bulk_u32(2 * n)
+        raw = self._bulk_u32(2 * require_int(n, "uniform count", 0))
         hi = raw[0::2]
         lo = raw[1::2]
         with np.errstate(over="ignore"):
@@ -117,7 +117,7 @@ class Rng:
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller; consumes 2*ceil(n/2) uniforms."""
-        if n <= 0:
+        if require_int(n, "normal count", 0) == 0:
             return np.empty(0, dtype=np.float64)
         m = (n + 1) // 2
         u = self.uniforms(2 * m)
@@ -138,7 +138,8 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n); consumes n-1 randint draws."""
-        js = (self.uniforms(n - 1) * np.arange(n, 1, -1)).astype(np.int64).tolist()
+        n = require_int(n, "permutation length", 0)
+        js = (self.uniforms(max(n - 1, 0)) * np.arange(n, 1, -1)).astype(np.int64).tolist()
         perm = list(range(n))
         for i, j in zip(range(n - 1, 0, -1), js):
             perm[i], perm[j] = perm[j], perm[i]

@@ -59,6 +59,34 @@ def test_count_arguments_refuse_non_integers(case, value):
         call(value)
 
 
+DRAW_COUNTS = {  # case: (name, lowest count, call)
+    "Rng.uniforms": ("uniform count", 0, lambda v: Rng(0).uniforms(v)),
+    "Rng.normals": ("normal count", 0, lambda v: Rng(0).normals(v)),
+    "Rng.permutation": ("permutation length", 0, lambda v: Rng(0).permutation(v)),
+    "DiagGaussianModel.sample": ("sample count", 1, lambda v: GAUSS.sample(Rng(0), v)),
+    "CouplingFlowModel.sample": ("sample count", 1,
+                                 lambda v: CouplingFlowModel(2, FLOW_PARAMS, 1, 3).sample(Rng(0), v)),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True, -1], ids=["float", "bool", "negative"])
+@pytest.mark.parametrize("case", sorted(DRAW_COUNTS))
+def test_draw_counts_are_checked_where_they_are_drawn(case, value):
+    """Counts that reach an Rng draw or a model's own sample directly, not
+    through models.sample, are refused there naming the count. An Rng draw of
+    0 is empty; a model draws at least one sample."""
+    name, low, call = DRAW_COUNTS[case]
+    want = (f"^{name} must be >= {low}, got -1$" if value == -1
+            else f"^{name} must be an integer, got {value!r}$")
+    with pytest.raises(DomainError, match=want):
+        call(value)
+    if low:
+        with pytest.raises(DomainError, match=f"^{name} must be >= 1, got 0$"):
+            call(0)
+    else:
+        assert call(0).shape == (0,)
+
+
 def test_require_int_bounds_and_types():
     got = require_int(np.int64(3), "k", 1)
     assert got == 3 and type(got) is int

@@ -115,9 +115,7 @@ def test_flow_invertibility():
     # invert by re-running the sampling chain on z
     y = np.array(z)
     half = m.dim // 2
-    for k in range(m.n_blocks - 1, -1, -1):
-        w_in, b_in, w_out, b_out = m._block_params(k)
-        tsl, csl = m._halves(k)
+    for w_in, b_in, w_out, b_out, tsl, csl in reversed(m._blocks):
         h = np.tanh(y[:, csl] @ w_in.T + b_in)
         o = h @ w_out.T + b_out
         s = np.clip(o[:, :half], -m.clamp, m.clamp)
@@ -154,6 +152,55 @@ def test_flow_logdet_matches_independent_forward():
             + logdet)
     got = m.log_likelihood_batch(x)
     assert np.max(np.abs(got - want)) < 1e-10
+
+
+def test_clamp_saturation_matches_np_clip_and_finite_differences():
+    """With b_in = 0, a zero conditioner input makes h = 0, so s_raw is
+    b_out's scale entry exactly: block 0's b_out puts it at +c and block 1's
+    at -c, and the transformed coordinate stays 0 into block 1. Other rows
+    land inside the clamp or beyond it. The forward equals a from-scratch
+    np.clip forward bit for bit, and grad_groups rows off the clamp's kink
+    match central differences."""
+    c, half = 1.0, 1
+    rng = Rng(53)
+    items = []
+    for k, b_s in enumerate((c, -c)):
+        items += [(f"block{k}.w_in", rng.normals(3).reshape(3, 1)),
+                  (f"block{k}.b_in", np.zeros(3)),
+                  (f"block{k}.w_out", rng.normals(6).reshape(2, 3)),
+                  (f"block{k}.b_out", np.array([b_s, 0.0]))]
+    m = CouplingFlowModel(2, LayeredParams(items), 2, 3, clamp=c)
+    x = np.vstack([[0.0, 0.0], [0.7, 0.0], [-1.2, 0.0], Rng(54).normals(40).reshape(20, 2)])
+
+    z, logdet, s_raws = x.copy(), np.zeros(len(x)), []
+    for k in range(2):
+        w_in, b_in, w_out, b_out = (m.params[f"block{k}.{n}"]
+                                    for n in ("w_in", "b_in", "w_out", "b_out"))
+        tsl, csl = (slice(0, 1), slice(1, 2)) if k == 0 else (slice(1, 2), slice(0, 1))
+        o = np.dot(np.tanh(np.dot(z[:, csl], w_in.T) + b_in), w_out.T) + b_out
+        s_raws.append(o[:, 0])
+        s = np.clip(o[:, :half], -c, c)
+        z[:, tsl] = z[:, tsl] * np.exp(s) + o[:, half:]
+        logdet += s.sum(axis=1)
+    want = -0.5 * 2 * math.log(2.0 * math.pi) - 0.5 * np.sum(z * z, axis=1) + logdet
+
+    s_raws = np.column_stack(s_raws)
+    assert np.all(s_raws[:3, 0] == c) and s_raws[0, 1] == -c
+    off_kink = np.all(np.abs(np.abs(s_raws) - c) > 1e-3, axis=1)
+    inside = off_kink & np.all(np.abs(s_raws) < c, axis=1)
+    assert inside.sum() >= 3 and (off_kink & ~inside).sum() >= 3
+    assert np.array_equal(m.log_likelihood_batch(x), want)
+    assert np.array_equal(m.factor_sweep(x)[0], want)
+
+    grads, _ = m.grad_groups(x, 1)
+    flat0 = m.params.flat()
+    for r in np.flatnonzero(off_kink):
+
+        def obj(flat, xr=x[r:r + 1]):
+            return float(m.with_params(m.params.from_flat(flat)).log_likelihood_batch(xr)[0])
+
+        fd = finite_diff_grad(obj, flat0, h=1e-6)
+        assert np.max(np.abs(grads[r] - fd) / np.maximum(np.abs(fd), 1.0)) < 1e-6
 
 
 def test_gaussian_sampling_moments():

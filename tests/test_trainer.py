@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -285,3 +286,30 @@ def test_result_fields():
     assert isinstance(res, TrainResult)
     assert len(res.loss_curve) == 2
     assert res.train_rows.shape[0] + res.fit_rows.shape[0] == 900
+
+
+TRAIN_PINS = {
+    "flow_d4_K3_H5": "a2e1039d9d5ef952440b4a9e2bfdbe61b20f3ba6dc0b3663e1be9224cffa7b3c",
+    "flow_d2_K4_H16": "1369a58186323a246c255b24be4a52fabac413efef615a45fdb5d8d916102bee",
+    "diag_gaussian": "36134bf132b3e9099abf8fd58727d2f881e6cbd4d25f9420ab74615fa5b23d18",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRAIN_PINS))
+def test_three_epoch_training_bits_are_pinned(case):
+    """sha256 of the trained parameters and the loss curve after 3 epochs,
+    for a d = 4 flow, the CLI walkthrough's d = 2 K = 4 H = 16 flow and the
+    diagonal Gaussian. A faster step must keep every bit of training."""
+    moons = generate("two_moons", 1200, seed=5).points
+    model, rows = {
+        "flow_d4_K3_H5": lambda: (
+            CouplingFlowModel.init_random(4, Rng(1).child(0), n_blocks=3, hidden=5),
+            np.column_stack([moons, generate("rings", 1200, seed=6).points])),
+        "flow_d2_K4_H16": lambda: (
+            CouplingFlowModel.init_random(2, Rng(2).child(0), n_blocks=4, hidden=16), moons),
+        "diag_gaussian": lambda: (DiagGaussianModel.standard(2), moons),
+    }[case]()
+    res = train(model, rows, TrainConfig(epochs=3, batch_size=128, learning_rate=3e-3, seed=7))
+    digest = hashlib.sha256(res.model.params.flat().tobytes())
+    digest.update(np.asarray(res.loss_curve).tobytes())
+    assert digest.hexdigest() == TRAIN_PINS[case]
