@@ -8,6 +8,10 @@ under --out (every flag value, the seed included, plus those input and
 artifact digests) so a run can be audited and reproduced, and prints
 the summary. Exit codes: 0 success, 1 domain error (bad values, missing
 or malformed files), 2 usage error.
+
+Only numpy, data, errors and numcore load with this module; each
+subcommand imports the modules it runs when it is run, so a process
+loads only what its one subcommand needs.
 """
 
 from __future__ import annotations
@@ -19,10 +23,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, data, detector, evaluation, fim, gradfeatures
-from . import models as M
-from . import representation as R
-from . import trainer
+from . import __version__, data
 from .errors import DomainError, FimscoreError
 from .numcore import Rng
 
@@ -83,6 +84,7 @@ def _cmd_gen_data(args):
 
 
 def _cmd_train(args):
+    from . import models as M, trainer
     # --data is a gen-data directory, whose train and fit splits are
     # stacked, or one DMAT file
     if os.path.isdir(args.data):
@@ -124,6 +126,7 @@ def _require_dim(flag: str, path: str, rows: np.ndarray, model) -> None:
 
 
 def _cmd_features(args):
+    from . import gradfeatures, models as M
     model = M.load_model(args.model)
     rows = data.load_dmat(args.data)
     _require_dim("--data", args.data, rows, model)
@@ -139,6 +142,7 @@ def _cmd_features(args):
 
 
 def _cmd_fit(args):
+    from . import detector, gradfeatures
     feats, provenance = gradfeatures.load_features(args.features)
     det = detector.fit_detector(gradfeatures.log_features(feats))
     detector.save_detector(det, args.out, provenance)
@@ -146,6 +150,7 @@ def _cmd_fit(args):
 
 
 def _cmd_score(args):
+    from . import detector, evaluation, gradfeatures
     det, fit_provenance = detector.load_detector(args.detector)
     feats, provenance = gradfeatures.load_features(args.features)
     for key, want in fit_provenance.items():
@@ -176,6 +181,9 @@ def _parse_named(items, what: str, parts: int):
 
 
 def _cmd_eval(args):
+    from . import evaluation, models as M
+    if args.methods is None:
+        args.methods = ",".join(evaluation.METHODS)
     trains = _parse_named(args.train, "train", 2)
     evals = _parse_named(args.eval, "eval", 1)
     if not trains or len(evals) < 2:
@@ -209,6 +217,7 @@ def _cmd_eval(args):
 
 
 def _cmd_fim_probe(args):
+    from . import fim, models as M
     model = M.load_model(args.model)
     root = Rng(args.seed)
     if args.layers:
@@ -235,20 +244,22 @@ def _cmd_fim_probe(args):
             f"off-diagonal mean {offdiag_mean:.4f}")
 
 
-# --transform name -> constructor of the transform from (dim, rng)
+# --transform name -> constructor of the transform from (representation
+# module, dim, rng)
 _TRANSFORMS = {
-    "identity": lambda dim, rng: R.identity_transform(dim),
-    "scale_shift": lambda dim, rng: R.scale_shift_transform(dim),
-    "affine": R.random_affine,
-    "exp": lambda dim, rng: R.ElementwiseMonotone("exp"),
-    "tanh_warp": lambda dim, rng: R.ElementwiseMonotone("tanh_warp"),
+    "identity": lambda R, dim, rng: R.identity_transform(dim),
+    "scale_shift": lambda R, dim, rng: R.scale_shift_transform(dim),
+    "affine": lambda R, dim, rng: R.random_affine(dim, rng),
+    "exp": lambda R, dim, rng: R.ElementwiseMonotone("exp"),
+    "tanh_warp": lambda R, dim, rng: R.ElementwiseMonotone("tanh_warp"),
 }
 
 
 def _cmd_invariance_check(args):
+    from . import models as M, representation as R
     model = M.load_model(args.model)
     root = Rng(args.seed)
-    transform = _TRANSFORMS[args.transform](model.dim, root.child(1))
+    transform = _TRANSFORMS[args.transform](R, model.dim, root.child(1))
     points = M.sample(model, root.child(2), args.n_points)
     report = R.check_gradient_invariance(model, transform, points)
     tol_grad, tol_ll = 1e-10, 1e-9
@@ -270,6 +281,7 @@ def _cmd_invariance_check(args):
 
 
 def _cmd_tv_volume(args):
+    from . import representation as R
     log_vol = R.tv_log_volume(args.alpha, args.d)
     obj = {
         "alpha": args.alpha,
@@ -338,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval", action="append", metavar="NAME=EVAL_DMAT")
     p.add_argument("--batch-sizes", default="1,5")
     p.add_argument("--n-batches", type=int, default=200)
-    p.add_argument("--methods", default=",".join(evaluation.METHODS))
+    p.add_argument("--methods", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eval)
 

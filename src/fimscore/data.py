@@ -201,7 +201,8 @@ def write_atomic(path: str, contents) -> None:
     """Write ``contents`` (str as UTF-8, or bytes) to ``path`` atomically.
 
     The bytes go to ``path + ".tmp"``, which then replaces ``path`` by
-    ``os.replace``; if any step fails the tmp file is removed.
+    ``os.replace``; if any step fails the tmp file is removed, and an
+    OSError about the tmp file is raised again naming ``path``.
     """
     if isinstance(contents, str):
         contents = contents.encode("utf-8")
@@ -210,9 +211,11 @@ def write_atomic(path: str, contents) -> None:
         with open(tmp, "wb") as fh:
             fh.write(contents)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.isfile(tmp):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
     if _record is not None:
         _record["artifacts"][path] = hashlib.sha256(contents).hexdigest()

@@ -1,4 +1,4 @@
-"""Deterministic numeric kernels: PRNG, normal CDF, finite differences.
+"""Deterministic numeric kernels: PRNG and normal CDF.
 
 The random generator is PCG32 (64-bit LCG state, xorshift-rotate output)
 so that streams are reproducible bit-for-bit across platforms and runs.
@@ -167,29 +167,3 @@ def std_normal_cdf(z):
     return 0.5 * np.asarray(_ERFC(-np.asarray(z, dtype=np.float64) / _SQRT2),
                             dtype=np.float64)
 
-
-def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector.
-
-    This is the independent oracle every hand-derived backward pass is
-    checked against, so it deliberately stays dumb: one (f(x+h e_i) -
-    f(x-h e_i)) / 2h evaluation per coordinate.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DomainError(f"finite_diff_grad expects a flat vector, got ndim={x.ndim}")
-    if not h > 0.0:
-        raise DomainError(f"finite difference step must be positive, got {h}")
-    grad = np.empty_like(x)
-    probe = x.copy()
-    for i in range(x.size):
-        orig = probe[i]
-        probe[i] = orig + h
-        fp = float(f(probe))
-        probe[i] = orig - h
-        fm = float(f(probe))
-        probe[i] = orig
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise DomainError(f"objective not finite at probe for coordinate {i}")
-        grad[i] = (fp - fm) / (2.0 * h)
-    return grad

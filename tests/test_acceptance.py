@@ -34,7 +34,7 @@ from fimscore.fim import (
 )
 from fimscore.gradfeatures import batch_view, feature_sweep, log_features
 from fimscore.models import CouplingFlowModel, DiagGaussianModel, score
-from fimscore.numcore import Rng, finite_diff_grad
+from fimscore.numcore import Rng
 from fimscore.representation import (
     ElementwiseMonotone,
     RgbHsvPixelwise,
@@ -48,6 +48,8 @@ from fimscore.representation import (
     tv_volume_mc,
 )
 from fimscore.trainer import TrainConfig, train
+
+from finite_diff import finite_diff_grad
 
 LN10 = 2.302585092994046
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fimscore
-from fimscore import cli, detector
+from fimscore import cli, detector, evaluation
 from fimscore.data import load_csv, load_dmat, save_dmat
 from fimscore.gradfeatures import load_features, log_features
 
@@ -275,17 +275,19 @@ def _manifest_path(out):
         else out + ".manifest.json"
 
 
-def _run_for_manifest(command, pipeline, out):
-    """Run ``command`` on the pipeline's artifacts, or reuse the run the
-    fixture made; returns the --out path whose manifest to read."""
-    made = {"gen-data": "data", "train": "model", "features": "feats",
-            "fit": "det", "score": "scores"}
-    if command in made:
-        return pipeline[made[command]]
+def _argv(command, pipeline):
+    """Every flag but --out of a small ``command`` run on the pipeline's
+    artifacts."""
     model = os.path.join(pipeline["model"], "model.json")
-    argv = {
-        "eval": ["--train", f"a={model}:"
-                 f"{os.path.join(pipeline['model'], 'fit_split.dmat')}",
+    fit = os.path.join(pipeline["model"], "fit_split.dmat")
+    return {
+        "gen-data": ["--dist", "gauss_grid", "--n", 50],
+        "train": ["--data", pipeline["data"], "--model", "gaussian", "--epochs", 1,
+                  "--batch-size", 32],
+        "features": ["--model", model, "--data", fit, "--batch-size", 2],
+        "fit": ["--features", pipeline["feats"]],
+        "score": ["--detector", pipeline["det"], "--features", pipeline["feats"]],
+        "eval": ["--train", f"a={model}:{fit}",
                  "--eval", f"a={os.path.join(pipeline['data'], 'eval.dmat')}",
                  "--eval", f"b={os.path.join(pipeline['data'], 'train.dmat')}",
                  "--batch-sizes", "2", "--n-batches", 5],
@@ -293,7 +295,16 @@ def _run_for_manifest(command, pipeline, out):
         "invariance-check": ["--model", model, "--n-points", 5],
         "tv-volume": ["--alpha", 1.0, "--d", 2],
     }[command]
-    assert run([command, *argv, "--out", out]) == 0
+
+
+def _run_for_manifest(command, pipeline, out):
+    """Run ``command`` on the pipeline's artifacts, or reuse the run the
+    fixture made; returns the --out path whose manifest to read."""
+    made = {"gen-data": "data", "train": "model", "features": "feats",
+            "fit": "det", "score": "scores"}
+    if command in made:
+        return pipeline[made[command]]
+    assert run([command, *_argv(command, pipeline), "--out", out]) == 0
     return out
 
 
@@ -496,6 +507,7 @@ def test_score_rejects_reordered_layer_names(pipeline, tmp_path, capsys):
     ("--batch-sizes", "0"),
     ("--batch-sizes", "5,5"),
     ("--methods", "ours,ours"),
+    ("--methods", ""),  # given but empty, unlike the flag left out
     ("--n-batches", "0"),
     ("--train", "a={model}:{fit}"),  # each name may appear once
     ("--eval", "b={ev}"),
@@ -613,6 +625,12 @@ def test_eval_grid_and_determinism(tmp_path):
         assert a == b
 
 
+def test_eval_records_every_method_by_default(pipeline, tmp_path):
+    out = _run_for_manifest("eval", pipeline, str(tmp_path / "out"))
+    config = read_json(_manifest_path(out))["config"]
+    assert config["methods"] == ",".join(evaluation.METHODS)
+
+
 def test_eval_writes_only_the_requested_methods(pipeline, tmp_path):
     model = os.path.join(pipeline["model"], "model.json")
     fit = os.path.join(pipeline["model"], "fit_split.dmat")
@@ -647,6 +665,14 @@ def test_seed_resolution(tmp_path, monkeypatch):
     assert read_json(os.path.join(out3, "manifest.json"))["config"]["seed"] == 0
 
 
+def test_write_into_a_missing_directory_names_the_out_path(pipeline, tmp_path, capsys):
+    out = tmp_path / "missing" / "dir" / "f.csv"
+    assert run(["features", *_argv("features", pipeline), "--out", out]) == 1
+    assert capsys.readouterr().err == \
+        f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_missing_file_is_exit_1(tmp_path, capsys):
     code = run(["features", "--model", str(tmp_path / "nope.json"),
                 "--data", str(tmp_path / "nope.dmat"),
@@ -678,3 +704,49 @@ def test_console_entry_point(tmp_path):
     assert out.returncode == 0
     obj = json.loads(out.stdout)
     assert abs(obj["log_volume"] - math.log(2.0)) < 1e-12
+
+
+CORE_MODULES = {"fimscore", "fimscore.cli", "fimscore.data", "fimscore.errors",
+                "fimscore.numcore"}
+
+# Run by a fresh interpreter: the subcommand in argv, if any, through
+# cli.main, then a last line naming every fimscore module loaded.
+_LOADED = """\
+import sys
+from fimscore import cli
+if sys.argv[1:] and cli.main(sys.argv[1:]) != 0:
+    sys.exit(1)
+print(" ".join(m for m in sys.modules if m.partition(".")[0] == "fimscore"))
+"""
+
+
+def loaded_modules(argv):
+    out = subprocess.run([sys.executable, "-c", _LOADED, *map(str, argv)],
+                         capture_output=True, text=True, env=src_env())
+    assert out.returncode == 0, out.stderr
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def test_importing_the_cli_loads_only_the_core():
+    assert loaded_modules([]) == CORE_MODULES
+
+
+_SCORING = ("models", "gradfeatures", "detector", "baselines", "evaluation")
+# the fimscore modules each subcommand loads beyond CORE_MODULES
+_RUNS = {
+    "gen-data": (),
+    "train": ("models", "trainer"),
+    "features": ("models", "gradfeatures"),
+    "fit": ("models", "gradfeatures", "detector"),
+    "score": _SCORING,
+    "eval": _SCORING,
+    "fim-probe": ("models", "fim"),
+    "invariance-check": ("models", "representation"),
+    "tv-volume": ("models", "representation"),
+}
+
+
+@pytest.mark.parametrize("command", list(_RUNS))
+def test_each_subcommand_loads_only_the_modules_it_runs(pipeline, tmp_path, command):
+    argv = [command, *_argv(command, pipeline), "--out", tmp_path / "out"]
+    assert loaded_modules(argv) == CORE_MODULES | {f"fimscore.{m}" for m in _RUNS[command]}

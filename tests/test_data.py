@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import math
 import struct
@@ -311,3 +312,19 @@ def test_recording_stops_when_its_block_raises(tmp_path):
     load_dmat(path)
     save_dmat(str(tmp_path / "n.dmat"), np.eye(2))
     assert record == {"inputs": {path: _digest(path)}, "artifacts": {}}
+
+
+@pytest.mark.parametrize("name, code, error", [
+    ("missing/f.txt", errno.ENOENT, FileNotFoundError),  # opening the tmp file fails
+    ("taken", errno.EISDIR, IsADirectoryError),  # the rename onto a directory fails
+])
+def test_failed_write_names_the_path_given_and_leaves_no_tmp_file(tmp_path, name,
+                                                                  code, error):
+    (tmp_path / "taken").mkdir()
+    path = str(tmp_path / name)
+    with pytest.raises(error) as exc:
+        write_atomic(path, "x\n")
+    assert exc.value.errno == code
+    assert exc.value.filename == path
+    assert ".tmp" not in str(exc.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]

@@ -139,7 +139,7 @@ def test_feature_scales_quadratically_under_reparameterization():
         return float(shifted.log_likelihood_batch(batch).sum())
 
     phi0 = m.params["mu"] / 2.0
-    from fimscore.numcore import finite_diff_grad
+    from finite_diff import finite_diff_grad
 
     g_phi = finite_diff_grad(obj, phi0, h=1e-6)
     f_phi = float(np.sum(g_phi ** 2))

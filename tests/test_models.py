@@ -17,7 +17,9 @@ from fimscore.models import (
     save_model,
     score,
 )
-from fimscore.numcore import Rng, finite_diff_grad, std_normal_cdf
+from fimscore.numcore import Rng, std_normal_cdf
+
+from finite_diff import finite_diff_grad
 
 # -ln(sqrt(2 pi)), checked against mpmath at 40 digits
 STD_NORMAL_LL_AT_0 = -0.9189385332046727

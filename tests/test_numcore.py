@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import fimscore
 from fimscore.errors import DomainError
-from fimscore.numcore import Rng, finite_diff_grad, std_normal_cdf
+from fimscore.numcore import Rng, std_normal_cdf
+
+from finite_diff import finite_diff_grad
 
 # First outputs of the PCG32 reference implementation's demo program for
 # seed 42, stream 54.

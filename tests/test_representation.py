@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fimscore.errors import DegenerateDataError, DomainError, SingularMatrixError
 from fimscore.models import CouplingFlowModel, DiagGaussianModel, score
-from fimscore.numcore import Rng, finite_diff_grad
+from fimscore.numcore import Rng
 from fimscore.representation import (
     AffineTransform,
     ElementwiseMonotone,
@@ -22,6 +22,8 @@ from fimscore.representation import (
     tv_log_volume,
     tv_volume_mc,
 )
+
+from finite_diff import finite_diff_grad
 
 
 def random_pixels(rng, n):
