@@ -163,7 +163,7 @@ def generate(dist: str, n: int, seed: int, **params) -> Dataset:
         raise DomainError(
             f"unknown distribution '{dist}'; choose from {sorted(GENERATORS)}"
         )
-    rng = Rng(require_int(seed, "seed"))
+    rng = Rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
         points = GENERATORS[dist](n, rng, **params)
     require_finite(points, lambda i: DomainError(
@@ -301,6 +301,9 @@ def save_csv(path: str, matrix: np.ndarray, header=None) -> None:
         raise DomainError(f"CSV export needs a 2-D matrix, got shape {m.shape}")
     if header is None:
         header = [f"c{j}" for j in range(m.shape[1])]
+    if len(header) != m.shape[1] or any("," in h or "\n" in h for h in header):
+        raise DomainError(f"CSV header {list(header)!r} must give {m.shape[1]} names, "
+                          "none holding a comma or a newline")
     lines = [",".join(header)]
     for row in m:
         lines.append(",".join(repr(float(v)) for v in row))

@@ -2,12 +2,12 @@
 
 The random generator is PCG32 (64-bit LCG state, xorshift-rotate output)
 so that streams are reproducible bit-for-bit across platforms and runs.
-Bulk generation uses the closed form of the LCG orbit,
+Every draw goes through one bulk path, the closed form of the LCG orbit,
 
     state_i = a^i * state_0 + c * (a^(i-1) + ... + a + 1)   (mod 2^64),
 
-evaluated with wrapping uint64 cumulative products/sums, and is exactly
-the sequence the scalar stepper produces.
+evaluated with wrapping uint64 cumulative products/sums. The scalar
+reference in tests/pcg_reference.py, one LCG step per output, checks it.
 
 The normal CDF defers to the C library's erfc through ``math``.
 """
@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, require_int
+from .errors import require_int
 
 _MASK64 = (1 << 64) - 1
 _PCG_MULT = 6364136223846793005
@@ -45,17 +45,15 @@ class Rng:
     distinct indexes never share state.
 
     Draw conventions (all documented so callers can be replayed):
-      * ``uniform``  consumes two 32-bit outputs -> 53-bit double in [0, 1).
+      * ``uniforms`` top 53 bits of two 32-bit outputs (first high) / 2^53.
       * ``normals``  Box-Muller; n draws consume 2*ceil(n/2) uniforms.
-      * ``randint``  floor(uniform * bound); bias is 2^-53 per draw.
-      * ``permutation`` Fisher-Yates from the top, n-1 randint draws.
+      * ``permutation`` Fisher-Yates from the top: for i = n-1 .. 1 swap i
+        with floor(u * (i + 1)), the u taken in order from uniforms(n - 1).
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        seed = int(seed) & _MASK64
-        stream = int(stream) & _MASK64
-        self.seed = seed
-        self.stream = stream
+        seed = require_int(seed, "seed") & _MASK64
+        stream = require_int(stream, "stream") & _MASK64
         self._inc = ((stream << 1) | 1) & _MASK64
         self._state = 0
         self._step()
@@ -66,19 +64,8 @@ class Rng:
     def _step(self) -> None:
         self._state = (self._state * _PCG_MULT + self._inc) & _MASK64
 
-    @staticmethod
-    def _output(old: int) -> int:
-        xorshifted = (((old >> 18) ^ old) >> 27) & 0xFFFFFFFF
-        rot = old >> 59
-        return ((xorshifted >> rot) | (xorshifted << ((-rot) & 31))) & 0xFFFFFFFF
-
-    def next_u32(self) -> int:
-        old = self._state
-        self._step()
-        return self._output(old)
-
     def _bulk_u32(self, n: int) -> np.ndarray:
-        """n successive 32-bit outputs, bit-identical to n next_u32 calls."""
+        """The next n 32-bit outputs (XSH-RR of the n states before each step)."""
         if n <= 0:
             return np.empty(0, dtype=np.uint64)
         a = np.uint64(_PCG_MULT)
@@ -100,11 +87,6 @@ class Rng:
             left = (np.uint64(32) - rot) & np.uint64(31)
             out = (xorshifted >> rot) | (xorshifted << left)
             return out & np.uint64(0xFFFFFFFF)
-
-    def uniform(self) -> float:
-        hi = self.next_u32()
-        lo = self.next_u32()
-        return (((hi << 32) | lo) >> 11) * _INV_2_53
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in [0, 1), each from two consecutive 32-bit outputs."""
@@ -130,14 +112,8 @@ class Rng:
         out[1::2] = r * np.sin(theta)
         return out[:n]
 
-    def randint(self, bound: int) -> int:
-        """Uniform integer in [0, bound) as floor(uniform * bound)."""
-        if bound <= 0:
-            raise DomainError(f"randint bound must be positive, got {bound}")
-        return int(self.uniform() * bound)
-
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n); consumes n-1 randint draws."""
+        """Fisher-Yates permutation of range(n); consumes n-1 uniforms."""
         n = require_int(n, "permutation length", 0)
         js = (self.uniforms(max(n - 1, 0)) * np.arange(n, 1, -1)).astype(np.int64).tolist()
         perm = list(range(n))
@@ -152,8 +128,7 @@ class Rng:
     def child(self, index: int) -> "Rng":
         """Independent stream number ``index`` derived from this generator's
         construction key (not from its current position)."""
-        if index < 0:
-            raise DomainError(f"child index must be >= 0, got {index}")
+        index = require_int(index, "child index", 0)
         k = _splitmix64(self._derive_key ^ _splitmix64(index + 1))
         return Rng(seed=_splitmix64(k), stream=_splitmix64(k ^ 0x9E3779B97F4A7C15))
 

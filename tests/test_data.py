@@ -240,6 +240,15 @@ def test_csv_roundtrip(tmp_path):
     assert np.array_equal(back, m)
 
 
+@pytest.mark.parametrize("header", [["a"], ["a", "b", "c"], ["a", "b,c"], ["a\nb", "c"]])
+def test_save_csv_refuses_a_header_load_csv_would_misread(tmp_path, header):
+    """One name per column, none with a comma or a newline; nothing is written."""
+    with pytest.raises(DomainError, match=r"^CSV header \[.*\] must give 2 names, "
+                                          "none holding a comma or a newline$"):
+        save_csv(str(tmp_path / "t.csv"), np.zeros((2, 2)), header=header)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_csv_error_locations(tmp_path):
     path = str(tmp_path / "bad.csv")
     with open(path, "w") as fh:

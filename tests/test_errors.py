@@ -48,6 +48,9 @@ COUNTS = {
     "tv_log_volume d": ("dimension", lambda v: tv_log_volume(1.0, v)),
     "tv_volume_mc d": ("dimension", lambda v: tv_volume_mc(1.0, v, Rng(0), 100)),
     "tv_volume_mc n": ("sample count", lambda v: tv_volume_mc(1.0, 2, Rng(0), v)),
+    "Rng seed": ("seed", lambda v: Rng(v)),
+    "Rng stream": ("stream", lambda v: Rng(0, stream=v)),
+    "Rng child index": ("child index", lambda v: Rng(0).child(v)),
 }
 
 

@@ -8,6 +8,7 @@ from fimscore.models import CouplingFlowModel
 from fimscore.numcore import Rng
 
 from gaussian_mle import analytic_mle_gaussian
+from pcg_reference import randint
 
 finite_scores = st.lists(
     st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=40)
@@ -29,11 +30,11 @@ def test_auroc_hand_examples():
 def test_auroc_matches_quadratic_oracle():
     rng = Rng(40)
     for _ in range(100):
-        n_in = 1 + rng.randint(12)
-        n_out = 1 + rng.randint(12)
+        n_in = 1 + randint(rng, 12)
+        n_out = 1 + randint(rng, 12)
         # integer scores force plenty of ties
-        a = np.array([float(rng.randint(6)) for _ in range(n_in)])
-        b = np.array([float(rng.randint(6)) for _ in range(n_out)])
+        a = np.array([float(randint(rng, 6)) for _ in range(n_in)])
+        b = np.array([float(randint(rng, 6)) for _ in range(n_out)])
         pairwise = np.mean(
             (b[None, :] > a[:, None]) + 0.5 * (b[None, :] == a[:, None])
         )

@@ -20,6 +20,8 @@ from fimscore.fim import (
 from fimscore.models import CouplingFlowModel, DiagGaussianModel
 from fimscore.numcore import Rng
 
+from pcg_reference import randint
+
 
 def test_select_weights_constraints():
     # w_out of the H = 32 flow holds 2 * 32 = 64 weights, over the cap
@@ -248,8 +250,8 @@ def _check_against_dense(samples, a0, sx):
 def test_sherman_morrison_matches_dense_solve():
     rng = Rng(30)
     for trial in range(25):
-        p = 3 + rng.randint(18)
-        n = rng.randint(7)
+        p = 3 + randint(rng, 18)
+        n = randint(rng, 7)
         a0 = 0.5 + rng.uniforms(p) * 2.0
         samples = [rng.normals(p) for _ in range(n)]
         sx = rng.normals(p)

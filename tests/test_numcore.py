@@ -12,6 +12,7 @@ from fimscore.errors import DomainError
 from fimscore.numcore import Rng, std_normal_cdf
 
 from finite_diff import finite_diff_grad
+from pcg_reference import next_u32, randint, uniform
 
 # First outputs of the PCG32 reference implementation's demo program for
 # seed 42, stream 54.
@@ -24,14 +25,14 @@ PCG_DEMO_OUTPUTS = [
 
 def test_pcg32_reference_vectors():
     rng = Rng(PCG_DEMO_SEED, stream=PCG_DEMO_STREAM)
-    got = [rng.next_u32() for _ in range(len(PCG_DEMO_OUTPUTS))]
+    got = [next_u32(rng) for _ in range(len(PCG_DEMO_OUTPUTS))]
     assert got == PCG_DEMO_OUTPUTS
 
 
 def test_bulk_matches_scalar_path():
     a, b = Rng(123, stream=7), Rng(123, stream=7)
     bulk = a._bulk_u32(1000)
-    scalar = np.array([b.next_u32() for _ in range(1000)], dtype=np.uint64)
+    scalar = np.array([next_u32(b) for _ in range(1000)], dtype=np.uint64)
     assert np.array_equal(bulk, scalar)
 
 
@@ -60,11 +61,26 @@ def test_cross_process_reproducibility():
 def test_child_streams_are_disjoint_and_stable():
     root = Rng(77)
     c0, c1 = root.child(0), root.child(1)
-    s0 = [c0.next_u32() for _ in range(8)]
-    s1 = [c1.next_u32() for _ in range(8)]
+    s0 = [next_u32(c0) for _ in range(8)]
+    s1 = [next_u32(c1) for _ in range(8)]
     assert s0 != s1
     again = Rng(77).child(0)
-    assert [again.next_u32() for _ in range(8)] == s0
+    assert [next_u32(again) for _ in range(8)] == s0
+    with pytest.raises(DomainError, match="^child index must be >= 0, got -1$"):
+        root.child(-1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_uniforms_match_scalar_reference(n):
+    """uniforms(n) is n reference uniform() draws bit for bit, and leaves
+    the generator where they leave it. A negative seed wraps mod 2^64."""
+    for seed in (0, 5, 2**64 - 1):
+        fast, slow, wrapped = Rng(seed), Rng(seed), Rng(seed - 2**64)
+        got = fast.uniforms(n)
+        want = np.array([uniform(slow) for _ in range(n)], dtype=np.float64)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert fast._state == slow._state
+        assert wrapped.uniforms(n).tobytes() == got.tobytes()
 
 
 def test_uniforms_in_unit_interval():
@@ -81,10 +97,10 @@ def test_normals_moments():
 
 def test_randint_bounds():
     r = Rng(13)
-    draws = [r.randint(7) for _ in range(2000)]
+    draws = [randint(r, 7) for _ in range(2000)]
     assert min(draws) == 0 and max(draws) == 6
     with pytest.raises(DomainError):
-        r.randint(0)
+        randint(r, 0)
 
 
 @given(st.integers(0, 2**32), st.integers(1, 300))
@@ -104,11 +120,11 @@ def test_permutation_matches_scalar_fisher_yates(n):
         got = fast.permutation(n)
         want = list(range(n))
         for i in range(n - 1, 0, -1):
-            j = slow.randint(i + 1)
+            j = randint(slow, i + 1)
             want[i], want[j] = want[j], want[i]
         assert got.dtype == np.int64
         assert got.tolist() == want
-        assert fast.next_u32() == slow.next_u32()
+        assert next_u32(fast) == next_u32(slow)
 
 
 def test_shuffled_preserves_rows():
