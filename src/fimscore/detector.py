@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import json_text, read_json, write_atomic
 from .errors import (DatasetFormatError, DomainError, InsufficientDataError, require_finite,
-                     require_int)
+                     require_int, require_numbers)
 from .gradfeatures import read_provenance
 from .numcore import std_normal_cdf
 
@@ -106,16 +106,12 @@ def load_detector(path: str):
     """Inverse of save_detector; returns (detector, provenance)."""
     obj = read_json(path)
     try:
-        mu = np.asarray(obj["mu"], dtype=np.float64)
-        sigma2 = np.asarray(obj["sigma2"], dtype=np.float64)
+        mu, sigma2 = require_numbers(obj["mu"], "mu"), require_numbers(obj["sigma2"], "sigma2")
         det = DetectorModel(mu, sigma2, require_int(obj["n_fit"], "n_fit", 2))
-    except (KeyError, TypeError, ValueError) as exc:  # require_int's DomainError too
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:  # DomainErrors too
         raise DatasetFormatError(f"malformed detector file '{path}': {exc}") from exc
-    if mu.shape != sigma2.shape or mu.ndim != 1:
+    if mu.shape != sigma2.shape:
         raise DatasetFormatError(f"'{path}': mu and sigma2 must be equal-length vectors")
-    for name, v in (("mu", mu), ("sigma2", sigma2)):
-        require_finite(v, lambda index: DatasetFormatError(
-            f"'{path}': {name} entry {index[0]} is not finite"))
     if np.any(sigma2 <= 0.0):
         raise DatasetFormatError(f"'{path}': sigma2 entries must be positive")
     return det, read_provenance(obj, path, mu.size)

@@ -2,8 +2,9 @@
 
 Every error raised by library code derives from FimscoreError so the CLI
 can map domain failures to a single exit code. Subclasses carry enough
-context (row/column, epoch/batch) to be actionable. The package's three
-argument checks live here: require_int (counts and seeds), require_finite
+context (row/column, epoch/batch) to be actionable. The package's argument
+checks live here: require_int (counts and seeds), require_positive (rates
+and radii), require_numbers (number lists read from JSON), require_finite
 (arrays free of NaN and infinity) and reject_repeats (distinct entries).
 """
 
@@ -63,6 +64,24 @@ def require_int(value, name: str, low=None) -> int:
     if low is not None and value < low:
         raise DomainError(f"{name} must be >= {low}, got {value}")
     return int(value)
+
+
+def require_positive(value, name: str) -> float:
+    """``value`` as a float; a bool, a non-number or one not positive and finite is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def require_numbers(values, name: str) -> np.ndarray:
+    """A list of finite ints and floats as a float array; a bool, string, null,
+    NaN or infinite entry is refused naming ``name`` and its index."""
+    for i, v in enumerate(values):
+        if type(v) not in (int, float):
+            raise DomainError(f"{name} entry {i} must be a number, got {v!r}")
+    arr = np.array(values, dtype=np.float64)
+    require_finite(arr, lambda index: DomainError(f"{name} entry {index[0]} is not finite"))
+    return arr
 
 
 def require_finite(arr: np.ndarray, fail) -> None:

@@ -19,10 +19,11 @@ forward caches each block's hidden activations for that backward while they
 fit in HIDDEN_CACHE_FLOATS; ``log_likelihood_batch`` runs it with no cache.
 
 Checkpoints are JSON (type, dims, hyper, named layers with shapes and
-row-major values; a flow's hyper must give K, H and c, none defaulted),
-written and read through ``data``; the checksum hashes a compact
-sorted-key form. Python's shortest-repr float serialization makes
-save/load round-trips bit-for-bit.
+row-major values), written and read through ``data``. The loader and
+``with_params`` both call the family's ``build(dims, layers, **hyper)``; the
+layers must fit the family's one layout, and a flow's hyper gives K, H and c,
+none defaulted. The checksum hashes a compact sorted-key form. Python's
+shortest-repr float serialization makes save/load round-trips bit-for-bit.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ import numpy as np
 
 from .data import json_text, read_json, write_atomic
 from .errors import (DatasetFormatError, DomainError, FimscoreError, NonFiniteError,
-                     require_finite, require_int)
+                     require_finite, require_int, require_numbers,
+                     require_positive)
 from .numcore import Rng
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -138,6 +140,18 @@ def _grad_groups(self, x: np.ndarray, group_size: int):
     return sweep_chunks(self, x, group_size, sink, self.params.n_params, self.params.layer_of)
 
 
+def _with_params(self, params: LayeredParams):
+    """A model of this family, dimension and hyper over ``params``."""
+    return self.build(self.dim, params, **self.hyper)
+
+
+def _check_layout(params: LayeredParams, layout: list) -> None:
+    """DomainError unless ``params`` holds exactly the (name, shape) layers of ``layout``."""
+    got = [(n, a.shape) for n, a in params]
+    if got != layout:
+        raise DomainError(f"layer layout mismatch: got {got[:3]}..., expected {layout[:3]}...")
+
+
 def _log_likelihood_batch(self, x: np.ndarray) -> np.ndarray:
     return self.factor_sweep(_as_batch(x, self.dim))[0]
 
@@ -172,21 +186,22 @@ class DiagGaussianModel:
 
     def __init__(self, mu, log_sigma):
         self.params = LayeredParams([("mu", mu), ("log_sigma", log_sigma)])
-        mu_a, ls_a = self.params.arrays
-        if mu_a.ndim != 1 or mu_a.shape != ls_a.shape or mu_a.size == 0:
-            raise DomainError(
-                f"mu and log_sigma must be equal-length nonempty vectors, got "
-                f"{mu_a.shape} and {ls_a.shape}"
-            )
-        self.dim = mu_a.size
-        self.hyper = {}
+        self.dim, self.hyper = require_int(np.size(mu), "Gaussian dimension", 1), {}
+        _check_layout(self.params, self._layout(self.dim))
+
+    @staticmethod
+    def _layout(dim: int) -> list:
+        return [("mu", (dim,)), ("log_sigma", (dim,))]
 
     @classmethod
     def standard(cls, dim: int) -> "DiagGaussianModel":
         return cls(np.zeros(dim), np.zeros(dim))
 
-    def with_params(self, params: LayeredParams) -> "DiagGaussianModel":
-        return DiagGaussianModel(params["mu"], params["log_sigma"])
+    @classmethod
+    def build(cls, dim: int, params: LayeredParams, **hyper) -> "DiagGaussianModel":
+        """The Gaussian over exactly the layers of ``_layout(dim)``; it has no hyper."""
+        _check_layout(params, cls._layout(dim))
+        return cls(*params.arrays)
 
     def factor_sweep(self, x: np.ndarray):
         """``(loglik, factors)`` of a checked (rows, dim) array: mu (z / sigma,
@@ -202,6 +217,7 @@ class DiagGaussianModel:
         yield 0, z / sigma, None
         yield 1, z * z - 1.0, None
 
+    with_params = _with_params
     log_likelihood_batch = _log_likelihood_batch
     grad_groups = _grad_groups
     score_batch = _score_batch
@@ -240,56 +256,52 @@ class CouplingFlowModel:
         dim, n_blocks, hidden, clamp = self._hyper(dim, n_blocks, hidden, clamp)
         self.dim, self.n_blocks, self.hidden, self.clamp = dim, n_blocks, hidden, clamp
         self.hyper = {"K": n_blocks, "H": hidden, "c": clamp}
-        half = dim // 2
-        expected = []
-        for k in range(n_blocks):
-            expected.append((f"block{k}.w_in", (hidden, half)))
-            expected.append((f"block{k}.b_in", (hidden,)))
-            expected.append((f"block{k}.w_out", (dim, hidden)))
-            expected.append((f"block{k}.b_out", (dim,)))
-        got = [(n, a.shape) for n, a in params]
-        if got != expected:
-            raise DomainError(
-                f"flow layer layout mismatch: got {got[:3]}..., expected "
-                f"{expected[:3]}..."
-            )
+        _check_layout(params, self._layout(dim, n_blocks, hidden))
         self.params = params
-        w, lo, hi = params.arrays, slice(0, half), slice(half, dim)
+        w, lo, hi = params.arrays, slice(0, dim // 2), slice(dim // 2, dim)
         # per block: (w_in, b_in, w_out, b_out, transformed slice, pass-through slice)
         self._blocks = tuple((*w[4 * k:4 * k + 4], *((hi, lo) if k % 2 else (lo, hi)))
                              for k in range(n_blocks))
+
+    @staticmethod
+    def _layout(dim: int, n_blocks: int, hidden: int) -> list:
+        """(name, shape) of every layer, block by block: w_in, b_in, w_out, b_out."""
+        half = dim // 2
+        return [(f"block{k}.{name}", shape) for k in range(n_blocks) for name, shape in
+                (("w_in", (hidden, half)), ("b_in", (hidden,)),
+                 ("w_out", (dim, hidden)), ("b_out", (dim,)))]
 
     @staticmethod
     def _hyper(dim, n_blocks, hidden, clamp):
         """Checked ``(dim, n_blocks, hidden, clamp)``, the clamp as a float."""
         if require_int(dim, "flow dimension") < 2 or dim % 2 != 0:
             raise DomainError(f"flow dimension must be even and >= 2, got {dim}")
-        if not 0 < clamp < math.inf:
-            raise DomainError(f"clamp must be positive and finite, got {clamp}")
         return (int(dim), require_int(n_blocks, "n_blocks", 1),
-                require_int(hidden, "hidden", 1), float(clamp))
+                require_int(hidden, "hidden", 1), require_positive(clamp, "clamp"))
 
     @classmethod
     def init_random(cls, dim: int, rng: Rng, n_blocks: int = 6, hidden: int = 32,
                     clamp: float = 5.0) -> "CouplingFlowModel":
-        """Seeded init: w_in ~ N(0, 1/half), w_out ~ N(0, (0.01)^2/hidden),
-        biases zero. The small output scale keeps the initial map near the
-        identity while leaving all layers trainable."""
+        """Seeded init in layout order: w_in ~ N(0, 1/half), w_out ~
+        N(0, (0.01)^2/hidden), biases zero. The small output scale keeps the
+        initial map near the identity while leaving all layers trainable."""
         dim, n_blocks, hidden, clamp = cls._hyper(dim, n_blocks, hidden, clamp)
-        half = dim // 2
-        items = []
-        for k in range(n_blocks):
-            w_in = rng.normals(hidden * half).reshape(hidden, half) / math.sqrt(half)
-            w_out = 0.01 * rng.normals(dim * hidden).reshape(dim, hidden) / math.sqrt(hidden)
-            items.append((f"block{k}.w_in", w_in))
-            items.append((f"block{k}.b_in", np.zeros(hidden)))
-            items.append((f"block{k}.w_out", w_out))
-            items.append((f"block{k}.b_out", np.zeros(dim)))
-        return cls(dim, LayeredParams(items), n_blocks, hidden, clamp)
+        layers = []
+        for name, shape in cls._layout(dim, n_blocks, hidden):
+            if len(shape) == 1:  # a bias
+                layers.append((name, np.zeros(shape)))
+                continue
+            z = rng.normals(math.prod(shape)).reshape(shape)
+            layers.append((name, (z if name.endswith("w_in") else 0.01 * z) / math.sqrt(shape[1])))
+        return cls(dim, LayeredParams(layers), n_blocks, hidden, clamp)
 
-    def with_params(self, params: LayeredParams) -> "CouplingFlowModel":
-        return CouplingFlowModel(self.dim, params, self.n_blocks, self.hidden,
-                                 self.clamp)
+    @classmethod
+    def build(cls, dim: int, params: LayeredParams, **hyper) -> "CouplingFlowModel":
+        """The flow of hyper K, H and c, none defaulted, over ``params``."""
+        return cls(dim, params, require_int(hyper["K"], "K"), require_int(hyper["H"], "H"),
+                   hyper["c"])
+
+    with_params = _with_params
 
     @staticmethod
     def _hidden(w_in: np.ndarray, b_in: np.ndarray, cond: np.ndarray) -> np.ndarray:
@@ -449,44 +461,27 @@ def save_model(model, path: str) -> None:
 
 
 def model_from_dict(obj: dict):
+    """The model a checkpoint dict holds, made by its family's ``build``, whose
+    hyper must be exactly the checkpoint's; every refusal is a DatasetFormatError."""
     try:
-        mtype = obj["type"]
+        family = _MODEL_TYPES.get(obj["type"])
+        if family is None:
+            raise DomainError(f"unknown model type '{obj['type']}'")
         dims = require_int(obj["dims"], "dims")  # its refusals are ValueErrors, caught below
-        if mtype == CouplingFlowModel.type_name:
-            hyper = obj["hyper"]
-            n_blocks, hidden = require_int(hyper["K"], "K"), require_int(hyper["H"], "H")
-            clamp = hyper["c"]
-            if type(clamp) not in (int, float) or not math.isfinite(clamp):
-                raise DatasetFormatError(f"malformed checkpoint: c must be a finite "
-                                         f"number, got {clamp!r}")
-        layers = obj["layers"]
         items = []
-        for entry in layers:
-            values = np.asarray(entry["values"], dtype=np.float64)
-            shape = tuple(int(s) for s in entry["shape"])
-            if values.size != int(np.prod(shape)):
-                raise DatasetFormatError(
-                    f"layer '{entry['name']}' has {values.size} values for "
-                    f"shape {shape}"
-                )
-            items.append((entry["name"], values.reshape(shape)))
+        for entry in obj["layers"]:
+            name = entry["name"]
+            values = require_numbers(entry["values"], f"layer '{name}' values")
+            shape = tuple(require_int(s, f"layer '{name}' shape", 0) for s in entry["shape"])
+            if values.size != math.prod(shape):
+                raise DomainError(f"layer '{name}' has {values.size} values for shape {shape}")
+            items.append((name, values.reshape(shape)))
+        model = family.build(dims, LayeredParams(items), **obj["hyper"])
+        for key in sorted(obj["hyper"].keys() - model.hyper.keys()):
+            raise DomainError(f"'{key}' is not a {obj['type']} hyperparameter")
+        return model
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        if isinstance(exc, DatasetFormatError):
-            raise
         raise DatasetFormatError(f"malformed checkpoint: {exc}") from exc
-    if mtype not in _MODEL_TYPES:
-        raise DatasetFormatError(f"unknown model type '{mtype}'")
-    params = LayeredParams(items)
-    if mtype == DiagGaussianModel.type_name:
-        for name in ("mu", "log_sigma"):
-            if name not in params.names:
-                raise DatasetFormatError(f"checkpoint has no '{name}' layer")
-        model = DiagGaussianModel(params["mu"], params["log_sigma"])
-    else:
-        model = CouplingFlowModel(dims, params, n_blocks, hidden, clamp)
-    if model.dim != dims:
-        raise DatasetFormatError(f"dims field {dims} disagrees with layers")
-    return model
 
 
 def load_model(path: str):

@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import (DegenerateDataError, DomainError, SingularMatrixError, require_finite,
-                     require_int)
+                     require_int, require_positive)
 from .models import score  # unused here, but the benchmark tracer wraps this name
 from .numcore import Rng
 
@@ -265,12 +265,6 @@ def tv(x: np.ndarray):
     return np.abs(x[..., 0]) + np.sum(np.abs(np.diff(x, axis=-1)), axis=-1)
 
 
-def _require_alpha(alpha: float) -> None:
-    """DomainError unless the TV radius ``alpha`` is positive and finite."""
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
-
-
 def tv_log_volume(alpha: float, d: int) -> float:
     """ln volume of {x in R^d : TV(x) <= alpha} = d ln(2 alpha) - ln d!.
 
@@ -278,7 +272,7 @@ def tv_log_volume(alpha: float, d: int) -> float:
     unit-determinant map from increments back to values, hence the
     cross-polytope volume (2 alpha)^d / d!.
     """
-    _require_alpha(alpha)
+    require_positive(alpha, "alpha")
     d = require_int(d, "dimension", 1)
     # ln 2 + ln alpha, not ln(2 alpha): 2 alpha overflows above ~9e307
     return d * (math.log(2.0) + math.log(alpha)) - math.lgamma(d + 1.0)
@@ -293,7 +287,7 @@ def tv_volume_mc(alpha: float, d: int, rng: Rng, n: int = 200000):
     hit-fraction variance is floored at one hit in n, so a run with no
     hit (or no miss) still reports an error bar that covers the truth.
     """
-    _require_alpha(alpha)
+    require_positive(alpha, "alpha")
     d, n = require_int(d, "dimension", 1), require_int(n, "sample count", 1)
     if d > 8:
         raise DomainError("Monte Carlo cross-check is meant for small d (<= 8)")

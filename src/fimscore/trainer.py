@@ -19,13 +19,12 @@ a fresh read-only copy.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (DomainError, InsufficientDataError, NonFiniteError, require_finite,
-                     require_int)
+                     require_int, require_positive)
 from .models import layer_fail
 from .numcore import Rng
 
@@ -45,11 +44,7 @@ class TrainConfig:
     def validate(self) -> None:
         for name, low in (("epochs", 0), ("batch_size", 1), ("seed", None)):
             require_int(getattr(self, name), name, low)
-        rate = self.learning_rate
-        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) \
-                or not 0 < rate < math.inf:
-            raise DomainError(f"learning_rate must be a positive finite number, "
-                              f"got {rate!r}")
+        require_positive(self.learning_rate, "learning_rate")
 
 
 @dataclass

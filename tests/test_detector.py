@@ -179,11 +179,19 @@ def test_load_detector_errors(tmp_path):
         {**good, "n_fit": True},
         {**good, "n_fit": 2.7},
         {**good, "n_fit": -4},
+        {**good, "mu": ["1.5", 1.0]},
+        {**good, "sigma2": [True, 2.0]},
+        {**good, "mu": [None, 1.0]},
+        {**good, "mu": [10 ** 400, 1.0]},  # no float holds it
     ]:
         with open(path, "w") as fh:
             json.dump(obj, fh)
         with pytest.raises(DatasetFormatError, match="det.json"):
             load_detector(path)
+    with open(path, "w") as fh:
+        json.dump({**good, "sigma2": [1.0, "2"]}, fh)
+    with pytest.raises(DatasetFormatError, match="det.json': sigma2 entry 1 must be a number"):
+        load_detector(path)
 
 
 def test_scores_follow_per_layer_standardization():

@@ -195,6 +195,6 @@ def test_isfinite_is_called_only_in_errors():
 
 
 def test_flow_refuses_a_non_finite_clamp():
-    for clamp in (math.inf, math.nan, 0.0):
+    for clamp in (math.inf, math.nan, 0.0, True, "5", None):
         with pytest.raises(DomainError, match="^clamp must be positive and finite, got "):
             CouplingFlowModel.init_random(2, Rng(0), n_blocks=1, hidden=3, clamp=clamp)

@@ -429,6 +429,28 @@ def test_malformed_checkpoints(tmp_path):
             json.dump({**good, "dims": dims}, fh)
         with pytest.raises(DatasetFormatError, match="malformed checkpoint: dims"):
             load_model(path)
+    mu, log_sigma = good["layers"]
+    save_model(zero_flow(n_blocks=1), path)
+    with open(path) as fh:
+        flow = json.load(fh)
+    w_in = flow["layers"][0]
+    for obj, message in (
+        ({**good, "layers": [mu, log_sigma, {**mu, "name": "x"}]}, "layout mismatch"),
+        ({**good, "hyper": {"K": 3}}, "'K' is not a diag_gaussian hyperparameter"),
+        ({**good, "layers": [{**mu, "shape": [2.7]}, log_sigma]}, "'mu' shape must be an int"),
+        ({**good, "layers": [{**mu, "shape": [True, 2]}, log_sigma]}, "'mu' shape must be an int"),
+        ({**good, "layers": [{**mu, "values": ["1.5", 0.0]}, log_sigma]},
+         "layer 'mu' values entry 0 must be a number, got '1.5'"),
+        ({**good, "layers": [mu, {**log_sigma, "values": [0.0, True]}]},
+         "layer 'log_sigma' values entry 1 must be a number, got True"),
+        ({**good, "layers": [{**mu, "values": [None, 0.0]}, log_sigma]}, "entry 0 must be a number"),
+        ({**flow, "layers": [{**w_in, "shape": [1, 4]}] + flow["layers"][1:]}, "layout mismatch"),
+        ({**flow, "dims": 3}, "flow dimension must be even"),
+    ):
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        with pytest.raises(DatasetFormatError, match=f"bad.json': malformed checkpoint: .*{message}"):
+            load_model(path)
 
 
 @pytest.mark.parametrize("hyper,field", [
@@ -436,9 +458,10 @@ def test_malformed_checkpoints(tmp_path):
     ({}, ""), ({"K": 2, "H": 5}, "c"), ({"K": 2.5, "H": 4, "c": 5.0}, "K"),
     ({"K": 2, "H": 4.9, "c": 5.0}, "H"), ({"K": True, "H": 4, "c": 5.0}, "K"),
     ({"K": 2, "H": 4, "c": True}, "c"), ({"K": 2, "H": 4, "c": "5"}, "c"),
-    ({"K": 2, "H": 4, "c": float("inf")}, "c"), ({"K": 2, "H": 4, "c": float("nan")}, "c")],
+    ({"K": 2, "H": 4, "c": float("inf")}, "c"), ({"K": 2, "H": 4, "c": float("nan")}, "c"),
+    ({"K": 2, "H": 4, "c": 5.0, "Z": 1}, "'Z' is not a coupling_flow hyperparameter")],
     ids=["list", "string", "null", "inf", "empty", "no_clamp", "float_K", "float_H",
-         "bool_K", "bool_c", "string_c", "inf_c", "nan_c"])
+         "bool_K", "bool_c", "string_c", "inf_c", "nan_c", "unknown_key"])
 def test_malformed_checkpoint_hyper(tmp_path, hyper, field):
     """A hyper value that is missing or of the wrong JSON type is refused,
     naming its field: no count is rounded and no bool or string is coerced.
@@ -453,6 +476,18 @@ def test_malformed_checkpoint_hyper(tmp_path, hyper, field):
         json.dump(obj, fh)
     with pytest.raises(DatasetFormatError, match=f"malformed checkpoint: '?{field}"):
         load_model(path)
+
+
+def test_every_family_rebuilds_through_build():
+    """``with_params`` and the checkpoint loader give back the model's checksum
+    for every registered family."""
+    examples = {DiagGaussianModel.type_name: DiagGaussianModel([0.25, -1.0], [-0.5, 0.1]),
+                CouplingFlowModel.type_name: warped_flow(seed=13)}
+    assert sorted(examples) == sorted(models._MODEL_TYPES)
+    for m in examples.values():
+        assert model_checksum(m.with_params(m.params)) == model_checksum(m)
+        back = models.model_from_dict(models.checkpoint_dict(m))
+        assert model_checksum(back) == model_checksum(m)
 
 
 def test_layered_params_invariants():

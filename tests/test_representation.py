@@ -427,7 +427,7 @@ def test_tv_volume_mc_agrees_with_closed_form():
         tv_volume_mc(1.0, 9, Rng(0))
     with pytest.raises(DomainError, match="not finite"):
         tv_volume_mc(1e308, 3, Rng(0), n=100)  # (2 alpha)^d overflows
-    for alpha in (-1.0, 0.0, math.inf, math.nan):
+    for alpha in (-1.0, 0.0, math.inf, math.nan, True):
         for volume in (tv_log_volume, lambda a, d: tv_volume_mc(a, d, Rng(0), n=100)):
             with pytest.raises(DomainError,
                                match=f"^alpha must be positive and finite, got {alpha}$"):
