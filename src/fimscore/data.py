@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DatasetFormatError, DomainError, NonFiniteError, require_finite,
-                     require_int)
+                     require_int, require_positive)
 from .numcore import Rng
 
 DMAT_MAGIC = b"DMAT"
@@ -64,8 +64,8 @@ def two_moons(n: int, rng: Rng, noise: float = 0.1) -> np.ndarray:
     t uniform on [0, pi], Gaussian noise added per coordinate.
     """
     n = require_int(n, "n", 1)
-    if not noise >= 0:
-        raise DomainError(f"noise must be >= 0, got {noise}")
+    if not 0 <= noise < math.inf:
+        raise DomainError(f"noise must be >= 0 and finite, got {noise}")
     lower = rng.uniforms(n) < 0.5
     t = rng.uniforms(n) * math.pi
     eps = noise * rng.normals(2 * n).reshape(n, 2)
@@ -77,11 +77,11 @@ def two_moons(n: int, rng: Rng, noise: float = 0.1) -> np.ndarray:
 def rings(n: int, rng: Rng, radii=(1.0, 2.0), noise: float = 0.05) -> np.ndarray:
     """Concentric circles with radial Gaussian jitter."""
     n = require_int(n, "n", 1)
-    if not noise >= 0:
-        raise DomainError(f"noise must be >= 0, got {noise}")
+    if not 0 <= noise < math.inf:
+        raise DomainError(f"noise must be >= 0 and finite, got {noise}")
     radii = np.asarray(radii, dtype=np.float64)
-    if radii.ndim != 1 or radii.size < 1 or np.any(radii <= 0):
-        raise DomainError(f"radii must be positive, got {radii}")
+    if radii.ndim != 1 or radii.size < 1 or not np.all((radii > 0) & (radii < math.inf)):
+        raise DomainError(f"radii must be positive and finite, got {radii}")
     idx = (rng.uniforms(n) * radii.size).astype(int)
     ang = rng.uniforms(n) * 2.0 * math.pi
     r = radii[idx] + noise * rng.normals(n)
@@ -92,8 +92,9 @@ def gauss_grid(n: int, rng: Rng, k: int = 3, spacing: float = 1.5,
                sigma: float = 0.15) -> np.ndarray:
     """Mixture of k*k equal-weight Gaussians on a centered square grid."""
     n, k = require_int(n, "n", 1), require_int(k, "k", 1)
-    if k > MAX_GRID_SIDE or not spacing > 0 or not sigma > 0:
-        raise DomainError(f"invalid grid: k={k}, spacing={spacing}, sigma={sigma}")
+    spacing, sigma = require_positive(spacing, "spacing"), require_positive(sigma, "sigma")
+    if k > MAX_GRID_SIDE:
+        raise DomainError(f"invalid grid: k={k} exceeds {MAX_GRID_SIDE}")
     # center c sits at grid row c // k, column c % k; only the chosen
     # centers are built
     choice = (rng.uniforms(n) * (k * k)).astype(int)
@@ -104,8 +105,9 @@ def gauss_grid(n: int, rng: Rng, k: int = 3, spacing: float = 1.5,
 def checkerboard(n: int, rng: Rng, cells: int = 4, side: float = 4.0) -> np.ndarray:
     """Uniform on the black cells of a cells x cells board over a square."""
     n, cells = require_int(n, "n", 1), require_int(cells, "cells", 2)
-    if cells > MAX_GRID_SIDE or not side > 0:
-        raise DomainError(f"invalid board: cells={cells}, side={side}")
+    side = require_positive(side, "side")
+    if cells > MAX_GRID_SIDE:
+        raise DomainError(f"invalid board: cells={cells} exceeds {MAX_GRID_SIDE}")
     # black cells (i + j even) in row-major order: each pair of rows holds
     # `up` cells of the even row (j = 0, 2, ...) then the odd row's (j = 1,
     # 3, ...); only the picked ones are built
@@ -125,8 +127,7 @@ def checkerboard(n: int, rng: Rng, cells: int = 4, side: float = 4.0) -> np.ndar
 def uniform_square(n: int, rng: Rng, side: float = 2.0) -> np.ndarray:
     """Uniform on the centered axis-aligned square of the given side."""
     n = require_int(n, "n", 1)
-    if not side > 0:
-        raise DomainError(f"side must be positive, got {side}")
+    side = require_positive(side, "side")
     return (rng.uniforms(2 * n).reshape(n, 2) - 0.5) * side
 
 

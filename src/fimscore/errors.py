@@ -4,7 +4,7 @@ Every error raised by library code derives from FimscoreError so the CLI
 can map domain failures to a single exit code. Subclasses carry enough
 context (row/column, epoch/batch) to be actionable. The package's argument
 checks live here: require_int (counts and seeds), require_positive (rates
-and radii), require_numbers (number lists read from JSON), require_finite
+and scales), require_numbers (number lists read from JSON), require_finite
 (arrays free of NaN and infinity) and reject_repeats (distinct entries).
 """
 

@@ -1,8 +1,8 @@
 """AUROC and the distribution-pairing evaluation harness.
 
-AUROC is computed by rank summation in O(n log n): pool both score
-sets, assign average ranks within tied runs (ties count half), and read
-the Mann-Whitney U statistic off the out-of-distribution rank sum. The
+AUROC is the Mann-Whitney U in O(n log n): per out-of-distribution score,
+binary search in the sorted in-scores counts those below it plus those at
+or below it, and these counts sum to 2U exactly (ties count half). The
 convention is auroc(in_scores, out_scores) = P(out > in) + P(out = in)/2,
 so auroc(a, b) + auroc(b, a) = 1 and any strictly increasing transform
 of the scores leaves the value unchanged.
@@ -47,7 +47,7 @@ METHODS = {
 
 
 def auroc(scores_in, scores_out) -> float:
-    """P(out-score > in-score) with half credit for ties, by rank sums."""
+    """P(out-score > in-score) with half credit for ties, by sorted search."""
     a = np.asarray(scores_in, dtype=np.float64)
     b = np.asarray(scores_out, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1:
@@ -56,13 +56,9 @@ def auroc(scores_in, scores_out) -> float:
         raise InsufficientDataError("auroc needs at least one score on each side")
     for name, v in (("scores_in", a), ("scores_out", b)):
         require_finite(v, lambda i: DomainError(f"{name} entry {i[0]} is not finite"))
-    # tied run at sorted positions i..j: average 1-based rank (i + j)/2 + 1
-    _, run, counts = np.unique(np.concatenate([a, b]), return_inverse=True,
-                               return_counts=True)
-    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[run]
-    rank_sum_out = float(ranks[a.size :].sum())
-    u_out = rank_sum_out - b.size * (b.size + 1) / 2.0
-    return u_out / (a.size * b.size)
+    a = np.sort(a)  # per out-score, the in-scores below it plus those at or below it: 2U
+    twice_u = np.searchsorted(a, b, "left").sum() + np.searchsorted(a, b, "right").sum()
+    return int(twice_u) / (2.0 * a.size * b.size)
 
 
 @dataclass

@@ -8,6 +8,8 @@ parameter layer, of the gradient of the batch-summed log-likelihood:
 Features come from a ``sweep_chunks`` sink of each layer's backward
 factors, chunk by chunk, so no (batches, P) gradient matrix is formed; the
 sink keeps every factor, so the driver's row check names a bad one's layer.
+At batch size 1 it takes ghost norms, ||a||^2 ||b||^2 of a row's factors
+(||a||^2 for a vector layer), and builds no outer product.
 Scoring happens on ln f_j; exact zeros (they occur, for instance, in the
 mean layer of a Gaussian at its MLE) are raised to FLOOR first so
 downstream Gaussians stay finite.
@@ -51,8 +53,13 @@ def feature_sweep(model, batches):
 
     def sink(out, factors):
         for i, a, b in factors:
-            s = group_sums(a, b, size).reshape(len(out), -1)
-            out[:, i] = np.square(s, out=s).sum(axis=1)
+            if size == 1:  # ghost norm: ||a_r b_r^T||_F^2 = ||a_r||^2 ||b_r||^2
+                col = np.einsum("ij,ij->i", a, a, out=out[:, i])
+                if b is not None:
+                    col *= np.einsum("ij,ij->i", b, b)
+            else:
+                s = group_sums(a, b, size).reshape(len(out), -1)
+                out[:, i] = np.square(s, out=s).sum(axis=1)
 
     features, loglik = sweep_chunks(model, batches.reshape(-1, batches.shape[2]), size, sink,
                                     len(model.params.names), model.params.names.__getitem__)

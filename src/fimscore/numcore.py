@@ -9,7 +9,7 @@ Every draw goes through one bulk path, the closed form of the LCG orbit,
 evaluated with wrapping uint64 cumulative products/sums. The scalar
 reference in tests/pcg_reference.py, one LCG step per output, checks it.
 
-The normal CDF defers to the C library's erfc through ``math``.
+The normal CDF defers to the C library's erfc through ``math``, per element.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ _MASK64 = (1 << 64) - 1
 _PCG_MULT = 6364136223846793005
 _INV_2_53 = 1.0 / (1 << 53)
 _SQRT2 = math.sqrt(2.0)
-_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _splitmix64(z: int) -> int:
@@ -134,11 +133,8 @@ class Rng:
 
 
 def std_normal_cdf(z):
-    """Standard normal CDF 0.5 erfc(-z / sqrt 2), accurate in both tails.
-
-    Accepts a scalar or an ndarray and is evaluated elementwise by the C
-    library's erfc.
-    """
-    return 0.5 * np.asarray(_ERFC(-np.asarray(z, dtype=np.float64) / _SQRT2),
-                            dtype=np.float64)
+    """Standard normal CDF 0.5 erfc(-z / sqrt 2), accurate in both tails, of a
+    scalar or an ndarray (shape kept): one C-library ``math.erfc`` per element."""
+    t = -np.asarray(z, dtype=np.float64) / _SQRT2
+    return 0.5 * np.fromiter(map(math.erfc, t.ravel().tolist()), float, t.size).reshape(t.shape)
 

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,28 @@ def test_generator_parameter_validation():
         checkerboard(10, Rng(0), cells=MAX_GRID_SIDE + 1)
     with pytest.raises(DomainError):
         uniform_square(10, Rng(0), side=-1.0)
+
+
+@pytest.mark.parametrize("gen,params,name", [
+    (gauss_grid, {"spacing": math.inf}, "spacing"),
+    (gauss_grid, {"sigma": math.inf}, "sigma"),
+    (checkerboard, {"side": math.inf}, "side"),
+    (uniform_square, {"side": math.inf}, "side"),
+    (two_moons, {"noise": math.inf}, "noise"),
+    (rings, {"noise": math.inf}, "noise"),
+    (rings, {"radii": (1.0, math.inf)}, "radii"),
+    (rings, {"radii": (1.0, math.nan)}, "radii"),
+])
+def test_generators_refuse_non_finite_parameters_before_drawing(gen, params, name):
+    """An infinite scale is refused naming it, with no numpy warning and
+    no draw from the stream."""
+    rng = Rng(0)
+    state = rng._state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=name):
+            gen(10, rng, **params)
+    assert rng._state == state
 
 
 def test_generate_determinism_and_partition():

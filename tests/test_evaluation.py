@@ -55,6 +55,43 @@ def test_auroc_monotone_invariance(a, b):
     assert abs(auroc(f(a), f(b)) - base) < 1e-12
 
 
+def rank_sum_auroc(scores_in, scores_out):
+    """The earlier rank-sum form: average ranks of the pooled scores, U off
+    the out-scores' rank sum."""
+    a = np.asarray(scores_in, dtype=np.float64)
+    b = np.asarray(scores_out, dtype=np.float64)
+    _, run, counts = np.unique(np.concatenate([a, b]), return_inverse=True,
+                               return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[run]
+    rank_sum_out = float(ranks[a.size :].sum())
+    u_out = rank_sum_out - b.size * (b.size + 1) / 2.0
+    return u_out / (a.size * b.size)
+
+
+# small integer values (and both zeros) so that ties are common
+tied_scores = st.lists(
+    st.one_of(st.integers(min_value=-4, max_value=4).map(float),
+              st.sampled_from([0.0, -0.0])),
+    min_size=1, max_size=30)
+
+
+@given(tied_scores, tied_scores)
+@settings(max_examples=200, deadline=None)
+def test_auroc_equals_rank_sum_form_bit_for_bit(a, b):
+    assert auroc(a, b) == rank_sum_auroc(a, b)
+    assert type(auroc(a, b)) is float
+
+
+@pytest.mark.parametrize("a,b", [
+    ([0.0], [-0.0]), ([-0.0], [0.0, -0.0, 1.0]), ([0.0, -0.0], [-0.0]),
+    ([1.0], [1.0]), ([2.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 2.0, 3.0], [2.0]),
+    ([-0.0, 0.0, 5.0], [0.0, -1.0]),
+])
+def test_auroc_signed_zeros_and_one_element_sides(a, b):
+    assert auroc(a, b) == rank_sum_auroc(a, b)
+    assert auroc(b, a) == rank_sum_auroc(b, a)
+
+
 def test_auroc_validation():
     with pytest.raises(InsufficientDataError):
         auroc([], [1.0])

@@ -249,6 +249,30 @@ def test_features_match_materialised_gradients(make, batch_size):
     np.testing.assert_allclose(feature_sweep(m, batches)[0], want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("make,zero_row,layer", [
+    (lambda: DiagGaussianModel(np.array([0.5, -1.0, 2.0]), np.array([0.1, -0.3, 0.4])),
+     [0.5, -1.0, 2.0], "mu"),  # x = mu: the mu factor z / sigma is exactly 0
+    (lambda: jittered_flow(2, 32), [0.7, 0.0], "block0.w_in"),  # block 0's input is 0
+], ids=["gaussian", "flow_d2_h32"])
+def test_single_row_features_of_zero_and_scaled_rows(make, zero_row, layer):
+    """At B = 1 each layer's feature is ||a||^2 ||b||^2 of the row's factors:
+    a zero factor gives exactly 0.0, which log_features raises to FLOOR, and
+    rows scaled from 1e-3 to 1e3 match the squared grad_groups columns
+    within 1e-12 relative."""
+    m = make()
+    scaled = 1.5 * Rng(8).normals(7 * m.dim).reshape(7, m.dim) * np.logspace(-3, 3, 7)[:, None]
+    rows = np.concatenate([np.array([zero_row]), scaled])
+    features = feature_sweep(m, rows[:, None])[0]
+    j = m.params.names.index(layer)
+    assert features[0, j] == 0.0
+    assert log_features(features)[0, j] == math.log(FLOOR)
+    assert np.all(np.delete(features[0], j) > 0.0)
+    grads = m.grad_groups(rows, 1)[0]
+    want = np.stack([np.sum(np.square(v.reshape(len(rows), -1)), axis=1)
+                     for v in m.params.views(grads)], axis=1)
+    np.testing.assert_allclose(features, want, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("batch_size", [1, 5])
 @pytest.mark.parametrize("make", [
     lambda: DiagGaussianModel(np.array([0.5, -1.0, 2.0]), np.array([0.1, -0.3, 0.4])),

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -152,6 +153,26 @@ def test_std_normal_cdf_array():
     out = std_normal_cdf(z)
     assert out.shape == (3,)
     assert abs(out[0] + out[2] - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("z", [
+    np.float64(-1.25), np.array(2.5),
+    np.array([-40.0, -8.5, -1.0, -0.0, 0.0, 1e-300, 0.3, 7.0, 40.0]),
+    np.linspace(-12.0, 12.0, 35).reshape(5, 7),
+    np.empty(0), np.empty((0, 3)),
+])
+def test_std_normal_cdf_is_math_erfc_bit_for_bit(z):
+    out = std_normal_cdf(z)
+    assert out.shape == np.shape(z) and out.dtype == np.float64
+    want = [0.5 * math.erfc(-v / math.sqrt(2)) for v in np.ravel(z).tolist()]
+    assert np.ravel(out).tolist() == want
+
+
+def test_std_normal_cdf_of_a_scalar_is_a_numpy_float():
+    for z in (0.7, -3, np.float64(1.5)):
+        out = std_normal_cdf(z)
+        assert type(out) is np.float64
+        assert out == 0.5 * math.erfc(-float(z) / math.sqrt(2))
 
 
 def test_finite_diff_quadratic():
