@@ -243,7 +243,7 @@ def read_json(path: str) -> dict:
     """The JSON object stored in ``path``."""
     try:
         obj = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DatasetFormatError(f"'{path}' is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise DatasetFormatError(f"'{path}' must hold a JSON object")
@@ -276,8 +276,10 @@ def load_dmat(path: str) -> np.ndarray:
         raise DatasetFormatError(f"'{path}' has bad magic {blob[:4]!r}")
     (version,) = struct.unpack("<I", blob[4:8])
     if version != DMAT_VERSION:
-        raise DatasetFormatError(f"unsupported DMAT version {version}")
+        raise DatasetFormatError(f"'{path}' has unsupported DMAT version {version}")
     rows, cols = struct.unpack("<QQ", blob[8:24])
+    if max(rows, cols) > np.iinfo(np.intp).max // 8:  # a zero side passes the length check
+        raise DatasetFormatError(f"'{path}' declares {rows}x{cols}, too large for an array")
     expected = 24 + rows * cols * 8
     if len(blob) != expected:
         raise DatasetFormatError(
@@ -328,7 +330,7 @@ def _parse_csv(text: str, path: str) -> np.ndarray:
         parts = line.split(",")
         if len(parts) != width:
             raise DatasetFormatError(
-                f"expected {width} fields, got {len(parts)}", row=r
+                f"'{path}': expected {width} fields, got {len(parts)}", row=r
             )
         vals = []
         for c, part in enumerate(parts):
@@ -336,7 +338,7 @@ def _parse_csv(text: str, path: str) -> np.ndarray:
                 vals.append(float(part))
             except ValueError as exc:
                 raise DatasetFormatError(
-                    f"cannot parse {part!r} as float", row=r, col=c
+                    f"'{path}': cannot parse {part!r} as float", row=r, col=c
                 ) from exc
         out.append(vals)
     matrix = np.asarray(out, dtype=np.float64)

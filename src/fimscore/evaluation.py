@@ -108,18 +108,13 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
     needs = {METHODS[m][0] for m in methods}
     root = Rng(seed)
     eval_names = sorted(eval_splits)
-    batch_cache = {}
 
     def eval_batches(name, b_idx, dim):
-        # built on first use, inside the cell's try, so a split too thin for
-        # one batch size, or of the wrong width, skips only the cells it is in
-        key = (name, batch_sizes[b_idx], dim)
-        if key not in batch_cache:
-            rng = root.child(1 + eval_names.index(name) * len(batch_sizes) + b_idx)
-            batch_cache[key] = gradfeatures.batch_view(
-                rng.shuffled(eval_splits[name]), key[1],
-                f"eval split '{name}'", dim)[:n_eval_batches]
-        return batch_cache[key]
+        # built inside the cell's try, so a split too thin for one batch
+        # size, or of the wrong width, skips only the cells it is in
+        rng = root.child(1 + eval_names.index(name) * len(batch_sizes) + b_idx)
+        return gradfeatures.batch_view(rng.shuffled(eval_splits[name]), batch_sizes[b_idx],
+                                       f"eval split '{name}'", dim)[:n_eval_batches]
 
     reports = []
     for train_name in sorted(train_entries):

@@ -83,32 +83,6 @@ def batch_view(rows: np.ndarray, batch_size: int, source="rows", dim=None) -> np
     return rows[: n * batch_size].reshape(n, batch_size, rows.shape[1])
 
 
-def layer_correlation_profile(features: np.ndarray):
-    """Mean Pearson correlation of log-feature columns by index distance.
-
-    Returns (profile, excluded) where profile[d-1] is the average
-    correlation over column pairs at distance d (NaN when no valid pair
-    exists) and excluded lists zero-variance columns left out of every
-    pair.
-    """
-    f = np.asarray(features, dtype=np.float64)
-    if f.ndim != 2 or f.shape[0] < 2:
-        raise DomainError(f"need a 2-D feature matrix with >= 2 rows, got {f.shape}")
-    std = f.std(axis=0)
-    keep = std != 0.0
-    excluded = [int(i) for i in np.nonzero(~keep)[0]]
-    # standardised columns; excluded ones are zeroed and masked out below
-    z = (f - f.mean(axis=0)) * np.divide(1.0, std, out=np.zeros_like(std), where=keep)
-    corr = z.T @ z / f.shape[0]
-    pairs = np.outer(keep, keep)
-    profile = np.full(f.shape[1] - 1, np.nan)
-    for d in range(1, f.shape[1]):
-        valid = np.diagonal(pairs, d)
-        if valid.any():
-            profile[d - 1] = np.diagonal(corr, d)[valid].mean()
-    return profile, excluded
-
-
 def save_features(path: str, features: np.ndarray, provenance: dict) -> None:
     """CSV with header batch_id,layer_0,... plus a JSON sidecar at path.json."""
     f = np.asarray(features, dtype=np.float64)

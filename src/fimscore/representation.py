@@ -32,8 +32,8 @@ import math
 
 import numpy as np
 
-from .errors import (DegenerateDataError, DomainError, SingularMatrixError, require_finite,
-                     require_int, require_positive)
+from .errors import (DegenerateDataError, DomainError, NonFiniteError, SingularMatrixError,
+                     require_finite, require_int, require_positive)
 from .models import score  # unused here, but the benchmark tracer wraps this name
 from .numcore import Rng
 
@@ -222,20 +222,25 @@ def check_gradient_invariance(model, transform, points: np.ndarray) -> dict:
     likelihood values shift by exactly the log-det. Both discrepancies
     are zero up to arithmetic rounding. Nothing loops over points: the
     transform and the model each take all points, or all preimages, in
-    one call.
+    one call. A point the transform maps to a non-finite value or log-det
+    is a NonFiniteError naming it.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[None, :]
     if pts.shape[0] == 0:
         raise DomainError("gradient invariance needs at least one point")
-    lds = transform.logdet(pts)
-    backs = transform.inverse(transform.forward(pts))
+    g_direct, ll_x = model.grad_groups(pts, 1)  # names a non-finite input point
+    with np.errstate(all="ignore"):  # an overflow is named below, not warned
+        t, lds = transform.forward(pts), transform.logdet(pts)
+    for what, v in (("value", t), ("log-det", lds)):
+        require_finite(v, lambda i: NonFiniteError(
+            f"the transform maps point {i[0]} to a non-finite {what}"))
     # evaluate the transformed-space density entirely from t: invert,
     # then use the log-det at the recovered preimage, so the identity
     # is not assumed by construction
+    backs = transform.inverse(t)
     lds_back = transform.logdet(backs)
-    g_direct, ll_x = model.grad_groups(pts, 1)
     g_pushed, ll_back = model.grad_groups(backs, 1)
     grad_disc = np.max(np.abs(g_direct - g_pushed), axis=1)
     ll_resid = np.abs((ll_x - (ll_back - lds_back)) - lds)

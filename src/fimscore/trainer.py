@@ -73,7 +73,8 @@ def train(model, data: np.ndarray, config: TrainConfig) -> TrainResult:
     """Adam ascent on mean batch log-likelihood; returns the trained copy.
 
     The input model is left untouched. The loss curve holds the mean
-    train-split log-likelihood after each epoch. A non-finite batch, batch
+    train-split log-likelihood after each epoch. A non-finite data row is
+    refused before the split, by its row and column; a non-finite batch
     loss, gradient or updated parameter aborts with the offending epoch
     and batch index.
     """
@@ -81,6 +82,8 @@ def train(model, data: np.ndarray, config: TrainConfig) -> TrainResult:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise DomainError(f"training data must be 2-D, got shape {data.shape}")
+    require_finite(data, lambda i: NonFiniteError(
+        f"training data row {i[0]} has a non-finite value in column {i[1]}"))
     root = Rng(config.seed)
     train_rows, fit_rows = split_rows(data, root)
     n_train = train_rows.shape[0]

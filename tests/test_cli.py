@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ import fimscore
 from fimscore import cli, detector, evaluation
 from fimscore.data import load_csv, load_dmat, save_dmat
 from fimscore.gradfeatures import load_features, log_features
+from fimscore.models import DiagGaussianModel, save_model
 
 
 def src_env():
@@ -398,8 +400,9 @@ def test_score_rejects_nan_feature_cell(pipeline, tmp_path, capsys):
     b'{"batch_size": 2', b"[1]", b'{"model_checksum": 5}', b'{"layer_names": "ab"}',
     b"\xff\xfe", None,
     b'{"batch_size": 2, "layer_names": ["mu"], "model_checksum": "c"}',
+    b"[" * 100_000 + b"]" * 100_000,
 ], ids=["truncated", "list", "int_checksum", "string_names", "undecodable", "missing",
-        "short_names"])
+        "short_names", "nested_too_deep"])
 @pytest.mark.parametrize("command", ["fit", "score"])
 def test_malformed_features_sidecar_exits_1(pipeline, tmp_path, capsys,
                                             command, sidecar):
@@ -414,7 +417,7 @@ def test_malformed_features_sidecar_exits_1(pipeline, tmp_path, capsys,
     argv = ["fit"] if command == "fit" else ["score", "--detector", pipeline["det"]]
     assert run(argv + ["--features", feats, "--out", out]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
     assert "f.csv.json" in err
     assert not out.exists()
 
@@ -423,11 +426,13 @@ def test_malformed_features_sidecar_exits_1(pipeline, tmp_path, capsys,
     ("model", b"\xff\xfe"), ("model", b"[1]"),
     ("detector", b"\xff\xfe"), ("detector", b"[1]"),
     ("features", b"\xff\xfe"),
+    ("data", b"DMAT" + struct.pack("<IQQ", 1, 0, 1 << 62)),
 ], ids=["model-bytes", "model-array", "detector-bytes", "detector-array",
-        "features-bytes"])
+        "features-bytes", "data-0x2^62"])
 def test_malformed_artifact_exits_1(pipeline, tmp_path, capsys, artifact, contents):
-    """Undecodable bytes or a JSON array in a file a command reads is a
-    located error, not a traceback (the features sidecar has its own test)."""
+    """Undecodable bytes, a JSON array, or a DMAT header declaring more
+    values than an array can hold in a file a command reads is a located
+    error, not a traceback (the features sidecar has its own test)."""
     bad = str(tmp_path / f"{artifact}.in")
     with open(bad, "wb") as fh:
         fh.write(contents)
@@ -436,11 +441,13 @@ def test_malformed_artifact_exits_1(pipeline, tmp_path, capsys, artifact, conten
                   "--data", os.path.join(pipeline["model"], "fit_split.dmat")],
         "detector": ["score", "--detector", bad, "--features", pipeline["feats"]],
         "features": ["fit", "--features", bad],
+        "data": ["features", "--model", os.path.join(pipeline["model"], "model.json"),
+                 "--data", bad],
     }[artifact]
     out = tmp_path / "o"
     assert run(argv + ["--out", out]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
     assert bad in err
     assert not out.exists()
 
@@ -571,6 +578,17 @@ def test_invariance_check(pipeline):
     rep = read_json(os.path.join(out, "invariance.json"))
     assert rep["pass"] is True
     assert rep["max_grad_discrepancy"] <= 1e-10
+
+
+def test_invariance_check_names_a_point_the_transform_overflows(tmp_path, capsys):
+    model = str(tmp_path / "model.json")
+    save_model(DiagGaussianModel(np.array([800.0, 0.0]), np.zeros(2)), model)
+    out = tmp_path / "o"
+    assert run(["invariance-check", "--model", model, "--transform", "exp",
+                "--out", out]) == 1
+    assert capsys.readouterr().err == ("error: the transform maps point 0 to a "
+                                       "non-finite value\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

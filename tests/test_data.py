@@ -225,7 +225,16 @@ def test_dmat_error_messages(tmp_path):
         fh.write(blob[:4] + struct.pack("<I", 99) + blob[8:])
     with pytest.raises(DatasetFormatError) as exc:
         load_dmat(path)
-    assert "version 99" in str(exc.value)
+    assert "version 99" in str(exc.value) and path in str(exc.value)
+
+    # with one side 0 a bare header passes the length check; the other side
+    # is too large for a numpy dimension
+    for rows, cols in ((0, 1 << 62), (1 << 62, 0), (0, (1 << 64) - 1)):
+        with open(path, "wb") as fh:
+            fh.write(blob[:8] + struct.pack("<QQ", rows, cols))
+        with pytest.raises(DatasetFormatError) as exc:
+            load_dmat(path)
+        assert path in str(exc.value) and f"{rows}x{cols}" in str(exc.value)
 
     with open(path, "wb") as fh:
         fh.write(b"DM")
@@ -244,6 +253,14 @@ def test_dmat_error_messages(tmp_path):
         for exc in (saved, loaded):
             assert (exc.value.row, exc.value.col) == (2, 1)
             assert "non-finite" in str(exc.value)
+
+
+def test_read_json_refuses_a_too_deep_nest(tmp_path):
+    path = str(tmp_path / "deep.json")
+    with open(path, "w") as fh:
+        fh.write("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(DatasetFormatError, match="deep.json' is not valid JSON"):
+        read_json(path)
 
 
 def test_json_text_rejects_non_finite():
@@ -278,13 +295,13 @@ def test_csv_error_locations(tmp_path):
         fh.write("a,b\n1.0,2.0\n3.0\n")
     with pytest.raises(DatasetFormatError) as exc:
         load_csv(path)
-    assert exc.value.row == 2
+    assert exc.value.row == 2 and path in str(exc.value)
 
     with open(path, "w") as fh:
         fh.write("a,b\n1.0,zzz\n")
     with pytest.raises(DatasetFormatError) as exc:
         load_csv(path)
-    assert exc.value.row == 1 and exc.value.col == 1
+    assert exc.value.row == 1 and exc.value.col == 1 and path in str(exc.value)
 
     with open(path, "w") as fh:
         fh.write("a,b\n")

@@ -154,6 +154,13 @@ def test_run_pairings_deterministic_and_order_free():
     b = run_pairings(flipped_entries, flipped_evals, batch_sizes=[2],
                      n_eval_batches=20, seed=3)
     assert [r.to_json() for r in a] == [r.to_json() for r in b]
+    # two models of one dimension: each report is its model's run alone
+    entries, evals = _two_flow_setup()
+    both = run_pairings(entries, evals, batch_sizes=[1, 5], n_eval_batches=20)
+    for report in both:
+        alone = run_pairings({report.train: entries[report.train]}, evals,
+                             batch_sizes=[1, 5], n_eval_batches=20)
+        assert [r.to_json() for r in alone] == [report.to_json()]
 
 
 def test_run_pairings_thin_fit_split_skips_column():

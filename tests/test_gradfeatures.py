@@ -11,7 +11,6 @@ from fimscore.gradfeatures import (
     batch_view,
     feature_sweep,
     gradient_features,
-    layer_correlation_profile,
     load_features,
     log_features,
     save_features,
@@ -92,41 +91,6 @@ def test_batch_view_contiguity_and_remainder():
         batch_view(rows, 12, "split 'x'")
 
 
-def test_correlation_profile_duplicated_column():
-    col = Rng(6).normals(500)
-    profile, excluded = layer_correlation_profile(np.column_stack([col, col]))
-    assert excluded == []
-    assert abs(profile[0] - 1.0) < 1e-12
-
-
-def test_correlation_profile_independent_columns():
-    f = Rng(7).normals(30_000).reshape(10_000, 3)
-    profile, excluded = layer_correlation_profile(f)
-    assert excluded == []
-    assert np.max(np.abs(profile)) < 0.05
-
-
-def test_correlation_profile_matches_pairwise_loop():
-    f = Rng(9).normals(200 * 7).reshape(200, 7) @ Rng(10).normals(49).reshape(7, 7)
-    f[:, 3] = 1.5
-    profile, excluded = layer_correlation_profile(f)
-    assert excluded == [3]
-    for d in range(1, 7):
-        want = [np.corrcoef(f[:, a], f[:, a + d])[0, 1]
-                for a in range(7 - d) if 3 not in (a, a + d)]
-        assert abs(profile[d - 1] - np.mean(want)) <= 1e-12
-
-
-def test_correlation_profile_excludes_constant_columns():
-    col = Rng(8).normals(400)
-    f = np.column_stack([col, np.full(400, 2.0)])
-    profile, excluded = layer_correlation_profile(f)
-    assert excluded == [1]
-    assert np.isnan(profile[0])
-    with pytest.raises(DomainError):
-        layer_correlation_profile(np.zeros((1, 3)))
-
-
 def test_feature_scales_quadratically_under_reparameterization():
     """Replacing mu by 2*phi doubles the gradient, quadrupling the
     mu-layer feature; checked against finite differences on phi."""
@@ -173,13 +137,13 @@ def test_load_features_errors(tmp_path):
         fh.write("batch_id,layer_0\n0,1.0\n1,2.0,3.0\n")
     with pytest.raises(DatasetFormatError) as exc:
         load_features(path)
-    assert exc.value.row == 2
+    assert exc.value.row == 2 and path in str(exc.value)
 
     with open(path, "w") as fh:
         fh.write("batch_id,layer_0\n0,notanumber\n")
     with pytest.raises(DatasetFormatError) as exc:
         load_features(path)
-    assert exc.value.row == 1
+    assert exc.value.row == 1 and path in str(exc.value)
 
     with open(path, "w") as fh:
         fh.write("batch_id,layer_0\n0,1.0\n")

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fimscore.errors import DegenerateDataError, DomainError, SingularMatrixError
+from fimscore.errors import (DegenerateDataError, DomainError, NonFiniteError,
+                             SingularMatrixError)
 from fimscore.models import CouplingFlowModel, DiagGaussianModel, score
 from fimscore.numcore import Rng
 from fimscore.representation import (
@@ -304,6 +305,16 @@ def test_gradient_invariance_rgb_hsv():
            for r in rep["per_point"]]
     want = _pointwise_invariance(m, RgbHsvPixelwise(), pts)
     assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-12
+
+
+def test_gradient_invariance_names_a_point_the_transform_overflows():
+    """exp overflows at 800: a NonFiniteError names the point, and no
+    RuntimeWarning escapes."""
+    m = DiagGaussianModel(np.array([0.0, 0.0]), np.array([0.0, 0.0]))
+    pts = np.array([[0.5, 1.0], [800.0, 0.0]])
+    with pytest.raises(NonFiniteError, match="^the transform maps point 1 to a "
+                                             "non-finite value$"):
+        check_gradient_invariance(m, ElementwiseMonotone("exp"), pts)
 
 
 def _pointwise_invariance(model, transform, pts):

@@ -263,6 +263,16 @@ def test_nonfinite_theta_names_epoch_batch_and_layer():
     assert "epoch 0" in msg and "batch 1" in msg and "'w'" in msg
 
 
+@pytest.mark.parametrize("row", [5, 17])  # row 17 lands in the fit split
+def test_nonfinite_data_row_is_named_before_the_split(row):
+    points = generate("two_moons", 200, seed=1).points.copy()
+    points[row, 1] = np.nan
+    with pytest.raises(NonFiniteError, match=f"^training data row {row} has a "
+                                             "non-finite value in column 1$"):
+        train(DiagGaussianModel.standard(2), points,
+              TrainConfig(epochs=1, batch_size=16, seed=0))
+
+
 def test_train_requires_enough_rows():
     with pytest.raises(InsufficientDataError):
         train(DiagGaussianModel.standard(1), np.zeros((10, 1)),
