@@ -63,15 +63,22 @@ def _parse_value(text: str):
     raise DomainError(f"cannot parse parameter value {text!r}")
 
 
+def _parse_named(items, flag: str) -> dict:
+    """{NAME: TEXT} of a flag's NAME=TEXT entries, both stripped; a missing
+    '=', an empty NAME or a NAME given twice is refused naming the flag."""
+    out = {}
+    for item in items or []:
+        name, eq, text = (part.strip() for part in item.partition("="))
+        if not eq or not name:
+            raise DomainError(f"{flag} expects NAME=VALUE, got {item!r}")
+        if name in out:
+            raise DomainError(f"{flag} names {name!r} twice")
+        out[name] = text
+    return out
+
+
 def _cmd_gen_data(args):
-    params = {}
-    for item in args.param or []:
-        if "=" not in item:
-            raise DomainError(f"--param expects KEY=VALUE, got {item!r}")
-        key, val = (part.strip() for part in item.split("=", 1))
-        if key in params:
-            raise DomainError(f"--param names {key!r} twice")
-        params[key] = _parse_value(val)
+    params = {k: _parse_value(v) for k, v in _parse_named(args.param, "--param").items()}
     try:
         ds = data.generate(args.dist, args.n, args.seed, **params)
     except TypeError as exc:
@@ -163,29 +170,16 @@ def _cmd_score(args):
     return f"scored {scores.shape[0]} batches with method={args.method}"
 
 
-def _parse_named(items, what: str, parts: int):
-    out = {}
-    for item in items or []:
-        bits = item.split("=", 1)
-        if len(bits) != 2 or not bits[0]:
-            raise DomainError(f"--{what} expects NAME=..., got {item!r}")
-        if bits[0] in out:
-            raise DomainError(f"--{what} names {bits[0]!r} twice")
-        paths = bits[1].split(":")
-        if len(paths) != parts:
-            raise DomainError(
-                f"--{what} {bits[0]} needs {parts} colon-separated paths"
-            )
-        out[bits[0]] = paths if parts > 1 else paths[0]
-    return out
-
-
 def _cmd_eval(args):
     from . import evaluation, models as M
     if args.methods is None:
         args.methods = ",".join(evaluation.METHODS)
-    trains = _parse_named(args.train, "train", 2)
-    evals = _parse_named(args.eval, "eval", 1)
+    trains = _parse_named(args.train, "--train")
+    for name, text in trains.items():
+        trains[name] = text.split(":")
+        if len(trains[name]) != 2:
+            raise DomainError(f"--train {name} expects MODEL:FIT_DMAT, got {text!r}")
+    evals = _parse_named(args.eval, "--eval")
     if not trains or len(evals) < 2:
         raise DomainError("need at least one --train and two --eval entries")
     train_entries = {name: (M.load_model(model_path), data.load_dmat(fit_path))
@@ -309,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="sample a synthetic distribution")
     p.add_argument("--dist", required=True, choices=sorted(data.GENERATORS))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--param", action="append", metavar="KEY=VALUE",
+    p.add_argument("--param", action="append", metavar="NAME=VALUE",
                    help="generator parameter; tuples as v1:v2")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_data)

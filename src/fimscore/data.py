@@ -38,6 +38,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -57,6 +58,13 @@ SPLIT = (0.8, 0.1, 0.1)  # train, fit, eval fractions of a generated dataset
 MAX_GRID_SIDE = 1 << 26  # k*k cell indices stay exact in float64 (< 2**53)
 
 
+def _require_noise(noise) -> float:
+    """``noise`` as a float; a bool, a non-number or one not >= 0 and finite is refused."""
+    if isinstance(noise, bool) or not isinstance(noise, numbers.Real) or not 0 <= noise < math.inf:
+        raise DomainError(f"noise must be >= 0 and finite, got {noise!r}")
+    return float(noise)
+
+
 def two_moons(n: int, rng: Rng, noise: float = 0.1) -> np.ndarray:
     """The classic pair of interleaved half circles of radius 1.
 
@@ -64,8 +72,7 @@ def two_moons(n: int, rng: Rng, noise: float = 0.1) -> np.ndarray:
     t uniform on [0, pi], Gaussian noise added per coordinate.
     """
     n = require_int(n, "n", 1)
-    if not 0 <= noise < math.inf:
-        raise DomainError(f"noise must be >= 0 and finite, got {noise}")
+    noise = _require_noise(noise)
     lower = rng.uniforms(n) < 0.5
     t = rng.uniforms(n) * math.pi
     eps = noise * rng.normals(2 * n).reshape(n, 2)
@@ -77,10 +84,12 @@ def two_moons(n: int, rng: Rng, noise: float = 0.1) -> np.ndarray:
 def rings(n: int, rng: Rng, radii=(1.0, 2.0), noise: float = 0.05) -> np.ndarray:
     """Concentric circles with radial Gaussian jitter."""
     n = require_int(n, "n", 1)
-    if not 0 <= noise < math.inf:
-        raise DomainError(f"noise must be >= 0 and finite, got {noise}")
+    noise = _require_noise(noise)
     radii = np.asarray(radii, dtype=np.float64)
-    if radii.ndim != 1 or radii.size < 1 or not np.all((radii > 0) & (radii < math.inf)):
+    if radii.ndim != 1 or radii.size < 1:
+        got = f"the scalar {radii}" if radii.ndim == 0 else f"shape {radii.shape}"
+        raise DomainError(f"radii must be a non-empty list, got {got}")
+    if not np.all((radii > 0) & (radii < math.inf)):
         raise DomainError(f"radii must be positive and finite, got {radii}")
     idx = (rng.uniforms(n) * radii.size).astype(int)
     ang = rng.uniforms(n) * 2.0 * math.pi

@@ -113,8 +113,8 @@ def score_columns(model, x: np.ndarray, weight_map) -> np.ndarray:
 def normalize_fim(matrix: np.ndarray) -> np.ndarray:
     """C_ab = F_ab / sqrt(F_aa F_bb); requires strictly positive diagonal."""
     f = np.asarray(matrix, dtype=np.float64)
-    if f.ndim != 2 or f.shape[0] != f.shape[1]:
-        raise DomainError(f"square matrix required, got shape {f.shape}")
+    if f.ndim != 2 or f.shape[0] != f.shape[1] or f.size == 0:
+        raise DomainError(f"non-empty square matrix required, got shape {f.shape}")
     d = np.diag(f)
     if np.any(d <= 0.0):
         bad = int(np.nonzero(d <= 0.0)[0][0])
@@ -128,8 +128,8 @@ def normalize_fim(matrix: np.ndarray) -> np.ndarray:
 def diag_dominance(normalized: np.ndarray):
     """(mean |diagonal|, mean |off-diagonal|) of a normalized slice."""
     c = np.asarray(normalized, dtype=np.float64)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise DomainError(f"square matrix required, got shape {c.shape}")
+    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
+        raise DomainError(f"non-empty square matrix required, got shape {c.shape}")
     p = c.shape[0]
     diag_mean = float(np.mean(np.abs(np.diag(c))))
     if p == 1:
@@ -173,11 +173,12 @@ def exact_score_test_gaussian(model, x: np.ndarray):
 
 
 def prior_diag_from_samples(grad_samples: np.ndarray, p: int) -> np.ndarray:
-    """Default prior diagonal diag(sum_i S_i^2); falls back to ones for
-    empty sample sets and for coordinates no sample ever touched."""
-    if len(grad_samples) == 0:
-        return np.ones(p)
+    """Default prior diagonal diag(sum_i S_i^2) of N x p samples; falls back
+    to ones for empty sample sets and for coordinates no sample ever touched."""
     s = np.asarray(grad_samples, dtype=np.float64)
+    if len(s) and s.shape[1:] != (p,):
+        raise DomainError(f"gradient samples must have width {p}, got shape {s.shape}")
+    s = s.reshape(len(s), p)
     d = np.sum(s * s, axis=0)
     d[d <= 0.0] = 1.0
     return d

@@ -71,13 +71,9 @@ class Rng:
         with np.errstate(over="ignore"):
             powers = np.empty(n, dtype=np.uint64)
             powers[0] = 1
-            if n > 1:
-                np.multiply.accumulate(
-                    np.full(n - 1, a, dtype=np.uint64), out=powers[1:]
-                )
+            np.multiply.accumulate(np.full(n - 1, a, dtype=np.uint64), out=powers[1:])
             geo = np.zeros(n, dtype=np.uint64)
-            if n > 1:
-                np.add.accumulate(powers[:-1], out=geo[1:])
+            np.add.accumulate(powers[:-1], out=geo[1:])
             olds = powers * np.uint64(self._state) + geo * np.uint64(self._inc)
             self._state = (int(olds[-1]) * _PCG_MULT + self._inc) & _MASK64
             xorshifted = ((olds >> np.uint64(18)) ^ olds) >> np.uint64(27)
@@ -98,9 +94,7 @@ class Rng:
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller; consumes 2*ceil(n/2) uniforms."""
-        if require_int(n, "normal count", 0) == 0:
-            return np.empty(0, dtype=np.float64)
-        m = (n + 1) // 2
+        m = (require_int(n, "normal count", 0) + 1) // 2
         u = self.uniforms(2 * m)
         u1 = u[0::2]
         u2 = u[1::2]

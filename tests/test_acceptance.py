@@ -407,6 +407,21 @@ def test_criterion_11_fisher_method_grids(golden):
             assert grid == render_grid(repeat, method, bsz)
 
 
+def test_contained_pairing_reproduces_the_likelihood_paradox(golden):
+    """Nalisnick et al. (arXiv:1810.09136) on the golden flow: a two_moons
+    set with a fifth of the noise sits on the flow's density ridge, so its
+    batches get the higher likelihood and the likelihood score ranks them
+    below the in-distribution batches (AUROC < 0.5 at B = 5 and 25). A
+    separate call, so criterion 11's pinned reports do not move. Nothing is
+    asserted about our score against typicality on this pairing."""
+    evals = {"two_moons": golden["evals"]["two_moons"],
+             "contained": generate("two_moons", 10_000, seed=5, noise=0.02).rows("eval")}
+    report, = run_pairings(golden["entries"], evals, batch_sizes=[1, 5, 25],
+                           n_eval_batches=200, seed=0)
+    for bsz in (5, 25):
+        assert _cell(report, "likelihood", bsz, "contained") < 0.5, bsz
+
+
 def test_criterion_12_gradient_oracle():
     """Every model type passes a central finite-difference check on the
     score at 20 random (theta, x) pairs, relative error <= 1e-5 per

@@ -519,6 +519,11 @@ def test_score_rejects_reordered_layer_names(pipeline, tmp_path, capsys):
     ("--train", "a={model}:{fit}"),  # each name may appear once
     ("--eval", "b={ev}"),
     ("--param", "noise=0.3"),  # each generator parameter may appear once
+    ("--param", "=3"),  # every NAME=VALUE flag refuses an empty name
+    ("--train", "=m:f"),
+    ("--train", "a=m"),
+    ("--train", "c={model}"),  # MODEL without its FIT_DMAT
+    ("--eval", "c"),  # no '='
 ])
 def test_bad_list_values_exit_1(pipeline, tmp_path, capsys, flag, value):
     model = os.path.join(pipeline["model"], "model.json")
@@ -534,6 +539,9 @@ def test_bad_list_values_exit_1(pipeline, tmp_path, capsys, flag, value):
     assert run(argv + [flag, value, "--out", tmp_path / "o"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert err.count("\n") == 1
+    if flag in ("--param", "--train", "--eval"):  # the one NAME=VALUE reader
+        assert flag in err
 
 
 @pytest.mark.parametrize("command", ["fit", "score"])
@@ -663,6 +671,25 @@ def test_eval_writes_only_the_requested_methods(pipeline, tmp_path):
     rows = read_json(os.path.join(out, "report_a.json"))["rows"]
     assert [r["method"] for r in rows] == ["likelihood"] * 2
     assert all(0.0 <= r["auroc"] <= 1.0 for r in rows)
+
+
+def test_eval_strips_entries_and_takes_the_eval_path_whole(pipeline, tmp_path):
+    """--train and --eval entries are stripped around '=' and at both ends,
+    and an --eval path may hold ':'; the report equals the plain spelling's."""
+    model = os.path.join(pipeline["model"], "model.json")
+    fit = os.path.join(pipeline["model"], "fit_split.dmat")
+    ev = os.path.join(pipeline["data"], "eval.dmat")
+    colon = str(tmp_path / "b:eval.dmat")
+    shutil.copyfile(ev, colon)
+    common = ["eval", "--eval", f"a={ev}", "--methods", "likelihood,ours",
+              "--batch-sizes", 2, "--n-batches", 10]
+    assert run(common + ["--train", f"a={model}:{fit}", "--eval", f"b={ev}",
+                         "--out", tmp_path / "plain"]) == 0
+    assert run(common + ["--train", f" a = {model}:{fit} ", "--eval", f" b = {colon} ",
+                         "--out", tmp_path / "padded"]) == 0
+    report = read_json(tmp_path / "padded" / "report_a.json")
+    assert {r["test"] for r in report["rows"]} == {"b"}
+    assert report == read_json(tmp_path / "plain" / "report_a.json")
 
 
 def test_seed_resolution(tmp_path, monkeypatch):

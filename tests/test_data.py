@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import math
+import re
 import struct
 import warnings
 
@@ -114,6 +115,11 @@ def test_generator_parameter_validation():
         two_moons(10, Rng(0), noise=float("nan"))
     with pytest.raises(DomainError):
         rings(10, Rng(0), radii=(0.0, 1.0))
+    # a positive, finite scalar is refused for not being a list
+    with pytest.raises(DomainError, match=r"^radii must be a non-empty list, got the scalar 1.0$"):
+        rings(10, Rng(0), radii=1)
+    with pytest.raises(DomainError, match=r"^radii must be a non-empty list, got shape \(0,\)$"):
+        rings(10, Rng(0), radii=())
     with pytest.raises(DomainError):
         gauss_grid(10, Rng(0), k=0)
     with pytest.raises(DomainError):
@@ -139,15 +145,21 @@ def test_generator_parameter_validation():
     (rings, {"noise": math.inf}, "noise"),
     (rings, {"radii": (1.0, math.inf)}, "radii"),
     (rings, {"radii": (1.0, math.nan)}, "radii"),
+    # a noise that is not a number: a tuple (gen-data's v1:v2), a bool, a string
+    (two_moons, {"noise": (1.0, 2.0)}, "noise must be >= 0 and finite, got (1.0, 2.0)"),
+    (rings, {"noise": (1.0, 2.0)}, "noise must be >= 0 and finite, got (1.0, 2.0)"),
+    (two_moons, {"noise": True}, "noise must be >= 0 and finite, got True"),
+    (rings, {"noise": True}, "noise must be >= 0 and finite, got True"),
+    (two_moons, {"noise": "0.1"}, "noise must be >= 0 and finite, got '0.1'"),
 ])
 def test_generators_refuse_non_finite_parameters_before_drawing(gen, params, name):
-    """An infinite scale is refused naming it, with no numpy warning and
-    no draw from the stream."""
+    """An infinite or non-number scale is refused naming it, with no numpy
+    warning and no draw from the stream."""
     rng = Rng(0)
     state = rng._state
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match=name):
+        with pytest.raises(DomainError, match=re.escape(name)):
             gen(10, rng, **params)
     assert rng._state == state
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -124,6 +125,10 @@ def test_normalize_rejects_zero_diagonal():
     assert "entry 1" in str(exc.value)
     with pytest.raises(DomainError):
         normalize_fim(np.zeros((2, 3)))
+    # a 0 x 0 slice has no diagonal to normalize or average
+    for refuse in (normalize_fim, diag_dominance):
+        with pytest.raises(DomainError, match=r"square matrix required, got shape \(0, 0\)"):
+            refuse(np.zeros((0, 0)))
 
 
 def test_diag_dominance_examples():
@@ -221,6 +226,11 @@ def test_prior_diag_fallbacks():
     assert np.array_equal(prior_diag_from_samples([], 3), np.ones(3))
     s = np.array([[1.0, 0.0], [2.0, 0.0]])
     assert np.array_equal(prior_diag_from_samples(s, 2), np.array([5.0, 1.0]))
+    assert np.array_equal(prior_diag_from_samples(np.empty((0, 3)), 3), np.ones(3))
+    # samples of another width than p are refused, naming both
+    for bad in (np.ones((3, 2)), np.ones(5)):
+        with pytest.raises(DomainError, match=re.escape(f"width 5, got shape {bad.shape}")):
+            prior_diag_from_samples(bad, 5)
 
 
 def test_sherman_morrison_frozen_example():
