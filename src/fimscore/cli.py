@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__, data
-from .errors import DomainError, FimscoreError
+from .errors import DomainError, FimscoreError, reject_repeats, require_int
 from .numcore import Rng
 
 
@@ -174,6 +174,19 @@ def _cmd_eval(args):
     from . import evaluation, models as M
     if args.methods is None:
         args.methods = ",".join(evaluation.METHODS)
+    try:
+        batch_sizes = [int(p) for p in args.batch_sizes.split(",")]
+    except ValueError as exc:
+        raise DomainError(f"--batch-sizes expects comma-separated int values, "
+                          f"got {args.batch_sizes!r}") from exc
+    batch_sizes = [require_int(b, "--batch-sizes", 1) for b in batch_sizes]
+    reject_repeats(batch_sizes, "--batch-sizes")
+    require_int(args.n_batches, "--n-batches", 1)
+    methods = tuple(m.strip() for m in args.methods.split(","))
+    unknown = [m for m in methods if m not in evaluation.METHODS]
+    if unknown:
+        raise DomainError(f"--methods names unknown methods {unknown}")
+    reject_repeats(methods, "--methods")
     trains = _parse_named(args.train, "--train")
     for name, text in trains.items():
         trains[name] = text.split(":")
@@ -189,12 +202,6 @@ def _cmd_eval(args):
         _require_dim("--train", trains[train_name][1], fit_rows, model)
         for name, path in evals.items():
             _require_dim("--eval", path, eval_splits[name], model)
-    try:
-        batch_sizes = [int(p) for p in args.batch_sizes.split(",")]
-    except ValueError as exc:
-        raise DomainError(f"--batch-sizes expects comma-separated int values, "
-                          f"got {args.batch_sizes!r}") from exc
-    methods = tuple(m.strip() for m in args.methods.split(","))
     reports = evaluation.run_pairings(
         train_entries, eval_splits, batch_sizes=batch_sizes,
         n_eval_batches=args.n_batches, methods=methods, seed=args.seed,

@@ -47,8 +47,8 @@ def feature_sweep(model, batches):
     ``grad_groups`` norms (a non-finite one names its layer), and each batch's
     mean log-likelihood, bit for bit ``log_likelihood_batch`` of its chunk."""
     batches = np.asarray(batches, dtype=np.float64)
-    if batches.ndim != 3 or batches.shape[0] == 0:
-        raise DomainError(f"need >= 1 batch of shape (size, dim), got {batches.shape}")
+    if batches.ndim != 3 or 0 in batches.shape[:2]:
+        raise DomainError(f"need >= 1 batch of shape (size >= 1, dim), got {batches.shape}")
     size = batches.shape[1]
 
     def sink(out, factors):

@@ -14,8 +14,10 @@ tape. Each model has one backward pass, ``factor_sweep(x)``: per layer,
 row factors a, b whose products a_r b_r^T (a_r for a vector layer) are
 the per-row gradients. ``sweep_chunks`` is the one driver of that pass: it
 hands each chunk's factors to a sink, checks the filled rows once and keeps
-the per-row log-likelihood; ``grad_groups`` is its full-row sink. The flow's
-forward caches each block's hidden activations for that backward while they
+the per-row log-likelihood; ``grad_groups`` is its full-row sink, joining one
+group's vector factors into one reduce. The flow's passes hold z and its
+gradient as two halves, making a new one per block, so ``x`` is never written;
+the forward caches each block's hidden activations for the backward while they
 fit in HIDDEN_CACHE_FLOATS; ``log_likelihood_batch`` runs it with no cache.
 
 Checkpoints are JSON (type, dims, hyper, named layers with shapes and
@@ -28,7 +30,6 @@ shortest-repr float serialization makes save/load round-trips bit-for-bit.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
@@ -110,7 +111,8 @@ class LayeredParams:
 
     def _over(self, buf: np.ndarray) -> "LayeredParams":
         """A new instance with this layout over ``buf`` itself, unchecked."""
-        out = copy.copy(self)  # shares names, offsets and layout
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__)  # shares names, offsets and layout
         out._adopt(buf)
         return out
 
@@ -118,9 +120,6 @@ class LayeredParams:
 def group_sums(a: np.ndarray, b, group_size: int, out=None) -> np.ndarray:
     """Sum of a_r b_r^T over each group of ``group_size`` consecutive rows,
     shape (groups, p, q); of a_r alone, shape (groups, p), when b is None."""
-    if out is not None and len(a) == group_size:  # one group: no batched call
-        np.add.reduce(a, axis=0, out=out[0]) if b is None else np.dot(a.T, b, out=out[0])
-        return out
     a_g = a.reshape(-1, group_size, a.shape[1])
     if b is None:
         return a_g.sum(axis=1, out=out)
@@ -133,9 +132,23 @@ def _grad_groups(self, x: np.ndarray, group_size: int):
     """``(grads, loglik)``: a flat gradient row per group of rows, loglik per row."""
 
     def sink(out, factors):
-        views = self.params.views(out)
+        # one group (every trainer step): each sum goes straight into its slice of the row
+        views = self.params.views(out) if len(out) > 1 else None
+        row, vectors = out[0], []
         for i, a, b in factors:
-            group_sums(a, b, group_size, out=views[i])
+            start, stop, shape = self.params._layout[i]
+            if views is not None:
+                group_sums(a, b, group_size, out=views[i])
+            elif b is not None:
+                np.dot(a.T, b, out=row[start:stop].reshape(shape))
+            elif a.shape[1] > 1 and len(a) * self.params.n_params <= CHUNK_FLOATS:
+                vectors.append((start, a))  # numpy sums it row by row, alone or joined
+            else:  # summed pairwise if one column wide; or too many rows to hold
+                np.add.reduce(a, axis=0, out=row[start:stop])
+        if vectors:
+            sums, lo = np.add.reduce(np.concatenate([a for _, a in vectors], axis=1), axis=0), 0
+            for start, a in vectors:
+                row[start:start + a.shape[1]], lo = sums[lo:lo + a.shape[1]], lo + a.shape[1]
 
     return sweep_chunks(self, x, group_size, sink, self.params.n_params, self.params.layer_of)
 
@@ -170,7 +183,7 @@ def _loglik_and_grad_sum(self, x: np.ndarray):
     """Summed log-likelihood and its parameter gradient from one pass."""
     x = np.atleast_2d(x)  # grad_groups validates it
     grads, loglik = self.grad_groups(x, x.shape[0])
-    return float(loglik.sum()), self.params._over(grads[0])  # checked, not copied
+    return float(np.add.reduce(loglik)), self.params._over(grads[0])  # checked, not copied
 
 
 class DiagGaussianModel:
@@ -310,29 +323,27 @@ class CouplingFlowModel:
         return np.tanh(np.add(h, b_in, out=h), out=h)
 
     def _forward(self, x: np.ndarray, keep: bool = True, keep_h: bool = True):
-        """Data-to-base pass; with ``keep``, caches per-block intermediates for
-        backward, and h too with ``keep_h``. An uncached h is dropped before
-        the next block makes its own."""
+        """Data-to-base pass over two halves of z, never writing ``x``; with
+        ``keep``, caches per-block intermediates for backward, and h too with
+        ``keep_h``. An uncached h is dropped before the next block makes its own."""
         half, c = self.dim // 2, self.clamp
-        z = np.array(x, dtype=np.float64)
+        z = [x[:, :half], x[:, half:]]
         logdet = np.zeros(x.shape[0])
         cache = []
-        for w_in, b_in, w_out, b_out, tsl, csl in self._blocks:
-            act, cond = z[:, tsl], z[:, csl]
-            if keep:  # both halves of z change in later blocks
-                act, cond = act.copy(), cond.copy()
+        for k, (w_in, b_in, w_out, b_out, _, _) in enumerate(self._blocks):
+            act, cond = z[k % 2], z[1 - k % 2]
             h = self._hidden(w_in, b_in, cond)
             o = np.dot(h, w_out.T)
             o += b_out
             s_raw = o[:, :half]
             s = np.minimum(np.maximum(s_raw, -c), c)  # np.clip's values, without its wrapper
             es = np.exp(s)
-            z[:, tsl] = act * es + o[:, half:]
-            logdet += s.sum(axis=1)
+            z[k % 2] = act * es + o[:, half:]
+            logdet += np.add.reduce(s, axis=1)
             if keep:
                 cache.append((act, cond, s_raw, es, h if keep_h else None))
             del h
-        return z, logdet, cache
+        return np.concatenate(z, axis=1), logdet, cache
 
     def factor_sweep(self, x: np.ndarray):
         """``(loglik, factors)`` of a checked (rows, dim) array: the per-row
@@ -352,15 +363,16 @@ class CouplingFlowModel:
         return self._loglik(z, logdet)
 
     def _loglik(self, z: np.ndarray, logdet: np.ndarray) -> np.ndarray:
-        return -0.5 * self.dim * _LOG_2PI - 0.5 * np.sum(z * z, axis=1) + logdet
+        return -0.5 * self.dim * _LOG_2PI - 0.5 * np.add.reduce(z * z, axis=1) + logdet
 
     def _factors(self, g: np.ndarray, cache: list):
+        g = [g[:, :self.dim // 2], g[:, self.dim // 2:]]
         for k in range(self.n_blocks - 1, -1, -1):
-            w_in, b_in, w_out, _, tsl, csl = self._blocks[k]
+            w_in, b_in, w_out, _, _, _ = self._blocks[k]
             act, cond, s_raw, es, h = cache.pop()
             if h is None:
                 h = self._hidden(w_in, b_in, cond)
-            g_act_out = g[:, tsl]
+            g_act_out = g[k % 2]
             ds = (g_act_out * act * es + 1.0) * (np.abs(s_raw) < self.clamp)
             do = np.concatenate([ds, g_act_out], axis=1)
             du = (do @ w_out) * (1.0 - h * h)
@@ -369,8 +381,7 @@ class CouplingFlowModel:
             yield 4 * k, du, cond
             yield 4 * k + 1, du, None
             if k:  # block 0's g is read by no later block
-                g[:, tsl] *= es  # do already holds its copy of g_act_out
-                g[:, csl] += du @ w_in
+                g[k % 2], g[1 - k % 2] = g_act_out * es, g[1 - k % 2] + du @ w_in
 
     grad_groups = _grad_groups
     score_batch = _score_batch

@@ -540,8 +540,7 @@ def test_bad_list_values_exit_1(pipeline, tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert err.count("\n") == 1
-    if flag in ("--param", "--train", "--eval"):  # the one NAME=VALUE reader
-        assert flag in err
+    assert flag in err
 
 
 @pytest.mark.parametrize("command", ["fit", "score"])

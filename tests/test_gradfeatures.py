@@ -75,6 +75,15 @@ def test_feature_matrix_shape_and_empty():
         feature_sweep(m, [])[0]
 
 
+@pytest.mark.parametrize("call", [lambda m: feature_sweep(m, np.empty((3, 0, 2))),
+                                  lambda m: gradient_features(m, np.empty((0, 2)))])
+def test_empty_batch_is_refused_by_shape(call):
+    """A batch of no rows is named by feature_sweep's own shape check, not
+    by the group-size check deep in sweep_chunks."""
+    with pytest.raises(DomainError, match=r"size >= 1, dim\), got \(\d+, 0, 2\)"):
+        call(DiagGaussianModel.standard(2))
+
+
 def test_batch_view_contiguity_and_remainder():
     rows = np.arange(22.0).reshape(11, 2)
     batches = batch_view(rows, 3)

@@ -326,6 +326,21 @@ def test_likelihood_pass_holds_one_hidden_layer_at_a_time():
     assert peak < 4.2e6, f"peak {peak / 1e6:.2f} MB"
 
 
+def test_one_group_of_many_rows_sums_vector_layers_one_by_one():
+    """One group of 20,000 rows of the K = 6, H = 32 flow peaks at about
+    30 MB. Holding every vector factor for one joined reduce, as a training
+    step's one group does, would take about 65 MB, so rows x P beyond
+    CHUNK_FLOATS sum each vector layer as it comes."""
+    m = CouplingFlowModel.init_random(2, Rng(47))
+    x = sample(m, Rng(48), 20_000)
+    m.grad_groups(x[:10], 10)
+    tracemalloc.start()
+    m.grad_groups(x, len(x))
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 40e6, f"peak {peak / 1e6:.2f} MB"
+
+
 def test_remade_hidden_activations_give_the_cached_gradients(monkeypatch):
     """A sweep too large to cache its hidden activations remakes them in
     the backward; its gradient rows equal the cached sweep's bit for bit."""
@@ -371,6 +386,24 @@ def test_loglik_and_grad_sum_hands_out_the_checked_row():
         assert not grad.flat().flags.writeable
         assert np.array_equal(grad.flat(), grads[0])
         assert total == float(loglik.sum())
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_passes_never_write_their_input(dim):
+    """The flow's forward keeps views of ``x`` as its first halves. Every
+    pass runs on a read-only ``x``, gives a writable copy's values, and
+    leaves ``x``'s bytes as they were."""
+    m = warped_flow(seed=22, dim=dim, n_blocks=3, hidden=5)
+    x = sample(m, Rng(53), 12)
+    before, copy = x.tobytes(), x.copy()
+    x.flags.writeable = False
+    assert np.array_equal(m.log_likelihood_batch(x), m.log_likelihood_batch(copy))
+    loglik, factors = m.factor_sweep(x)
+    assert len(list(factors)) == len(m.params.names)
+    for size in (1, len(x)):
+        for got, want in zip(m.grad_groups(x, size), m.grad_groups(copy, size)):
+            assert np.array_equal(got, want)
+    assert x.tobytes() == before
 
 
 def test_checkpoint_roundtrip_bit_identical(tmp_path):

@@ -302,6 +302,8 @@ TRAIN_PINS = {
     "flow_d4_K3_H5": "a2e1039d9d5ef952440b4a9e2bfdbe61b20f3ba6dc0b3663e1be9224cffa7b3c",
     "flow_d2_K4_H16": "1369a58186323a246c255b24be4a52fabac413efef615a45fdb5d8d916102bee",
     "diag_gaussian": "36134bf132b3e9099abf8fd58727d2f881e6cbd4d25f9420ab74615fa5b23d18",
+    "diag_gaussian_d1": "8d82d9a2bed3a30bb947b9dc01a307302b67024a503bcf8be34c743bc31e5ec8",
+    "flow_d2_K2_H1": "4a2a455cace59f80f8486e1765acd25719fb4cf369a0c4a9c3d8b51fda0c4228",
 }
 
 
@@ -309,7 +311,9 @@ TRAIN_PINS = {
 def test_three_epoch_training_bits_are_pinned(case):
     """sha256 of the trained parameters and the loss curve after 3 epochs,
     for a d = 4 flow, the CLI walkthrough's d = 2 K = 4 H = 16 flow and the
-    diagonal Gaussian. A faster step must keep every bit of training."""
+    diagonal Gaussian. A faster step must keep every bit of training. The
+    d = 1 Gaussian and the H = 1 flow have bias layers one column wide,
+    whose batch sum numpy takes pairwise, not row by row as for wider ones."""
     moons = generate("two_moons", 1200, seed=5).points
     model, rows = {
         "flow_d4_K3_H5": lambda: (
@@ -318,6 +322,9 @@ def test_three_epoch_training_bits_are_pinned(case):
         "flow_d2_K4_H16": lambda: (
             CouplingFlowModel.init_random(2, Rng(2).child(0), n_blocks=4, hidden=16), moons),
         "diag_gaussian": lambda: (DiagGaussianModel.standard(2), moons),
+        "diag_gaussian_d1": lambda: (DiagGaussianModel.standard(1), moons[:, :1]),
+        "flow_d2_K2_H1": lambda: (
+            CouplingFlowModel.init_random(2, Rng(3).child(0), n_blocks=2, hidden=1), moons),
     }[case]()
     res = train(model, rows, TrainConfig(epochs=3, batch_size=128, learning_rate=3e-3, seed=7))
     digest = hashlib.sha256(res.model.params.flat().tobytes())
