@@ -181,7 +181,6 @@ def _cmd_eval(args):
                           f"got {args.batch_sizes!r}") from exc
     batch_sizes = [require_int(b, "--batch-sizes", 1) for b in batch_sizes]
     reject_repeats(batch_sizes, "--batch-sizes")
-    require_int(args.n_batches, "--n-batches", 1)
     methods = tuple(m.strip() for m in args.methods.split(","))
     unknown = [m for m in methods if m not in evaluation.METHODS]
     if unknown:
@@ -383,9 +382,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COUNT_FLAGS = {"n": 1, "epochs": 0, "batch_size": 1, "n_blocks": 1, "hidden": 1,
+                "n_batches": 1, "n_points": 1, "d": 1, "mc": 0}  # count flags' lowest values
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        for dest, low in _COUNT_FLAGS.items():  # before any file is read; absent reads as low
+            require_int(getattr(args, dest, low), "--" + dest.replace("_", "-"), low)
         with data.recording() as record:
             summary = args.func(args)
         if args.out:

@@ -14,11 +14,11 @@ tape. Each model has one backward pass, ``factor_sweep(x)``: per layer,
 row factors a, b whose products a_r b_r^T (a_r for a vector layer) are
 the per-row gradients. ``sweep_chunks`` is the one driver of that pass: it
 hands each chunk's factors to a sink, checks the filled rows once and keeps
-the per-row log-likelihood; ``grad_groups`` is its full-row sink, joining one
-group's vector factors into one reduce. The flow's passes hold z and its
-gradient as two halves, making a new one per block, so ``x`` is never written;
-the forward caches each block's hidden activations for the backward while they
-fit in HIDDEN_CACHE_FLOATS; ``log_likelihood_batch`` runs it with no cache.
+the per-row log-likelihood; ``grad_groups`` is its full-row sink, one reduce
+per vector layer straight into the row. The flow's block table holds weights
+only; its passes, sampling too, hold z and its gradient as two halves, block k
+making a new half k % 2, so ``x`` is never written. The forward caches h for
+the backward within HIDDEN_CACHE_FLOATS; ``log_likelihood_batch`` caches none.
 
 Checkpoints are JSON (type, dims, hyper, named layers with shapes and
 row-major values), written and read through ``data``. The loader and
@@ -134,21 +134,14 @@ def _grad_groups(self, x: np.ndarray, group_size: int):
     def sink(out, factors):
         # one group (every trainer step): each sum goes straight into its slice of the row
         views = self.params.views(out) if len(out) > 1 else None
-        row, vectors = out[0], []
         for i, a, b in factors:
             start, stop, shape = self.params._layout[i]
             if views is not None:
                 group_sums(a, b, group_size, out=views[i])
             elif b is not None:
-                np.dot(a.T, b, out=row[start:stop].reshape(shape))
-            elif a.shape[1] > 1 and len(a) * self.params.n_params <= CHUNK_FLOATS:
-                vectors.append((start, a))  # numpy sums it row by row, alone or joined
-            else:  # summed pairwise if one column wide; or too many rows to hold
-                np.add.reduce(a, axis=0, out=row[start:stop])
-        if vectors:
-            sums, lo = np.add.reduce(np.concatenate([a for _, a in vectors], axis=1), axis=0), 0
-            for start, a in vectors:
-                row[start:start + a.shape[1]], lo = sums[lo:lo + a.shape[1]], lo + a.shape[1]
+                np.dot(a.T, b, out=out[0, start:stop].reshape(shape))
+            else:
+                np.add.reduce(a, axis=0, out=out[0, start:stop])
 
     return sweep_chunks(self, x, group_size, sink, self.params.n_params, self.params.layer_of)
 
@@ -271,10 +264,7 @@ class CouplingFlowModel:
         self.hyper = {"K": n_blocks, "H": hidden, "c": clamp}
         _check_layout(params, self._layout(dim, n_blocks, hidden))
         self.params = params
-        w, lo, hi = params.arrays, slice(0, dim // 2), slice(dim // 2, dim)
-        # per block: (w_in, b_in, w_out, b_out, transformed slice, pass-through slice)
-        self._blocks = tuple((*w[4 * k:4 * k + 4], *((hi, lo) if k % 2 else (lo, hi)))
-                             for k in range(n_blocks))
+        self._blocks = tuple(tuple(params.arrays[4 * k:4 * k + 4]) for k in range(n_blocks))
 
     @staticmethod
     def _layout(dim: int, n_blocks: int, hidden: int) -> list:
@@ -322,23 +312,27 @@ class CouplingFlowModel:
         h = np.dot(cond, w_in.T)  # np.matmul is slow on dim 2's outer product
         return np.tanh(np.add(h, b_in, out=h), out=h)
 
+    def _block(self, k: int, cond: np.ndarray):
+        """Block k's conditioner on ``cond``: ``(h, s_raw, s, t)``, s clamped."""
+        w_in, b_in, w_out, b_out = self._blocks[k]
+        h, half, c = self._hidden(w_in, b_in, cond), self.dim // 2, self.clamp
+        o = np.dot(h, w_out.T)
+        o += b_out
+        s_raw = o[:, :half]  # s below is np.clip's values, without its wrapper
+        return h, s_raw, np.minimum(np.maximum(s_raw, -c), c), o[:, half:]
+
     def _forward(self, x: np.ndarray, keep: bool = True, keep_h: bool = True):
         """Data-to-base pass over two halves of z, never writing ``x``; with
         ``keep``, caches per-block intermediates for backward, and h too with
         ``keep_h``. An uncached h is dropped before the next block makes its own."""
-        half, c = self.dim // 2, self.clamp
-        z = [x[:, :half], x[:, half:]]
+        z = [x[:, :self.dim // 2], x[:, self.dim // 2:]]
         logdet = np.zeros(x.shape[0])
         cache = []
-        for k, (w_in, b_in, w_out, b_out, _, _) in enumerate(self._blocks):
+        for k in range(self.n_blocks):
             act, cond = z[k % 2], z[1 - k % 2]
-            h = self._hidden(w_in, b_in, cond)
-            o = np.dot(h, w_out.T)
-            o += b_out
-            s_raw = o[:, :half]
-            s = np.minimum(np.maximum(s_raw, -c), c)  # np.clip's values, without its wrapper
+            h, s_raw, s, t = self._block(k, cond)
             es = np.exp(s)
-            z[k % 2] = act * es + o[:, half:]
+            z[k % 2] = act * es + t
             logdet += np.add.reduce(s, axis=1)
             if keep:
                 cache.append((act, cond, s_raw, es, h if keep_h else None))
@@ -368,7 +362,7 @@ class CouplingFlowModel:
     def _factors(self, g: np.ndarray, cache: list):
         g = [g[:, :self.dim // 2], g[:, self.dim // 2:]]
         for k in range(self.n_blocks - 1, -1, -1):
-            w_in, b_in, w_out, _, _, _ = self._blocks[k]
+            w_in, b_in, w_out, _ = self._blocks[k]
             act, cond, s_raw, es, h = cache.pop()
             if h is None:
                 h = self._hidden(w_in, b_in, cond)
@@ -390,14 +384,12 @@ class CouplingFlowModel:
 
     def sample(self, rng: Rng, n: int) -> np.ndarray:
         """n draws; consumes n*dim base normals, then inverts the chain."""
-        half, c, n = self.dim // 2, self.clamp, require_int(n, "sample count", 1)
-        z = rng.normals(n * self.dim).reshape(n, self.dim)
-        for w_in, b_in, w_out, b_out, tsl, csl in reversed(self._blocks):
-            o = np.dot(self._hidden(w_in, b_in, z[:, csl]), w_out.T)
-            o += b_out
-            s = np.minimum(np.maximum(o[:, :half], -c), c)
-            z[:, tsl] = (z[:, tsl] - o[:, half:]) * np.exp(-s)
-        return z
+        n = require_int(n, "sample count", 1)
+        z = np.hsplit(rng.normals(n * self.dim).reshape(n, self.dim), 2)  # views of the halves
+        for k in range(self.n_blocks - 1, -1, -1):
+            _, _, s, t = self._block(k, z[1 - k % 2])
+            z[k % 2] = (z[k % 2] - t) * np.exp(-s)
+        return np.concatenate(z, axis=1)
 
 
 _MODEL_TYPES = {
@@ -438,6 +430,8 @@ def sweep_chunks(model, x: np.ndarray, group_size: int, sink, width: int, name_o
 
 def score(model, x) -> LayeredParams:
     """Parameter gradient of log-likelihood at a single point."""
+    if len(x := _as_batch(x, model.dim)) != 1:
+        raise DomainError(f"score takes one point, got shape {x.shape}")
     return model.params.from_flat(model.grad_groups(x, 1)[0][0])
 
 

@@ -543,6 +543,29 @@ def test_bad_list_values_exit_1(pipeline, tmp_path, capsys, flag, value):
     assert flag in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["features", "--model", "m.json", "--data", "d.dmat", "--batch-size", 0], "--batch-size"),
+    (["train", "--data", "d.dmat", "--batch-size", 0], "--batch-size"),
+    (["train", "--data", "d.dmat", "--epochs", -1], "--epochs"),
+    (["train", "--data", "d.dmat", "--n-blocks", 0], "--n-blocks"),
+    (["train", "--data", "d.dmat", "--hidden", 0], "--hidden"),
+    (["eval", "--n-batches", 0], "--n-batches"),
+    (["fim-probe", "--model", "m.json", "--n", 0], "--n"),
+    (["invariance-check", "--model", "m.json", "--n-points", 0], "--n-points"),
+    (["gen-data", "--dist", "two_moons", "--n", 0], "--n"),
+    (["tv-volume", "--alpha", 1.0, "--d", 0], "--d"),
+    (["tv-volume", "--alpha", 1.0, "--d", 2, "--mc", -5], "--mc"),
+])
+def test_count_flag_below_its_lowest_value_exits_1(tmp_path, capsys, argv, flag):
+    """Every count flag is checked before its subcommand reads a file, and
+    the one-line refusal names the flag."""
+    out = tmp_path / "o"
+    assert run(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be >= ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("command", ["fit", "score"])
 def test_failed_write_leaves_no_tmp_file(pipeline, tmp_path, command):
     taken = tmp_path / "taken"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -77,6 +78,16 @@ def test_gaussian_score_closed_form():
     assert abs(g2["log_sigma"][0] - 0.0) < 1e-14  # z^2 - 1
 
 
+def test_score_takes_exactly_one_point():
+    """One point as a vector or a one-row array; any other row count is
+    refused naming the shape, not read as its first row or an IndexError."""
+    m = DiagGaussianModel(np.array([2.0]), np.array([0.0]))
+    assert np.array_equal(score(m, np.array([[3.0]])).flat(), score(m, np.array([3.0])).flat())
+    for x in (np.array([[3.0], [1.0]]), np.empty((0, 1))):
+        with pytest.raises(DomainError, match=rf"one point, got shape \({len(x)}, 1\)"):
+            score(m, x)
+
+
 def test_zero_flow_is_standard_normal():
     m = zero_flow()
     pts = Rng(4).normals(20).reshape(10, 2)
@@ -114,15 +125,32 @@ def test_flow_invertibility():
     m = warped_flow(seed=6, n_blocks=4, hidden=16)
     x = sample(m, Rng(12), 100)
     z, logdet, _ = m._forward(x)
-    # invert by re-running the sampling chain on z
-    y = np.array(z)
+    # invert block by block from the last: block k transforms half k % 2
     half = m.dim // 2
-    for w_in, b_in, w_out, b_out, tsl, csl in reversed(m._blocks):
-        h = np.tanh(y[:, csl] @ w_in.T + b_in)
+    y = [z[:, :half], z[:, half:]]
+    for k in range(m.n_blocks - 1, -1, -1):
+        w_in, b_in, w_out, b_out = (m.params[f"block{k}.{n}"]
+                                    for n in ("w_in", "b_in", "w_out", "b_out"))
+        h = np.tanh(y[1 - k % 2] @ w_in.T + b_in)
         o = h @ w_out.T + b_out
         s = np.clip(o[:, :half], -m.clamp, m.clamp)
-        y[:, tsl] = (y[:, tsl] - o[:, half:]) * np.exp(-s)
-    assert np.max(np.abs(y - x)) < 1e-9
+        y[k % 2] = (y[k % 2] - o[:, half:]) * np.exp(-s)
+    assert np.max(np.abs(np.hstack(y) - x)) < 1e-9
+
+
+# sha256 of sample(warped_flow(seed=21, dim=d, ...), Rng(5), 64), recorded with
+# numpy 2.4.6 from the sampler that wrote each block's half through slices
+SAMPLE_DIGESTS = {
+    (2, 3, 8): "f7e460e1d0883f23b4082208f868a070d2cdf71cee9b0aa3250883e58f4b4919",
+    (4, 4, 8): "8290e483b8bbf88f4d9dfc33ab5b0de26372427fc5d7ed5593008b214e66cf23",
+}
+
+
+@pytest.mark.parametrize("dim, n_blocks, hidden", sorted(SAMPLE_DIGESTS))
+def test_flow_samples_pinned(dim, n_blocks, hidden):
+    m = warped_flow(seed=21, dim=dim, n_blocks=n_blocks, hidden=hidden)
+    x = sample(m, Rng(5), 64)
+    assert hashlib.sha256(x.tobytes()).hexdigest() == SAMPLE_DIGESTS[dim, n_blocks, hidden]
 
 
 def test_flow_logdet_matches_independent_forward():
@@ -328,9 +356,9 @@ def test_likelihood_pass_holds_one_hidden_layer_at_a_time():
 
 def test_one_group_of_many_rows_sums_vector_layers_one_by_one():
     """One group of 20,000 rows of the K = 6, H = 32 flow peaks at about
-    30 MB. Holding every vector factor for one joined reduce, as a training
-    step's one group does, would take about 65 MB, so rows x P beyond
-    CHUNK_FLOATS sum each vector layer as it comes."""
+    30 MB: each vector layer is summed into the row as its factor comes.
+    Holding every vector factor for one joined reduce would take about
+    65 MB."""
     m = CouplingFlowModel.init_random(2, Rng(47))
     x = sample(m, Rng(48), 20_000)
     m.grad_groups(x[:10], 10)
