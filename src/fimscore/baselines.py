@@ -10,7 +10,7 @@ The typicality baseline compares the batch's mean log-likelihood to an
 entropy estimate taken on held-out fit data: score = |mean_ll - H_hat|,
 with H_hat the per-sample mean log-likelihood of the fit split. Batches
 can be anomalous by being either too unlikely or too likely. Both read
-per-batch means, as ``gradfeatures.feature_sweep`` returns them.
+per-batch means of the log-likelihoods ``gradfeatures.feature_sweep`` returns.
 """
 
 from __future__ import annotations

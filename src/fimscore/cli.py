@@ -95,8 +95,11 @@ def _cmd_train(args):
     # --data is a gen-data directory, whose train and fit splits are
     # stacked, or one DMAT file
     if os.path.isdir(args.data):
-        rows = np.vstack([data.load_dmat(os.path.join(args.data, f"{t}.dmat"))
-                          for t in ("train", "fit")])
+        train, fit = (os.path.join(args.data, f"{t}.dmat") for t in ("train", "fit"))
+        rows = [data.load_dmat(p) for p in (train, fit)]
+        if rows[0].shape[1] != rows[1].shape[1]:
+            raise DomainError(f"'{train}' {rows[0].shape}, '{fit}' {rows[1].shape}: widths differ")
+        rows = np.vstack(rows)
     else:
         rows = data.load_dmat(args.data)
     dim = rows.shape[1]
@@ -137,8 +140,8 @@ def _cmd_features(args):
     model = M.load_model(args.model)
     rows = data.load_dmat(args.data)
     _require_dim("--data", args.data, rows, model)
-    feats = gradfeatures.feature_sweep(
-        model, gradfeatures.batch_view(rows, args.batch_size, f"--data '{args.data}'"))[0]
+    batches = gradfeatures.batch_view(rows, args.batch_size, f"--data '{args.data}'")
+    feats = gradfeatures.feature_sweep(model, batches.reshape(-1, model.dim), [args.batch_size])[0]
     provenance = {
         "model_checksum": M.model_checksum(model),
         "batch_size": args.batch_size,

@@ -12,10 +12,11 @@ trained model becomes a column; every distribution with an eval split
 becomes a row. Each column fits only what its methods read, on its
 model's held-out fit split (detectors on gradient features of disjoint
 contiguous fit batches, typicality on the split's mean log-likelihood).
-Every row's eval batch sets are then scored, each by one pass (a feature
-sweep if a method reads the detector), and each off-diagonal cell gets
-an AUROC against the column's own eval scores. A cell that cannot be
-scored is skipped with the first error that stopped it (``auroc`` None).
+Each fit split and eval batch set takes one pass: a feature sweep (of all
+batch sizes at once on a fit split) if a method reads the detector, else a
+likelihood pass. Each off-diagonal cell gets an AUROC against the column's
+own eval scores; one that cannot be scored is skipped with the first error
+that stopped it (``auroc`` None).
 
 Batches are reproducible: the eval split of distribution d at batch
 size B is shuffled once with a child stream derived from (seed, d, B),
@@ -25,6 +26,7 @@ produce byte-identical report JSON.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,12 +75,13 @@ class PairingReport:
 
 
 def _method_scores(model, fits, methods, batches):
+    rows = batches.reshape(-1, batches.shape[2])
     if "detector" in fits:
-        features, mean_loglik = gradfeatures.feature_sweep(model, batches)
+        features, loglik = gradfeatures.feature_sweep(model, rows, batches.shape[1:2])
         logf = gradfeatures.log_features(features)
     else:
-        logf, mean_loglik = None, model.log_likelihood_batch(
-            batches.reshape(-1, batches.shape[2])).reshape(batches.shape[:2]).mean(axis=-1)
+        logf, loglik = None, model.log_likelihood_batch(rows)
+    mean_loglik = loglik.reshape(batches.shape[:2]).mean(axis=-1)
     return {m: METHODS[m][1](fits.get(METHODS[m][0]), logf, mean_loglik) for m in methods}
 
 
@@ -124,7 +127,13 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
             "seed": seed, "batch_sizes": list(batch_sizes), "methods": list(methods),
             "n_eval_batches": n_eval_batches, "model_checksum": model_checksum(model),
             "n_fit_rows": len(fit_rows) if fit_rows.ndim else 0})
-        fits = {}  # the detector of this batch size; H_hat, on the first fitted cell
+        # one fit split sweep for all sizes and H_hat; if it fails, each size sweeps alone
+        swept, fits = {}, {}  # fits: this size's detector; H_hat, on the first fitted cell
+        if "detector" in needs:
+            sizes = [b for b in batch_sizes if fit_rows.ndim and len(fit_rows) // b >= 2]
+            with contextlib.suppress(FimscoreError):
+                *features, loglik = gradfeatures.feature_sweep(model, fit_rows, sizes)
+                swept, fits = dict(zip(sizes, features)), {"h_hat": float(loglik.mean())}
         for b_idx, bsz in enumerate(batch_sizes):
             # a bad column (thin fit or eval split, non-finite gradients) or
             # a thin test split skips its cells with the first error that
@@ -136,8 +145,9 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
                     if len(fit_batches) < 2:
                         raise InsufficientDataError(f"{source} yields {len(fit_batches)} "
                                                     f"batches of size {bsz}; need >= 2")
-                    fits["detector"] = detector.fit_detector(gradfeatures.log_features(
-                        gradfeatures.feature_sweep(model, fit_batches)[0]))
+                    features = swept.pop(bsz) if bsz in swept else gradfeatures.feature_sweep(
+                        model, fit_batches.reshape(-1, model.dim), [bsz])[0]
+                    fits["detector"] = detector.fit_detector(gradfeatures.log_features(features))
                 if "h_hat" in needs and "h_hat" not in fits:  # batch_view names a bad split
                     fits["h_hat"] = baselines.fit_typicality(
                         model, gradfeatures.batch_view(fit_rows, 1, source, model.dim)[:, 0])

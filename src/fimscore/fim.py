@@ -31,8 +31,8 @@ the whitened single-draw score.
 
 ``sherman_morrison_score`` evaluates s_x^T (A_0 + S^T S)^{-1} s_x, with
 A_0 diagonal and the N gradient samples as the rows of S, through the
-Woodbury identity: one N x N Cholesky factorisation of I + S A_0^{-1} S^T
-replaces the N rank-one updates, so memory stays O(N P + N^2) and no
+Woodbury identity: one N x N solve with I + S A_0^{-1} S^T replaces the N
+rank-one updates, so memory stays O(N P + N^2) and no
 P x P matrix is ever formed. The ``n_plus_1`` convention rescales the
 quadratic form by (N + 1), matching an FIM estimate that averages the
 prior together with the N outer products.
@@ -95,19 +95,23 @@ def mc_fim_slice(model, layer_names, rng: Rng, n: int) -> FimSlice:
 def score_columns(model, x: np.ndarray, weight_map) -> np.ndarray:
     """(rows, k) per-sample scores of ``x`` at the k weights of ``weight_map``."""
     names, flat = (np.array(v) for v in zip(*weight_map))
-    cols_of = {model.params.names.index(n): np.flatnonzero(names == n) for n in set(names)}
+    picks = {}  # layer index -> (its output columns, the factor columns of its weights)
+    for n in set(names):
+        c = np.flatnonzero(names == n)
+        picks[model.params.names.index(n)] = (c, *np.unravel_index(flat[c], model.params[n].shape))
 
-    def sink(out, factors):
+    def sink(factors, out):
+        last = None  # a bias shares its weight's row factor: check that array once
         for i, a, b in factors:
             for f in (a, b):  # the only sink that drops factors checks them all
-                if f is not None:
+                if f is not None and f is not last:
                     require_finite(f, layer_fail(lambda _: model.params.names[i]))
-            if i in cols_of:
-                idx = flat[cols_of[i]]
-                out[:, cols_of[i]] = a[:, idx] if b is None else \
-                    a[:, idx // b.shape[1]] * b[:, idx % b.shape[1]]
+            last = a
+            if i in picks:
+                cols, rows, *inner = picks[i]
+                out[:, cols] = a[:, rows] if b is None else a[:, rows] * b[:, inner[0]]
 
-    return sweep_chunks(model, x, 1, sink, len(weight_map), lambda j: weight_map[j][0])[0]
+    return sweep_chunks(model, x, [1], sink, len(weight_map), lambda j: weight_map[j][0])[0]
 
 
 def normalize_fim(matrix: np.ndarray) -> np.ndarray:
@@ -191,9 +195,9 @@ def sherman_morrison_score(grad_samples, a0_diag: np.ndarray, s_x: np.ndarray,
     With R = S A^{-1/2} and y = A^{-1/2} s_x for A = diag(a0), the
     Woodbury identity gives
 
-        q = y^T y - |L^{-1} R y|^2,   L L^T = I_N + R R^T,
+        q = y^T y - (R y)^T (I_N + R R^T)^{-1} R y,
 
-    one N x N Cholesky factorisation in place of N rank-one updates.
+    one N x N solve in place of N rank-one updates.
     Memory is O(N P + N^2) and no P x P array is ever allocated; with no
     samples q is the diagonal solve y^T y. ``scale_convention`` 'raw'
     returns the quadratic form as-is; 'n_plus_1' multiplies by (N + 1).
@@ -221,9 +225,8 @@ def sherman_morrison_score(grad_samples, a0_diag: np.ndarray, s_x: np.ndarray,
     root = np.sqrt(a0)
     r = s / root
     y = sx / root
-    chol = np.linalg.cholesky(np.eye(len(rows)) + r @ r.T)
-    v = np.linalg.solve(chol, r @ y)
-    q = float(y @ y - v @ v)
+    ry = r @ y
+    q = float(y @ y - ry @ np.linalg.solve(np.eye(len(rows)) + r @ r.T, ry))
     if scale_convention == "n_plus_1":
         q *= len(rows) + 1
     return q

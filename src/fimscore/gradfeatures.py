@@ -5,9 +5,10 @@ parameter layer, of the gradient of the batch-summed log-likelihood:
 
     f_j(x_1..x_B) = || grad_{theta_j} sum_b log p(x_b) ||_2^2.
 
-Features come from a ``sweep_chunks`` sink of each layer's backward
-factors, chunk by chunk, so no (batches, P) gradient matrix is formed; the
-sink keeps every factor, so the driver's row check names a bad one's layer.
+Features come from one ``sweep_chunks`` sink of each layer's backward
+factors for every batch size of a row set, chunk by chunk, so no (batches, P)
+gradient matrix is formed; it keeps every factor, so the sweep's row check
+names a bad one's layer.
 At batch size 1 it takes ghost norms, ||a||^2 ||b||^2 of a row's factors
 (||a||^2 for a vector layer), and builds no outer product.
 Scoring happens on ln f_j; exact zeros (they occur, for instance, in the
@@ -30,7 +31,7 @@ FLOOR = 1e-300
 
 def gradient_features(model, batch: np.ndarray) -> np.ndarray:
     """Per-layer squared gradient norms of the batch-summed objective."""
-    return feature_sweep(model, np.asarray(batch, dtype=np.float64)[None])[0][0]
+    return feature_sweep(model, batch, np.shape(batch)[:1])[0][0]
 
 
 def log_features(features: np.ndarray) -> np.ndarray:
@@ -41,29 +42,30 @@ def log_features(features: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(features, FLOOR))
 
 
-def feature_sweep(model, batches):
-    """``(features, mean_loglik)`` of a (batches, batch size, dim) array from
-    one ``sweep_chunks``: gradient_features rows within 1e-12 relative of
-    ``grad_groups`` norms (a non-finite one names its layer), and each batch's
-    mean log-likelihood, bit for bit ``log_likelihood_batch`` of its chunk."""
-    batches = np.asarray(batches, dtype=np.float64)
-    if batches.ndim != 3 or 0 in batches.shape[:2]:
-        raise DomainError(f"need >= 1 batch of shape (size >= 1, dim), got {batches.shape}")
-    size = batches.shape[1]
+def feature_sweep(model, rows, sizes):
+    """``(*features, loglik)`` of a (rows, dim) array from one ``sweep_chunks``:
+    per batch size B of ``sizes``, the gradient_features rows of the
+    ``batch_view(rows, B)`` batches, within 1e-12 relative of ``grad_groups``
+    norms (a non-finite one names its layer); then each row's log-likelihood,
+    bit for bit ``log_likelihood_batch`` of its chunk."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or min(sizes, default=0) < 1 or len(rows) < max(sizes):
+        raise DomainError(f"need rows (n, dim) holding >= 1 batch of each size in "
+                          f"{list(sizes)}, got shape {rows.shape}")
 
-    def sink(out, factors):
+    def sink(factors, *outs):
         for i, a, b in factors:
-            if size == 1:  # ghost norm: ||a_r b_r^T||_F^2 = ||a_r||^2 ||b_r||^2
-                col = np.einsum("ij,ij->i", a, a, out=out[:, i])
-                if b is not None:
-                    col *= np.einsum("ij,ij->i", b, b)
-            else:
-                s = group_sums(a, b, size).reshape(len(out), -1)
-                out[:, i] = np.square(s, out=s).sum(axis=1)
+            for out, size in zip(outs, sizes):
+                if size == 1:  # ghost norm: ||a_r b_r^T||_F^2 = ||a_r||^2 ||b_r||^2
+                    col = np.einsum("ij,ij->i", a, a, out=out[:, i])
+                    if b is not None:
+                        col *= np.einsum("ij,ij->i", b, b)
+                elif k := len(out) * size:  # the chunk's rows in whole batches of this size
+                    s = group_sums(a[:k], b if b is None else b[:k], size).reshape(len(out), -1)
+                    out[:, i] = np.square(s, out=s).sum(axis=1)
 
-    features, loglik = sweep_chunks(model, batches.reshape(-1, batches.shape[2]), size, sink,
-                                    len(model.params.names), model.params.names.__getitem__)
-    return features, loglik.reshape(batches.shape[:2]).mean(axis=-1)
+    return sweep_chunks(model, rows, sizes, sink, len(model.params.names),
+                        model.params.names.__getitem__)
 
 
 def batch_view(rows: np.ndarray, batch_size: int, source="rows", dim=None) -> np.ndarray:

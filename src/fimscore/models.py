@@ -130,8 +130,10 @@ def group_sums(a: np.ndarray, b, group_size: int, out=None) -> np.ndarray:
 
 def _grad_groups(self, x: np.ndarray, group_size: int):
     """``(grads, loglik)``: a flat gradient row per group of rows, loglik per row."""
+    if (n := len(np.atleast_2d(x))) % require_int(group_size, "group size", 1):
+        raise DomainError(f"{n} rows do not split into groups of {group_size}")
 
-    def sink(out, factors):
+    def sink(factors, out):
         # one group (every trainer step): each sum goes straight into its slice of the row
         views = self.params.views(out) if len(out) > 1 else None
         for i, a, b in factors:
@@ -143,7 +145,7 @@ def _grad_groups(self, x: np.ndarray, group_size: int):
             else:
                 np.add.reduce(a, axis=0, out=out[0, start:stop])
 
-    return sweep_chunks(self, x, group_size, sink, self.params.n_params, self.params.layer_of)
+    return sweep_chunks(self, x, [group_size], sink, self.params.n_params, self.params.layer_of)
 
 
 def _with_params(self, params: LayeredParams):
@@ -398,7 +400,7 @@ _MODEL_TYPES = {
 }
 
 
-def _as_batch(x: np.ndarray, dim: int, group_size: int = 1) -> np.ndarray:
+def _as_batch(x: np.ndarray, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
@@ -406,26 +408,26 @@ def _as_batch(x: np.ndarray, dim: int, group_size: int = 1) -> np.ndarray:
         raise DomainError(f"expected points of dimension {dim}, got shape {x.shape}")
     require_finite(x, lambda index: NonFiniteError(
         "input point {} has a non-finite value in column {}".format(*index)))
-    if len(x) % require_int(group_size, "group size", 1):
-        raise DomainError(f"{len(x)} rows do not split into groups of {group_size}")
     return x
 
 
-def sweep_chunks(model, x: np.ndarray, group_size: int, sink, width: int, name_of):
-    """(groups, width) array that ``sink(out, factors)`` fills chunk by chunk,
-    and the per-row log-likelihood of ``x`` from the same sweeps: ``out`` the
-    rows of at most CHUNK_FLOATS // P whole groups (at least one), ``factors``
-    their sweep's (i, a, b) stream. A NaN or inf in column j is a
-    NonFiniteError naming ``name_of(j)``; a sink that drops factors checks them."""
-    x = _as_batch(x, model.dim, group_size)
-    step = max(1, CHUNK_FLOATS // model.params.n_params)
-    out, loglik = np.empty((len(x) // group_size, width)), np.empty(len(x))
-    for start in range(0, len(out), step):
-        rows = slice(start * group_size, (start + step) * group_size)
-        loglik[rows], factors = model.factor_sweep(x[rows])
-        sink(out[start:start + step], factors)
-    require_finite(out, layer_fail(name_of))
-    return out, loglik
+def sweep_chunks(model, x: np.ndarray, sizes, sink, width: int, name_of):
+    """``(*outs, loglik)``: per size G of ``sizes``, a (len(x) // G, width) array,
+    a row per whole contiguous group of G rows, that ``sink(factors, *outs)``
+    fills chunk by chunk from the chunk's (i, a, b) stream; then each row's
+    log-likelihood. A chunk's rows are a multiple of every size: at most
+    CHUNK_FLOATS // P groups of the smallest, or one multiple. A NaN or inf in
+    column j is a NonFiniteError naming ``name_of(j)``; a sink that drops factors checks them."""
+    x = _as_batch(x, model.dim)
+    align = math.lcm(*sizes)
+    step = align * max(1, min(sizes) * (CHUNK_FLOATS // model.params.n_params) // align)
+    outs, loglik = [np.empty((len(x) // g, width)) for g in sizes], np.empty(len(x))
+    for start in range(0, len(x), step):
+        loglik[start:start + step], factors = model.factor_sweep(x[start:start + step])
+        sink(factors, *[out[start // g:(start + step) // g] for out, g in zip(outs, sizes)])
+    for out in outs:
+        require_finite(out, layer_fail(name_of))
+    return (*outs, loglik)
 
 
 def score(model, x) -> LayeredParams:

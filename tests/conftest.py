@@ -6,7 +6,8 @@ from fimscore import models
 @pytest.fixture
 def chunk_spy(monkeypatch):
     """``chunk_spy(model, k, group_size)`` caps models.sweep_chunks chunks at
-    k groups of ``model`` (so grad_groups chunks too, and with it score,
+    k groups of ``model``, of the smallest size when a sweep has several
+    (so grad_groups chunks too, and with it score,
     score_batch and loglik_and_grad_sum) and returns the list that records
     the group count of every factor_sweep call the model then makes."""
 

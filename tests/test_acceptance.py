@@ -32,7 +32,7 @@ from fimscore.fim import (
     prior_diag_from_samples,
     sherman_morrison_score,
 )
-from fimscore.gradfeatures import batch_view, feature_sweep, log_features
+from fimscore.gradfeatures import feature_sweep, log_features
 from fimscore.models import CouplingFlowModel, DiagGaussianModel, score
 from fimscore.numcore import Rng
 from fimscore.representation import (
@@ -291,12 +291,10 @@ def test_criterion_07_layer_rescale_invariance(golden):
     offsets in log space are exactly per-layer rescalings of the raw
     squared norms, so both scores must shrug them off."""
     model = golden["model"]
-    lf_fit = log_features(feature_sweep(model, batch_view(golden["fit_rows"], 5))[0])
-    lf_in = log_features(
-        feature_sweep(model, batch_view(golden["evals"]["two_moons"][:500], 5))[0]
-    )
+    lf_fit = log_features(feature_sweep(model, golden["fit_rows"], [5])[0])
+    lf_in = log_features(feature_sweep(model, golden["evals"]["two_moons"][:500], [5])[0])
     lf_out = log_features(
-        feature_sweep(model, batch_view(golden["evals"]["uniform_square"][:500], 5))[0]
+        feature_sweep(model, golden["evals"]["uniform_square"][:500], [5])[0]
     )
     shift = np.linspace(-3.0, 2.0, lf_fit.shape[1])
     det0 = fit_detector(lf_fit)

@@ -18,8 +18,9 @@ def _means(model, batches):
     input; one (size, dim) batch gives a scalar."""
     batches = np.asarray(batches, dtype=np.float64)
     if batches.ndim == 2:
-        return feature_sweep(model, batches[None])[1][0]
-    return feature_sweep(model, batches)[1]
+        return _means(model, batches[None])[0]
+    loglik = feature_sweep(model, batches.reshape(-1, batches.shape[2]), batches.shape[1:2])[1]
+    return loglik.reshape(batches.shape[:2]).mean(axis=-1)
 
 
 def test_likelihood_score_singleton():

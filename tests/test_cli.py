@@ -452,6 +452,21 @@ def test_malformed_artifact_exits_1(pipeline, tmp_path, capsys, artifact, conten
     assert not out.exists()
 
 
+def test_train_data_dir_with_splits_of_different_widths_exits_1(tmp_path, capsys):
+    """A gen-data directory whose train and fit splits differ in width is
+    refused before they are stacked, naming both files and their shapes."""
+    data_dir = tmp_path / "d"
+    data_dir.mkdir()
+    save_dmat(str(data_dir / "train.dmat"), np.zeros((300, 2)))
+    save_dmat(str(data_dir / "fit.dmat"), np.zeros((30, 3)))
+    out = tmp_path / "o"
+    assert run(["train", "--data", data_dir, "--model", "gaussian", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert "train.dmat' (300, 2)" in err and "fit.dmat' (30, 3)" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("artifact,contents,message", [
     ("model", {"type": "diag_gaussian"}, "malformed checkpoint: 'dims'"),
     ("detector", {"mu": [1, 2], "sigma2": [1], "n_fit": 3},

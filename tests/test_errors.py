@@ -121,12 +121,12 @@ def test_sweep_check_names_the_first_bad_entry_in_row_order():
     row-order first bad entry, not that of the lowest bad column."""
     params = LayeredParams([("a", np.zeros(2)), ("b", np.zeros(2))])
 
-    def sink(out, factors):
+    def sink(factors, out):
         out[:] = 0.0
         out[0, 3], out[1, 0] = np.nan, np.nan
 
     with pytest.raises(NonFiniteError, match="^layer 'b' has non-finite entries$"):
-        sweep_chunks(GAUSS, np.zeros((2, 2)), 1, sink, 4, params.layer_of)
+        sweep_chunks(GAUSS, np.zeros((2, 2)), [1], sink, 4, params.layer_of)
 
 
 def _finite_sites(tmp_path):

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fimscore import baselines, detector
+from fimscore.baselines import fit_typicality
+from fimscore.detector import fit_detector
 from fimscore.errors import DomainError, InsufficientDataError
 from fimscore.evaluation import METHODS, auroc, render_grid, run_pairings
+from fimscore.gradfeatures import batch_view, feature_sweep, log_features
 from fimscore.models import CouplingFlowModel
 from fimscore.numcore import Rng
 
@@ -277,18 +281,92 @@ def _count_flow_passes(monkeypatch):
 
 
 def test_run_pairings_sweeps_each_batch_set_once(monkeypatch):
-    """One factor_sweep per batch set: per column and batch size, its fit
-    set, its own eval split and the other one. One likelihood pass per
-    column, for H_hat. Neither count grows with the number of eval batches.
-    Flows keep the two counts apart: a Gaussian's likelihood pass is itself
-    a factor_sweep."""
+    """One factor_sweep per batch set: per column, one of its fit split for
+    every batch size and H_hat; per column and batch size, its own eval
+    split and the other one. No likelihood pass. Neither count grows with
+    the number of eval batches. Flows keep the two counts apart: a
+    Gaussian's likelihood pass is itself a factor_sweep."""
     entries, evals = _two_flow_setup()
     calls = _count_flow_passes(monkeypatch)
     for n_batches in (10, 50):
         calls.update(factor_sweep=0, log_likelihood_batch=0)
         reports = run_pairings(entries, evals, batch_sizes=[1, 5], n_eval_batches=n_batches)
         assert all(row["auroc"] is not None for r in reports for row in r.rows)
-        assert calls == {"factor_sweep": 2 * 2 * 3, "log_likelihood_batch": 2}
+        assert calls == {"factor_sweep": 2 * (1 + 2 * 2), "log_likelihood_batch": 0}
+
+
+def _spy_fits(monkeypatch):
+    """The (log features, detector) of every fit_detector call, and every
+    H_hat that typicality_score reads, in call order."""
+    fitted, h_hats = [], []
+    fit, score = detector.fit_detector, baselines.typicality_score
+
+    def fit_spy(logf):
+        fitted.append((logf, fit(logf)))
+        return fitted[-1][1]
+
+    monkeypatch.setattr(detector, "fit_detector", fit_spy)
+    monkeypatch.setattr(baselines, "typicality_score",
+                        lambda h_hat, ll: h_hats.append(h_hat) or score(h_hat, ll))
+    return fitted, h_hats
+
+
+def test_run_pairings_fit_split_sweep_gives_the_per_size_fits(monkeypatch):
+    """A one-chunk fit split, swept once for B = 1, 5 and 25: each size's
+    detector and H_hat are bit for bit those fit from that size's own
+    feature sweep of its batches and from the likelihood pass of the rows."""
+    entries, evals = _two_flow_setup()
+    fitted, h_hats = _spy_fits(monkeypatch)
+    run_pairings(entries, evals, batch_sizes=[1, 5, 25], n_eval_batches=10)
+    for k, name in enumerate(sorted(entries)):  # columns in name order
+        model, fit_rows = entries[name]
+        for (_, got), size in zip(fitted[3 * k:3 * k + 3], (1, 5, 25)):
+            rows = batch_view(fit_rows, size).reshape(-1, model.dim)
+            want = fit_detector(log_features(feature_sweep(model, rows, [size])[0]))
+            assert np.array_equal(got.mu, want.mu) and np.array_equal(got.sigma2, want.sigma2)
+            assert got.n_fit == want.n_fit == len(fit_rows) // size
+        assert set(h_hats[6 * k:6 * k + 6]) == {fit_typicality(model, fit_rows)}
+
+
+def test_run_pairings_fit_split_remainder_rows(monkeypatch):
+    """303 fit rows at B = 1 and 5: B = 1 fits on all of them, B = 5 on 60
+    batches of the first 300, with features within 1e-12 relative of each
+    size's own sweep (ln f within 1e-12 absolute)."""
+    entries, evals = _two_flow_setup()
+    model, fit_rows = entries["near"]
+    fit_rows = np.vstack([fit_rows, evals["near"][:3]])
+    fitted, _ = _spy_fits(monkeypatch)
+    run_pairings({"near": (model, fit_rows)}, evals, batch_sizes=[1, 5], n_eval_batches=10)
+    for (logf, det), size in zip(fitted, (1, 5)):
+        assert det.n_fit == 303 // size
+        rows = fit_rows[:303 // size * size]
+        want = log_features(feature_sweep(model, rows, [size])[0])
+        np.testing.assert_allclose(logf, want, rtol=0, atol=1e-12)
+
+
+def test_run_pairings_fit_errors_stop_only_their_batch_size():
+    """When the shared fit sweep fails, each batch size sweeps its own
+    batches: B = 5 log_sigma sums that overflow skip only B = 5, and a NaN
+    in the rows past the last batch of 5 skips only B = 1, each with the
+    error of that size's own sweep."""
+    entries, evals = _two_gaussian_setup()
+    model, fit_rows = entries["near"]
+    huge = fit_rows.copy()
+    huge[5:10, 0] = 1e307 ** 0.25  # (z^2 - 1)^2 finite per row, (5 z^2)^2 is not
+    tail_nan = np.vstack([fit_rows, [[0.0, np.nan]]])
+    for rows, methods, bad_size, message in (
+            (huge, tuple(METHODS), 5, "layer 'log_sigma' has non-finite entries"),
+            (tail_nan, ("ours",), 1, "input point 300 has a non-finite value in column 1")):
+        entries["near"] = (model, rows)
+        with np.errstate(over="ignore"):
+            reports = {r.train: r for r in run_pairings(
+                entries, evals, batch_sizes=[1, 5], n_eval_batches=10, methods=methods)}
+        for row in reports["near"].rows:
+            if row["batch_size"] == bad_size:
+                assert row["auroc"] is None and row["skipped"] == message
+            else:
+                assert row["auroc"] is not None
+        assert all(row["auroc"] is not None for row in reports["far"].rows)
 
 
 @pytest.mark.parametrize("methods,passes", [

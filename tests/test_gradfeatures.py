@@ -21,6 +21,13 @@ from fimscore.numcore import Rng
 from gaussian_mle import analytic_mle_gaussian
 
 
+def _sweep(m, batches):
+    """feature_sweep of a (batches, size, dim) array as one-size rows: the
+    batches' features and their mean log-likelihoods."""
+    features, loglik = feature_sweep(m, batches.reshape(-1, batches.shape[2]), batches.shape[1:2])
+    return features, loglik.reshape(batches.shape[:2]).mean(axis=-1)
+
+
 def test_gaussian_single_point_by_hand():
     # standard normal, x = (3, 4): mu-grad = z = (3, 4), f_mu = 25;
     # log_sigma-grad = z^2 - 1 = (8, 15), f = 64 + 225
@@ -45,7 +52,7 @@ def test_batch_feature_is_norm_of_summed_scores():
     m = CouplingFlowModel.init_random(2, Rng(3), n_blocks=3, hidden=8)
     for size in (1, 3, 7):
         batches = batch_view(m.sample(Rng(4), 4 * size), size)
-        f = feature_sweep(m, batches)[0]
+        f = _sweep(m, batches)[0]
         assert f.shape == (4, len(m.params.names))
         for row, batch in zip(f, batches):
             per = m.score_batch(batch)
@@ -69,18 +76,18 @@ def test_log_features_validation():
 def test_feature_matrix_shape_and_empty():
     m = DiagGaussianModel.standard(2)
     rows = Rng(5).normals(24).reshape(12, 2)
-    fm = feature_sweep(m, batch_view(rows, 4))[0]
+    fm = feature_sweep(m, rows, [4])[0]
     assert fm.shape == (3, 2)
     with pytest.raises(DomainError):
-        feature_sweep(m, [])[0]
+        feature_sweep(m, [], [4])
 
 
-@pytest.mark.parametrize("call", [lambda m: feature_sweep(m, np.empty((3, 0, 2))),
+@pytest.mark.parametrize("call", [lambda m: feature_sweep(m, np.empty((0, 2)), [0]),
                                   lambda m: gradient_features(m, np.empty((0, 2)))])
 def test_empty_batch_is_refused_by_shape(call):
     """A batch of no rows is named by feature_sweep's own shape check, not
-    by the group-size check deep in sweep_chunks."""
-    with pytest.raises(DomainError, match=r"size >= 1, dim\), got \(\d+, 0, 2\)"):
+    by a size check deep in sweep_chunks."""
+    with pytest.raises(DomainError, match=r"each size in \[0\], got shape \(0, 2\)"):
         call(DiagGaussianModel.standard(2))
 
 
@@ -188,7 +195,7 @@ def test_nonfinite_gradient_names_layer():
     mc_fim_slice's s^T s overflows."""
     m = DiagGaussianModel(np.array([0.0]), np.array([-400.0]))
     calls = [lambda: gradient_features(m, np.array([[3.0]])),
-             lambda: feature_sweep(m, np.array([[[3.0]]]))[0],
+             lambda: feature_sweep(m, np.array([[3.0]]), [1]),
              lambda: score_columns(m, np.array([[3.0]]), [("log_sigma", 0)]),
              lambda: m.grad_groups(np.array([[3.0]]), 1),
              lambda: mc_fim_slice(m, ["mu"], Rng(0), 8)]
@@ -219,7 +226,7 @@ def test_features_match_materialised_gradients(make, batch_size):
     grads = m.grad_groups(batches.reshape(-1, m.dim), batch_size)[0]
     want = np.stack([np.sum(np.square(v.reshape(30, -1)), axis=1)
                      for v in m.params.views(grads)], axis=1)
-    np.testing.assert_allclose(feature_sweep(m, batches)[0], want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(_sweep(m, batches)[0], want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("make,zero_row,layer", [
@@ -235,7 +242,7 @@ def test_single_row_features_of_zero_and_scaled_rows(make, zero_row, layer):
     m = make()
     scaled = 1.5 * Rng(8).normals(7 * m.dim).reshape(7, m.dim) * np.logspace(-3, 3, 7)[:, None]
     rows = np.concatenate([np.array([zero_row]), scaled])
-    features = feature_sweep(m, rows[:, None])[0]
+    features = feature_sweep(m, rows, [1])[0]
     j = m.params.names.index(layer)
     assert features[0, j] == 0.0
     assert log_features(features)[0, j] == math.log(FLOOR)
@@ -269,11 +276,11 @@ def test_sweep_mean_loglik_is_bitwise_the_likelihood_pass(chunk_spy, make, batch
 
     want = likelihood_means(slice(None))
     per_chunk = np.concatenate([likelihood_means(slice(g, g + 8)) for g in range(0, 30, 8)])
-    features, means = feature_sweep(m, batches)
+    features, means = _sweep(m, batches)
     assert np.array_equal(means, want)
-    assert np.array_equal(features, feature_sweep(m, batches)[0])
+    assert np.array_equal(features, _sweep(m, batches)[0])
     sizes = chunk_spy(m, 8, batch_size)
-    chunked = feature_sweep(m, batches)[1]
+    chunked = _sweep(m, batches)[1]
     assert sizes == [8, 8, 8, 6]
     assert np.array_equal(chunked, per_chunk)
     np.testing.assert_allclose(chunked, want, rtol=1e-12, atol=0)
@@ -283,11 +290,30 @@ def test_sweep_mean_loglik_is_bitwise_the_likelihood_pass(chunk_spy, make, batch
 def test_feature_matrix_chunk_boundaries_match_one_chunk(chunk_spy, batch_size):
     m = CouplingFlowModel.init_random(2, Rng(0), n_blocks=2, hidden=8)
     batches = Rng(6).normals(20 * batch_size).reshape(10, batch_size, 2)
-    whole = feature_sweep(m, batches)[0]
+    whole = _sweep(m, batches)[0]
     sizes = chunk_spy(m, 3, batch_size)
-    chunked = feature_sweep(m, batches)[0]
+    chunked = _sweep(m, batches)[0]
     assert sizes == [3, 3, 3, 1]
     np.testing.assert_allclose(chunked, whole, rtol=1e-10, atol=0)
+
+
+def test_sizes_share_lcm_aligned_chunks(chunk_spy):
+    """Batch sizes 2 and 3 over 40 rows, capped at 7 groups of the smallest
+    size a chunk: every chunk but the last holds a multiple of lcm(2, 3) = 6
+    rows, so no batch straddles two chunks. Each size's features are within
+    1e-12 relative of its own one-chunk sweep, remainder rows dropped, and
+    the log-likelihood covers all 40 rows."""
+    m = CouplingFlowModel.init_random(2, Rng(0), n_blocks=2, hidden=8)
+    rows = Rng(6).normals(80).reshape(40, 2)
+    want = [feature_sweep(m, rows[:40 // size * size], [size])[0] for size in (2, 3)]
+    loglik = m.log_likelihood_batch(rows)
+    sizes = chunk_spy(m, 7)
+    *features, chunked = feature_sweep(m, rows, [2, 3])
+    assert sizes == [12, 12, 12, 4]
+    for got, ref in zip(features, want):
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(chunked, loglik, rtol=1e-12, atol=0)
 
 
 def test_feature_matrix_memory_is_bounded_by_the_chunk():
@@ -297,7 +323,7 @@ def test_feature_matrix_memory_is_bounded_by_the_chunk():
     m = CouplingFlowModel.init_random(2, Rng(0), n_blocks=6, hidden=32)
     batches = Rng(7).normals(20_000).reshape(10_000, 1, 2)
     tracemalloc.start()
-    feature_sweep(m, batches)[0]
+    _sweep(m, batches)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak <= 24e6
@@ -311,7 +337,7 @@ def test_feature_matrix_memory_holds_at_large_batches():
     m = CouplingFlowModel.init_random(2, Rng(0), n_blocks=6, hidden=32)
     batches = Rng(7).normals(100_000).reshape(2_000, 25, 2)
     tracemalloc.start()
-    feature_sweep(m, batches)[0]
+    _sweep(m, batches)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak <= 56e6
