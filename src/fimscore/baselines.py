@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import DomainError, InsufficientDataError
 
 
 def likelihood_score(mean_loglik):
@@ -28,10 +28,11 @@ def likelihood_score(mean_loglik):
 def fit_typicality(model, fit_rows: np.ndarray) -> float:
     """Entropy estimate H_hat: mean per-sample log-likelihood on fit rows."""
     fit_rows = np.asarray(fit_rows, dtype=np.float64)
-    if fit_rows.ndim != 2 or fit_rows.shape[0] < 1:
+    if fit_rows.ndim != 2:
+        raise DomainError(f"typicality fit rows must be 2-D, got shape {fit_rows.shape}")
+    if fit_rows.shape[0] < 1:
         raise InsufficientDataError(
-            f"typicality needs at least one fit row, got shape {fit_rows.shape}"
-        )
+            f"typicality needs at least one fit row, got shape {fit_rows.shape}")
     return float(model.log_likelihood_batch(fit_rows).mean())
 
 

@@ -191,6 +191,8 @@ def _cmd_eval(args):
     reject_repeats(methods, "--methods")
     trains = _parse_named(args.train, "--train")
     for name, text in trains.items():
+        if "/" in name or os.sep in name:  # the name is part of its report's file name
+            raise DomainError(f"--train name {name!r} must not contain a path separator")
         trains[name] = text.split(":")
         if len(trains[name]) != 2:
             raise DomainError(f"--train {name} expects MODEL:FIT_DMAT, got {text!r}")

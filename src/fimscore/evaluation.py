@@ -15,8 +15,10 @@ contiguous fit batches, typicality on the split's mean log-likelihood).
 Each fit split and eval batch set takes one pass: a feature sweep (of all
 batch sizes at once on a fit split) if a method reads the detector, else a
 likelihood pass. Each off-diagonal cell gets an AUROC against the column's
-own eval scores; one that cannot be scored is skipped with the first error
-that stopped it (``auroc`` None).
+own eval scores, or is skipped with the first error that stopped it
+(``auroc`` None): an error in the column's fits or own scores, made once
+per batch size, skips every cell of that size; one in a test split's
+scores or their AUROC skips only that split's cells.
 
 Batches are reproducible: the eval split of distribution d at batch
 size B is shuffled once with a child stream derived from (seed, d, B),
@@ -27,6 +29,7 @@ produce byte-identical report JSON.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,45 +137,37 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
             with contextlib.suppress(FimscoreError):
                 *features, loglik = gradfeatures.feature_sweep(model, fit_rows, sizes)
                 swept, fits = dict(zip(sizes, features)), {"h_hat": float(loglik.mean())}
-        for b_idx, bsz in enumerate(batch_sizes):
-            # a bad column (thin fit or eval split, non-finite gradients) or
-            # a thin test split skips its cells with the first error that
-            # stopped them, instead of killing the whole grid run
+        source, tests = f"fit split of '{train_name}'", [t for t in eval_names if t != train_name]
+        column = {}  # batch size -> its column scores, or the error that stopped them
+        for (b_idx, bsz), test_name in itertools.product(enumerate(batch_sizes), tests):
+            # a column error (thin fit or eval split, non-finite gradients) skips
+            # every cell of its size; a test split's or an auroc's only this cell
             try:
-                source = f"fit split of '{train_name}'"
-                if "detector" in needs:
-                    fit_batches = gradfeatures.batch_view(fit_rows, bsz, source, model.dim)
-                    if len(fit_batches) < 2:
-                        raise InsufficientDataError(f"{source} yields {len(fit_batches)} "
-                                                    f"batches of size {bsz}; need >= 2")
-                    features = swept.pop(bsz) if bsz in swept else gradfeatures.feature_sweep(
-                        model, fit_batches.reshape(-1, model.dim), [bsz])[0]
-                    fits["detector"] = detector.fit_detector(gradfeatures.log_features(features))
-                if "h_hat" in needs and "h_hat" not in fits:  # batch_view names a bad split
-                    fits["h_hat"] = baselines.fit_typicality(
-                        model, gradfeatures.batch_view(fit_rows, 1, source, model.dim)[:, 0])
-                in_scores = _method_scores(
-                    model, fits, methods, eval_batches(train_name, b_idx, model.dim))
-                column_error = None
+                in_scores = column.get(bsz)
+                if isinstance(in_scores, FimscoreError):
+                    raise in_scores
+                if in_scores is None:  # this size's fits, then its scores
+                    if "detector" in needs:
+                        fit_batches = gradfeatures.batch_view(fit_rows, bsz, source, model.dim)
+                        features = swept.pop(bsz) if bsz in swept else gradfeatures.feature_sweep(
+                            model, fit_batches.reshape(-1, model.dim), [bsz])[0]
+                        fits["detector"] = detector.fit_detector(
+                            gradfeatures.log_features(features))
+                    if "h_hat" in needs and "h_hat" not in fits:  # batch_view names a bad split
+                        fits["h_hat"] = baselines.fit_typicality(
+                            model, gradfeatures.batch_view(fit_rows, 1, source, model.dim)[:, 0])
+                    in_scores = column[bsz] = _method_scores(
+                        model, fits, methods, eval_batches(train_name, b_idx, model.dim))
+                out_scores = _method_scores(
+                    model, fits, methods, eval_batches(test_name, b_idx, model.dim))
+                cells = [{"auroc": auroc(in_scores[m], out_scores[m]),
+                          "n_in": int(in_scores[m].size), "n_out": int(out_scores[m].size)}
+                         for m in methods]
             except FimscoreError as exc:
-                column_error = str(exc)
-            for test_name in (t for t in eval_names if t != train_name):
-                error = column_error
-                if error is None:
-                    try:
-                        out_scores = _method_scores(
-                            model, fits, methods, eval_batches(test_name, b_idx, model.dim))
-                    except FimscoreError as exc:
-                        error = str(exc)
-                for m in methods:
-                    row = {"test": test_name, "method": m, "batch_size": bsz}
-                    if error is None:
-                        row.update(auroc=auroc(in_scores[m], out_scores[m]),
-                                   n_in=int(in_scores[m].size),
-                                   n_out=int(out_scores[m].size))
-                    else:
-                        row.update(auroc=None, skipped=error)
-                    report.rows.append(row)
+                column.setdefault(bsz, exc)
+                cells = [{"auroc": None, "skipped": str(exc)}] * len(methods)
+            report.rows += [{"test": test_name, "method": m, "batch_size": bsz, **cell}
+                            for m, cell in zip(methods, cells)]
         reports.append(report)
     return reports
 

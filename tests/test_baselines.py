@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from fimscore.baselines import fit_typicality, likelihood_score, typicality_score
-from fimscore.errors import InsufficientDataError
+from fimscore.errors import DomainError, InsufficientDataError
 from fimscore.gradfeatures import feature_sweep, gradient_features
 from fimscore.models import DiagGaussianModel
 from fimscore.numcore import Rng
@@ -64,6 +66,9 @@ def test_fit_typicality_requires_rows():
     m = DiagGaussianModel.standard(1)
     with pytest.raises(InsufficientDataError):
         fit_typicality(m, np.zeros((0, 1)))
+    for shape in ((300,), (), (2, 3, 1)):  # rows that are not (rows, dim)
+        with pytest.raises(DomainError, match=rf"must be 2-D, got shape {re.escape(str(shape))}"):
+            fit_typicality(m, np.zeros(shape))
 
 
 class _ConstantModel:

@@ -539,6 +539,7 @@ def test_score_rejects_reordered_layer_names(pipeline, tmp_path, capsys):
     ("--train", "a=m"),
     ("--train", "c={model}"),  # MODEL without its FIT_DMAT
     ("--eval", "c"),  # no '='
+    ("--train", "x/y={model}:{fit}"),  # the name becomes part of a file name
 ])
 def test_bad_list_values_exit_1(pipeline, tmp_path, capsys, flag, value):
     model = os.path.join(pipeline["model"], "model.json")
@@ -556,6 +557,7 @@ def test_bad_list_values_exit_1(pipeline, tmp_path, capsys, flag, value):
     assert err.startswith("error:") and "Traceback" not in err
     assert err.count("\n") == 1
     assert flag in err
+    assert not os.path.exists(tmp_path / "o")
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -708,6 +710,32 @@ def test_eval_writes_only_the_requested_methods(pipeline, tmp_path):
     rows = read_json(os.path.join(out, "report_a.json"))["rows"]
     assert [r["method"] for r in rows] == ["likelihood"] * 2
     assert all(0.0 <= r["auroc"] <= 1.0 for r in rows)
+
+
+def test_eval_skips_only_the_cells_of_a_split_with_a_non_finite_score(pipeline, tmp_path):
+    """An eval row with a finite input but a log-likelihood of -inf: eval
+    exits 0, writes every report and grid, and shows that split's cells
+    as skipped."""
+    model = os.path.join(pipeline["model"], "model.json")
+    fit = os.path.join(pipeline["model"], "fit_split.dmat")
+    ev = os.path.join(pipeline["data"], "eval.dmat")
+    bad = load_dmat(ev)[:10]  # every row is read at B = 1 and 2
+    bad[3] = (1e200, 0.0)
+    save_dmat(str(tmp_path / "bad.dmat"), bad)
+    out = tmp_path / "e"
+    with np.errstate(over="ignore"):
+        assert run(["eval", "--train", f"a={model}:{fit}", "--eval", f"a={ev}",
+                    "--eval", f"b={os.path.join(pipeline['data'], 'train.dmat')}",
+                    "--eval", f"c={tmp_path / 'bad.dmat'}", "--methods", "likelihood",
+                    "--batch-sizes", "1,2", "--n-batches", 10, "--out", out]) == 0
+    assert sorted(os.listdir(out)) == ["grid_likelihood_B1.txt", "grid_likelihood_B2.txt",
+                                       "manifest.json", "report_a.json"]
+    rows = read_json(out / "report_a.json")["rows"]
+    assert all((row["auroc"] is None) == (row["test"] == "c") for row in rows)
+    for b in (1, 2):
+        lines = (out / f"grid_likelihood_B{b}.txt").read_text().splitlines()
+        assert lines[-1].split() == ["c", "|", "-----"]
+        assert lines[-2].split()[:2] == ["b", "|"] and "-----" not in lines[-2]
 
 
 def test_eval_strips_entries_and_takes_the_eval_path_whole(pipeline, tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -367,6 +369,59 @@ def test_run_pairings_fit_errors_stop_only_their_batch_size():
             else:
                 assert row["auroc"] is not None
         assert all(row["auroc"] is not None for row in reports["far"].rows)
+
+
+@pytest.mark.parametrize("methods", [("likelihood",), ("typicality", "likelihood")])
+def test_run_pairings_non_finite_score_skips_only_its_cells(methods):
+    """An eval row with a finite input but a log-likelihood of -inf gives
+    its batches a score that is not finite: the cells that read that split
+    are skipped with auroc's reason, and every other cell is scored as in a
+    run without that split."""
+    entries, evals = _two_gaussian_setup()
+    without = run_pairings(entries, evals, batch_sizes=[1, 5], n_eval_batches=10,
+                           methods=methods)
+    evals["overflow"] = evals["far"][:10].copy()  # sorts last; 10 rows, all read
+    evals["overflow"][3] = (1e200, 0.0)
+    with np.errstate(over="ignore"):
+        reports = run_pairings(entries, evals, batch_sizes=[1, 5], n_eval_batches=10,
+                               methods=methods)
+    for got, want in zip(reports, without):
+        assert [row for row in got.rows if row["test"] != "overflow"] == want.rows
+        bad = [row for row in got.rows if row["test"] == "overflow"]
+        assert len(bad) == 2 * len(methods)
+        for row in bad:
+            assert row["auroc"] is None
+            assert re.fullmatch(r"scores_out entry \d+ is not finite", row["skipped"])
+
+
+@pytest.mark.parametrize("n_fit,near_eval,methods,passes", [
+    # one fit batch per size: the shared sweep is refused unrun, so each size
+    # makes its own fit pass and fit_detector refuses it
+    (9, "whole", tuple(METHODS), {"factor_sweep": 2, "log_likelihood_batch": 0}),
+    # no eval batch of either size: only the shared fit pass is made
+    (300, "thin", tuple(METHODS), {"factor_sweep": 1, "log_likelihood_batch": 0}),
+    # an in-distribution pass that fails: H_hat, then one pass per size
+    (300, "nan", ("typicality", "likelihood"), {"factor_sweep": 0, "log_likelihood_batch": 3}),
+])
+def test_run_pairings_failing_column_passes_once_per_size(monkeypatch, n_fit, near_eval,
+                                                          methods, passes):
+    """A column that fails costs at most one fit pass and one in-distribution
+    pass per batch size, however many test splits it has."""
+    entries, evals = _two_flow_setup()
+    model, fit_rows = entries["near"]
+    if near_eval == "thin":
+        evals["near"] = evals["near"][:3]
+    elif near_eval == "nan":
+        evals["near"] = np.where(np.arange(2) == 1, np.nan, evals["near"])
+    calls = _count_flow_passes(monkeypatch)
+    for n_tests in (1, 4):
+        splits = {**evals, **{f"test{k}": evals["far"] for k in range(1, n_tests)}}
+        calls.update(factor_sweep=0, log_likelihood_batch=0)
+        [report] = run_pairings({"near": (model, fit_rows[:n_fit])}, splits,
+                                batch_sizes=[5, 9], n_eval_batches=10, methods=methods)
+        assert len(report.rows) == n_tests * 2 * len(methods)
+        assert all(row["auroc"] is None for row in report.rows)
+        assert calls == passes
 
 
 @pytest.mark.parametrize("methods,passes", [
