@@ -161,13 +161,16 @@ def _cmd_fit(args):
 
 def _cmd_score(args):
     from . import detector, evaluation, gradfeatures
+    methods = {m: e[2] for m, e in evaluation.METHODS.items() if e[0] == "detector"}
+    if args.method not in methods:  # a detector file holds no other fit
+        raise DomainError(f"--method must be one of {list(methods)}, got {args.method!r}")
     det, fit_provenance = detector.load_detector(args.detector)
     feats, provenance = gradfeatures.load_features(args.features)
     for key, want in fit_provenance.items():
         if provenance[key] != want:
             raise DomainError(f"{key} differs: the detector was fit on {want!r}, "
                               f"the features have {provenance[key]!r}")
-    scores = evaluation.METHODS[args.method][1](det, gradfeatures.log_features(feats), None)
+    scores = methods[args.method](det, gradfeatures.log_features(feats))
     table = np.column_stack([np.arange(scores.size, dtype=np.float64), scores])
     data.save_csv(args.out, table, header=["batch_id", "score"])
     return f"scored {scores.shape[0]} batches with method={args.method}"
@@ -346,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score feature batches with a detector")
     p.add_argument("--detector", required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--method", choices=("ours", "fisher"), default="ours")
+    p.add_argument("--method", default="ours", help="a detector method of evaluation.METHODS")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_score)
 

@@ -9,16 +9,16 @@ of the scores leaves the value unchanged.
 
 The harness mirrors the grid experiments: every distribution that has a
 trained model becomes a column; every distribution with an eval split
-becomes a row. Each column fits only what its methods read, on its
-model's held-out fit split (detectors on gradient features of disjoint
-contiguous fit batches, typicality on the split's mean log-likelihood).
-Each fit split and eval batch set takes one pass: a feature sweep (of all
-batch sizes at once on a fit split) if a method reads the detector, else a
-likelihood pass. Each off-diagonal cell gets an AUROC against the column's
-own eval scores, or is skipped with the first error that stopped it
-(``auroc`` None): an error in the column's fits or own scores, made once
-per batch size, skips every cell of that size; one in a test split's
-scores or their AUROC skips only that split's cells.
+becomes a row. METHODS gives each method the column fit and the batch-set
+statistic it reads, "logf" (log features) or "ll" (log-likelihoods); FITS
+gives each fit kind the fit-split statistic it reads. A row set takes one
+pass for what is read of it: a feature sweep if "logf" is, else a
+likelihood pass. One pass of a fit split serves each batch size it holds
+two batches of; another size passes its own batches. Each off-diagonal
+cell gets an AUROC against the column's own eval scores, or is skipped
+with the first error that stopped it (``auroc`` None): an error in the
+column's fits or own scores, made once per batch size, skips every cell of
+that size; one in a test split's scores or their AUROC skips only its cells.
 
 Batches are reproducible: the eval split of distribution d at batch
 size B is shuffled once with a child stream derived from (seed, d, B),
@@ -41,14 +41,17 @@ from .errors import (DomainError, FimscoreError, InsufficientDataError,
 from .models import model_checksum
 from .numcore import Rng
 
-# name -> (the column fit it reads, its score of a batch set from that fit, the
-# set's log features and mean log-likelihoods); scorers resolve at call time
+# name -> (the column fit it reads, the batch-set statistic it scores, its score
+# from the fit and that statistic, one row per batch); scorers resolve at call time
 METHODS = {
-    "ours": ("detector", lambda det, logf, ll: detector.ood_score(det, logf)),
-    "fisher": ("detector", lambda det, logf, ll: detector.fisher_method_score(det, logf)),
-    "typicality": ("h_hat", lambda h_hat, logf, ll: baselines.typicality_score(h_hat, ll)),
-    "likelihood": (None, lambda _, logf, ll: baselines.likelihood_score(ll)),
+    "ours": ("detector", "logf", lambda det, logf: detector.ood_score(det, logf)),
+    "fisher": ("detector", "logf", lambda det, logf: detector.fisher_method_score(det, logf)),
+    "typicality": ("h_hat", "ll", lambda h, ll: baselines.typicality_score(h, ll.mean(axis=-1))),
+    "likelihood": (None, "ll", lambda _, ll: baselines.likelihood_score(ll.mean(axis=-1))),
 }
+# fit kind -> (the fit-split statistic it reads, its fit from that and the split's name)
+FITS = {"detector": ("logf", lambda logf, source: detector.fit_detector(logf)),
+        "h_hat": ("ll", lambda ll, source: baselines.entropy_estimate(ll, source))}
 
 
 def auroc(scores_in, scores_out) -> float:
@@ -77,15 +80,15 @@ class PairingReport:
                           "metadata": self.metadata})
 
 
-def _method_scores(model, fits, methods, batches):
-    rows = batches.reshape(-1, batches.shape[2])
-    if "detector" in fits:
-        features, loglik = gradfeatures.feature_sweep(model, rows, batches.shape[1:2])
-        logf = gradfeatures.log_features(features)
-    else:
-        logf, loglik = None, model.log_likelihood_batch(rows)
-    mean_loglik = loglik.reshape(batches.shape[:2]).mean(axis=-1)
-    return {m: METHODS[m][1](fits.get(METHODS[m][0]), logf, mean_loglik) for m in methods}
+def _pass(model, rows, sizes, stats):
+    """{B: stats} per batch size B of ``sizes``, from one feature sweep if "logf" is asked
+    for (its size-B batches' "logf", each row's "ll"), else one likelihood pass ("ll")."""
+    rows = rows.reshape(-1, rows.shape[2]) if rows.ndim == 3 else rows  # batches as rows
+    with np.errstate(over="ignore", invalid="ignore"):  # what is not finite is named later
+        if "logf" not in stats:
+            return dict.fromkeys(sizes, {"ll": model.log_likelihood_batch(rows)})
+        *features, ll = gradfeatures.feature_sweep(model, rows, sizes)  # freed as logged
+    return {b: {"logf": gradfeatures.log_features(features.pop(0)), "ll": ll} for b in sizes}
 
 
 def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
@@ -111,16 +114,21 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
     missing = [n for n in train_entries if n not in eval_splits]
     if missing:
         raise DomainError(f"train distributions without eval split: {missing}")
-    needs = {METHODS[m][0] for m in methods}
+    kinds = [k for k in FITS if any(METHODS[m][0] == k for m in methods)]
+    fit_stats = {FITS[k][0] for k in kinds}
     root = Rng(seed)
     eval_names = sorted(eval_splits)
 
-    def eval_batches(name, b_idx, dim):
-        # built inside the cell's try, so a split too thin for one batch
-        # size, or of the wrong width, skips only the cells it is in
+    def eval_scores(name, b_idx, model, fits):
+        # built inside the cell's try, so a split too thin for one batch size, or of the
+        # wrong width, skips only the cells it is in; scorers get one row per batch
         rng = root.child(1 + eval_names.index(name) * len(batch_sizes) + b_idx)
-        return gradfeatures.batch_view(rng.shuffled(eval_splits[name]), batch_sizes[b_idx],
-                                       f"eval split '{name}'", dim)[:n_eval_batches]
+        batches = gradfeatures.batch_view(rng.shuffled(eval_splits[name]), batch_sizes[b_idx],
+                                          f"eval split '{name}'", model.dim)[:n_eval_batches]
+        n, size, _ = batches.shape
+        stats = _pass(model, batches, [size], {METHODS[m][1] for m in methods})
+        return {m: METHODS[m][2](fits.get(METHODS[m][0]), stats[size][METHODS[m][1]].reshape(n, -1))
+                for m in methods}
 
     reports = []
     for train_name in sorted(train_entries):
@@ -130,15 +138,12 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
             "seed": seed, "batch_sizes": list(batch_sizes), "methods": list(methods),
             "n_eval_batches": n_eval_batches, "model_checksum": model_checksum(model),
             "n_fit_rows": len(fit_rows) if fit_rows.ndim else 0})
-        # one fit split sweep for all sizes and H_hat; if it fails, each size sweeps alone
-        swept, fits = {}, {}  # fits: this size's detector; H_hat, on the first fitted cell
-        if "detector" in needs:
-            sizes = [b for b in batch_sizes if fit_rows.ndim and len(fit_rows) // b >= 2]
-            with contextlib.suppress(FimscoreError):
-                *features, loglik = gradfeatures.feature_sweep(model, fit_rows, sizes)
-                swept, fits = dict(zip(sizes, features)), {"h_hat": float(loglik.mean())}
+        # one fit-split pass for the sizes it holds 2 batches of; other sizes pass their own
+        sizes = [b for b in batch_sizes if fit_rows.ndim == 2 and len(fit_rows) // b >= 2]
         source, tests = f"fit split of '{train_name}'", [t for t in eval_names if t != train_name]
-        column = {}  # batch size -> its column scores, or the error that stopped them
+        column, joint = {}, {}  # batch size -> its column scores or their error; its fit stats
+        with contextlib.suppress(FimscoreError):
+            joint = _pass(model, fit_rows, sizes, fit_stats) if kinds and sizes else {}
         for (b_idx, bsz), test_name in itertools.product(enumerate(batch_sizes), tests):
             # a column error (thin fit or eval split, non-finite gradients) skips
             # every cell of its size; a test split's or an auroc's only this cell
@@ -147,19 +152,11 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
                 if isinstance(in_scores, FimscoreError):
                     raise in_scores
                 if in_scores is None:  # this size's fits, then its scores
-                    if "detector" in needs:
-                        fit_batches = gradfeatures.batch_view(fit_rows, bsz, source, model.dim)
-                        features = swept.pop(bsz) if bsz in swept else gradfeatures.feature_sweep(
-                            model, fit_batches.reshape(-1, model.dim), [bsz])[0]
-                        fits["detector"] = detector.fit_detector(
-                            gradfeatures.log_features(features))
-                    if "h_hat" in needs and "h_hat" not in fits:  # batch_view names a bad split
-                        fits["h_hat"] = baselines.fit_typicality(
-                            model, gradfeatures.batch_view(fit_rows, 1, source, model.dim)[:, 0])
-                    in_scores = column[bsz] = _method_scores(
-                        model, fits, methods, eval_batches(train_name, b_idx, model.dim))
-                out_scores = _method_scores(
-                    model, fits, methods, eval_batches(test_name, b_idx, model.dim))
+                    stats = kinds and (joint.pop(bsz, None) or _pass(model, gradfeatures.batch_view(
+                        fit_rows, bsz, source, model.dim), [bsz], fit_stats)[bsz])
+                    fits = {k: FITS[k][1](stats[FITS[k][0]], source) for k in kinds}
+                    in_scores = column[bsz] = eval_scores(train_name, b_idx, model, fits)
+                out_scores = eval_scores(test_name, b_idx, model, fits)
                 cells = [{"auroc": auroc(in_scores[m], out_scores[m]),
                           "n_in": int(in_scores[m].size), "n_out": int(out_scores[m].size)}
                          for m in methods]

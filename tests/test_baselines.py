@@ -3,8 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from fimscore.baselines import fit_typicality, likelihood_score, typicality_score
-from fimscore.errors import DomainError, InsufficientDataError
+from fimscore.baselines import (entropy_estimate, fit_typicality, likelihood_score,
+                                typicality_score)
+from fimscore.errors import DomainError, InsufficientDataError, NonFiniteError
 from fimscore.gradfeatures import feature_sweep, gradient_features
 from fimscore.models import DiagGaussianModel
 from fimscore.numcore import Rng
@@ -69,6 +70,21 @@ def test_fit_typicality_requires_rows():
     for shape in ((300,), (), (2, 3, 1)):  # rows that are not (rows, dim)
         with pytest.raises(DomainError, match=rf"must be 2-D, got shape {re.escape(str(shape))}"):
             fit_typicality(m, np.zeros(shape))
+
+
+def test_entropy_estimate_refuses_no_rows_and_non_finite_ones():
+    """H_hat is the mean of one or more finite log-likelihoods; an empty or a
+    non-finite set is refused naming its source and, for the latter, the row."""
+    assert entropy_estimate(np.array([-1.0, -2.0, -4.5]), "fit rows") == -2.5
+    with pytest.raises(InsufficientDataError, match="^fit rows: no row to estimate H_hat"):
+        entropy_estimate(np.zeros(0), "fit rows")
+    for bad in (-np.inf, np.inf, np.nan):
+        with pytest.raises(NonFiniteError, match=r"^split 'a': the log-likelihood of row 2 is "
+                                                 r"not finite$"):
+            entropy_estimate(np.array([0.0, -1.0, bad, bad]), "split 'a'")
+    m = DiagGaussianModel.standard(2)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="typicality fit rows"):
+        fit_typicality(m, np.array([[0.0, 0.0], [1e200, 0.0]]))
 
 
 class _ConstantModel:

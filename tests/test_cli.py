@@ -12,7 +12,7 @@ import pytest
 
 import fimscore
 from fimscore import cli, detector, evaluation
-from fimscore.data import load_csv, load_dmat, save_dmat
+from fimscore.data import load_csv, load_dmat, save_csv, save_dmat
 from fimscore.gradfeatures import load_features, log_features
 from fimscore.models import DiagGaussianModel, save_model
 
@@ -238,6 +238,29 @@ def test_score_method_picks_its_detector_scorer(pipeline, tmp_path, method, scor
                 "--method", method, "--out", out]) == 0
     want = getattr(detector, scorer)(det, log_features(feats))
     np.testing.assert_allclose(load_csv(out)[:, 1], want, rtol=1e-15, atol=0)
+
+
+def test_score_methods_are_the_detector_entries_of_methods(pipeline, tmp_path, capsys):
+    """--method takes exactly the METHODS entries fit as a detector, today ours
+    and fisher, and writes the bytes save_csv makes of that entry's scores; any
+    other name exits 1 naming the flag, before a file is read or written."""
+    det, _ = detector.load_detector(pipeline["det"])
+    logf = log_features(load_features(pipeline["feats"])[0])
+    methods = [m for m, (kind, _, _) in evaluation.METHODS.items() if kind == "detector"]
+    assert methods == ["ours", "fisher"]
+    for method, (_, _, scorer) in evaluation.METHODS.items():
+        out, want = tmp_path / f"{method}.csv", tmp_path / f"{method}_want.csv"
+        code = run(["score", "--detector", pipeline["det"], "--features", pipeline["feats"],
+                    "--method", method, "--out", out])
+        if method in methods:
+            scores = scorer(det, logf)
+            save_csv(str(want), np.column_stack([np.arange(scores.size, dtype=np.float64),
+                                                 scores]), header=["batch_id", "score"])
+            assert code == 0 and out.read_bytes() == want.read_bytes()
+        else:
+            assert code == 1 and not out.exists()
+            assert f"error: --method must be one of ['ours', 'fisher'], got '{method}'" \
+                in capsys.readouterr().err
 
 
 def test_score_checksum_mismatch(pipeline, tmp_path, capsys):
@@ -723,11 +746,10 @@ def test_eval_skips_only_the_cells_of_a_split_with_a_non_finite_score(pipeline, 
     bad[3] = (1e200, 0.0)
     save_dmat(str(tmp_path / "bad.dmat"), bad)
     out = tmp_path / "e"
-    with np.errstate(over="ignore"):
-        assert run(["eval", "--train", f"a={model}:{fit}", "--eval", f"a={ev}",
-                    "--eval", f"b={os.path.join(pipeline['data'], 'train.dmat')}",
-                    "--eval", f"c={tmp_path / 'bad.dmat'}", "--methods", "likelihood",
-                    "--batch-sizes", "1,2", "--n-batches", 10, "--out", out]) == 0
+    assert run(["eval", "--train", f"a={model}:{fit}", "--eval", f"a={ev}",
+                "--eval", f"b={os.path.join(pipeline['data'], 'train.dmat')}",
+                "--eval", f"c={tmp_path / 'bad.dmat'}", "--methods", "likelihood",
+                "--batch-sizes", "1,2", "--n-batches", 10, "--out", out]) == 0
     assert sorted(os.listdir(out)) == ["grid_likelihood_B1.txt", "grid_likelihood_B2.txt",
                                        "manifest.json", "report_a.json"]
     rows = read_json(out / "report_a.json")["rows"]

@@ -8,7 +8,7 @@ from fimscore import baselines, detector
 from fimscore.baselines import fit_typicality
 from fimscore.detector import fit_detector
 from fimscore.errors import DomainError, InsufficientDataError
-from fimscore.evaluation import METHODS, auroc, render_grid, run_pairings
+from fimscore.evaluation import FITS, METHODS, auroc, render_grid, run_pairings
 from fimscore.gradfeatures import batch_view, feature_sweep, log_features
 from fimscore.models import CouplingFlowModel
 from fimscore.numcore import Rng
@@ -360,9 +360,8 @@ def test_run_pairings_fit_errors_stop_only_their_batch_size():
             (huge, tuple(METHODS), 5, "layer 'log_sigma' has non-finite entries"),
             (tail_nan, ("ours",), 1, "input point 300 has a non-finite value in column 1")):
         entries["near"] = (model, rows)
-        with np.errstate(over="ignore"):
-            reports = {r.train: r for r in run_pairings(
-                entries, evals, batch_sizes=[1, 5], n_eval_batches=10, methods=methods)}
+        reports = {r.train: r for r in run_pairings(
+            entries, evals, batch_sizes=[1, 5], n_eval_batches=10, methods=methods)}
         for row in reports["near"].rows:
             if row["batch_size"] == bad_size:
                 assert row["auroc"] is None and row["skipped"] == message
@@ -382,9 +381,8 @@ def test_run_pairings_non_finite_score_skips_only_its_cells(methods):
                            methods=methods)
     evals["overflow"] = evals["far"][:10].copy()  # sorts last; 10 rows, all read
     evals["overflow"][3] = (1e200, 0.0)
-    with np.errstate(over="ignore"):
-        reports = run_pairings(entries, evals, batch_sizes=[1, 5], n_eval_batches=10,
-                               methods=methods)
+    reports = run_pairings(entries, evals, batch_sizes=[1, 5], n_eval_batches=10,
+                           methods=methods)
     for got, want in zip(reports, without):
         assert [row for row in got.rows if row["test"] != "overflow"] == want.rows
         bad = [row for row in got.rows if row["test"] == "overflow"]
@@ -460,6 +458,90 @@ def test_run_pairings_likelihood_alone_scores_a_thin_fit_split():
     for got, want in zip(alone, whole):
         assert got.rows == [row for row in want.rows if row["method"] == "likelihood"]
         assert all(0.0 <= row["auroc"] <= 1.0 for row in got.rows)
+
+
+def test_run_pairings_non_finite_h_hat_names_the_fit_split():
+    """A fit row with a finite input but a log-likelihood of -inf makes H_hat
+    non-finite: its one function refuses it naming the fit split and the row,
+    so each typicality cell of that column is skipped with that reason, not
+    as a non-finite eval score, and the other column is scored."""
+    entries, evals = _two_gaussian_setup()
+    model, fit = entries["near"]
+    entries["near"] = (model, fit.copy())
+    entries["near"][1][7] = (1e200, 0.0)
+    reports = {r.train: r for r in run_pairings(entries, evals, batch_sizes=[1, 5],
+                                                n_eval_batches=10, methods=("typicality",))}
+    assert len(reports["near"].rows) == 2
+    for row in reports["near"].rows:
+        assert row["auroc"] is None
+        assert row["skipped"] == "fit split of 'near': the log-likelihood of row 7 is not finite"
+    assert all(row["auroc"] is not None for row in reports["far"].rows)
+
+
+# statistic -> (a toy fit of a fit split's statistic, a toy score of a batch set's)
+_TOYS = {
+    "logf": (lambda logf: logf.mean(axis=0), lambda mu, logf: np.abs(logf - mu).sum(axis=1)),
+    "ll": (lambda ll: float(np.median(ll)), lambda med, ll: np.abs(np.median(ll, axis=-1) - med)),
+}
+
+
+def _add_toy(monkeypatch, stat):
+    """Adds, for this test only, a fit kind "toy_fit" to FITS and a method "toy"
+    reading it to METHODS, both on statistic ``stat``; returns every statistic
+    the toy fit is given, in call order."""
+    fit, score = _TOYS[stat]
+    given = []
+    monkeypatch.setitem(FITS, "toy_fit", (stat, lambda v, source: given.append(v) or fit(v)))
+    monkeypatch.setitem(METHODS, "toy", ("toy_fit", stat, score))
+    return given
+
+
+@pytest.mark.parametrize("stat,passes", [
+    ("logf", {"factor_sweep": 2 * (1 + 2 * 2), "log_likelihood_batch": 0}),
+    ("ll", {"factor_sweep": 0, "log_likelihood_batch": 2 * (1 + 2 * 2)}),
+])
+def test_run_pairings_fits_and_scores_a_method_added_to_both_tables(monkeypatch, stat, passes):
+    """A method and a fit kind added to METHODS and FITS, and nowhere else, are
+    fit and scored with the passes of a grid of a built-in method on the same
+    statistic: per column, its fit split's one pass, then per batch size its
+    fit reads that pass's statistic (one size's log features, or every fit
+    row's log-likelihood) and each eval batch set is passed once."""
+    entries, evals = _two_flow_setup()
+    given = _add_toy(monkeypatch, stat)
+    calls = _count_flow_passes(monkeypatch)
+    reports = run_pairings(entries, evals, batch_sizes=[1, 5], n_eval_batches=10,
+                           methods=("toy",))
+    assert calls == passes
+    assert all(0.0 <= row["auroc"] <= 1.0 and row["n_in"] == row["n_out"] == 10
+               for r in reports for row in r.rows)
+    for k, name in enumerate(sorted(entries)):  # columns in name order
+        model, fit_rows = entries[name]
+        for got, size in zip(given[2 * k:2 * k + 2], (1, 5)):
+            rows = batch_view(fit_rows, size).reshape(-1, model.dim)
+            want = (log_features(feature_sweep(model, rows, [size])[0]) if stat == "logf"
+                    else model.log_likelihood_batch(fit_rows))
+            assert np.array_equal(got, want)
+
+
+def test_run_pairings_fits_an_added_method_from_its_own_pass(monkeypatch):
+    """The toy method on log features, with a fit split whose shared pass fails
+    on a NaN in the row past the last batch of 5: B = 1 passes its own batches
+    and is skipped with that pass's error, B = 5 passes its own whole batches,
+    is fit from them and scored; the other column is fit from its shared pass."""
+    entries, evals = _two_gaussian_setup()
+    model, fit_rows = entries["near"]
+    entries["near"] = (model, np.vstack([fit_rows, [[0.0, np.nan]]]))
+    given = _add_toy(monkeypatch, "logf")
+    reports = {r.train: r for r in run_pairings(entries, evals, batch_sizes=[1, 5],
+                                                n_eval_batches=10, methods=("toy",))}
+    for row in reports["near"].rows:
+        if row["batch_size"] == 1:
+            assert row["skipped"] == "input point 300 has a non-finite value in column 1"
+        else:
+            assert 0.0 <= row["auroc"] <= 1.0
+    assert all(row["auroc"] is not None for row in reports["far"].rows)
+    assert len(given) == 3  # far at B = 1 and 5, then near at B = 5
+    assert np.array_equal(given[2], log_features(feature_sweep(model, fit_rows, [5])[0]))
 
 
 def test_run_pairings_validation():
