@@ -311,6 +311,7 @@ def save_csv(path: str, matrix: np.ndarray, header=None) -> None:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise DomainError(f"CSV export needs a 2-D matrix, got shape {m.shape}")
+    _check_finite(path, m, first_row=1)  # as load_csv counts rows: the header is row 0
     if header is None:
         header = [f"c{j}" for j in range(m.shape[1])]
     if len(header) != m.shape[1] or any("," in h or "\n" in h for h in header):

@@ -13,8 +13,8 @@ becomes a row. METHODS gives each method the column fit and the batch-set
 statistic it reads, "logf" (log features) or "ll" (log-likelihoods); FITS
 gives each fit kind the fit-split statistic it reads. A row set takes one
 pass for what is read of it: a feature sweep if "logf" is, else a
-likelihood pass. One pass of a fit split serves each batch size it holds
-two batches of; another size passes its own batches. Each off-diagonal
+likelihood pass. One pass of a 2-D fit split serves every batch size; if
+it fails, each size passes its own batches. Each off-diagonal
 cell gets an AUROC against the column's own eval scores, or is skipped
 with the first error that stopped it (``auroc`` None): an error in the
 column's fits or own scores, made once per batch size, skips every cell of
@@ -84,10 +84,9 @@ def _pass(model, rows, sizes, stats):
     """{B: stats} per batch size B of ``sizes``, from one feature sweep if "logf" is asked
     for (its size-B batches' "logf", each row's "ll"), else one likelihood pass ("ll")."""
     rows = rows.reshape(-1, rows.shape[2]) if rows.ndim == 3 else rows  # batches as rows
-    with np.errstate(over="ignore", invalid="ignore"):  # what is not finite is named later
-        if "logf" not in stats:
-            return dict.fromkeys(sizes, {"ll": model.log_likelihood_batch(rows)})
-        *features, ll = gradfeatures.feature_sweep(model, rows, sizes)  # freed as logged
+    if "logf" not in stats:
+        return dict.fromkeys(sizes, {"ll": model.log_likelihood_batch(rows)})
+    *features, ll = gradfeatures.feature_sweep(model, rows, sizes)  # freed as logged
     return {b: {"logf": gradfeatures.log_features(features.pop(0)), "ll": ll} for b in sizes}
 
 
@@ -138,12 +137,11 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
             "seed": seed, "batch_sizes": list(batch_sizes), "methods": list(methods),
             "n_eval_batches": n_eval_batches, "model_checksum": model_checksum(model),
             "n_fit_rows": len(fit_rows) if fit_rows.ndim else 0})
-        # one fit-split pass for the sizes it holds 2 batches of; other sizes pass their own
-        sizes = [b for b in batch_sizes if fit_rows.ndim == 2 and len(fit_rows) // b >= 2]
         source, tests = f"fit split of '{train_name}'", [t for t in eval_names if t != train_name]
         column, joint = {}, {}  # batch size -> its column scores or their error; its fit stats
-        with contextlib.suppress(FimscoreError):
-            joint = _pass(model, fit_rows, sizes, fit_stats) if kinds and sizes else {}
+        with contextlib.suppress(FimscoreError):  # if it fails, each size passes its own
+            if kinds and fit_rows.ndim == 2:
+                joint = _pass(model, fit_rows, batch_sizes, fit_stats)
         for (b_idx, bsz), test_name in itertools.product(enumerate(batch_sizes), tests):
             # a column error (thin fit or eval split, non-finite gradients) skips
             # every cell of its size; a test split's or an auroc's only this cell

@@ -161,7 +161,8 @@ def _check_layout(params: LayeredParams, layout: list) -> None:
 
 
 def _log_likelihood_batch(self, x: np.ndarray) -> np.ndarray:
-    return self.factor_sweep(_as_batch(x, self.dim))[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller names a non-finite value
+        return self.factor_sweep(_as_batch(x, self.dim))[0]
 
 
 def _score_batch(self, x: np.ndarray) -> list:
@@ -355,8 +356,9 @@ class CouplingFlowModel:
 
     def log_likelihood_batch(self, x: np.ndarray) -> np.ndarray:
         """Per-row log-likelihood from a forward that caches nothing."""
-        z, logdet, _ = self._forward(_as_batch(x, self.dim), keep=False)
-        return self._loglik(z, logdet)
+        with np.errstate(over="ignore", invalid="ignore"):  # the caller names a non-finite value
+            z, logdet, _ = self._forward(_as_batch(x, self.dim), keep=False)
+            return self._loglik(z, logdet)
 
     def _loglik(self, z: np.ndarray, logdet: np.ndarray) -> np.ndarray:
         return -0.5 * self.dim * _LOG_2PI - 0.5 * np.add.reduce(z * z, axis=1) + logdet
@@ -422,9 +424,10 @@ def sweep_chunks(model, x: np.ndarray, sizes, sink, width: int, name_of):
     align = math.lcm(*sizes)
     step = align * max(1, min(sizes) * (CHUNK_FLOATS // model.params.n_params) // align)
     outs, loglik = [np.empty((len(x) // g, width)) for g in sizes], np.empty(len(x))
-    for start in range(0, len(x), step):
-        loglik[start:start + step], factors = model.factor_sweep(x[start:start + step])
-        sink(factors, *[out[start // g:(start + step) // g] for out, g in zip(outs, sizes)])
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the layer
+        for start in range(0, len(x), step):  # the sink consumes the factors in here
+            loglik[start:start + step], factors = model.factor_sweep(x[start:start + step])
+            sink(factors, *[out[start // g:(start + step) // g] for out, g in zip(outs, sizes)])
     for out in outs:
         require_finite(out, layer_fail(name_of))
     return (*outs, loglik)

@@ -19,10 +19,11 @@ from fimscore.models import DiagGaussianModel, save_model
 
 def src_env():
     """os.environ with this package's src directory first on PYTHONPATH,
-    so a child interpreter imports the same fimscore without an install."""
+    so a child interpreter imports the same fimscore without an install, and
+    a RuntimeWarning an error there, as pyproject's filterwarnings makes it here."""
     src = os.path.dirname(os.path.dirname(fimscore.__file__))
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def run(argv):
@@ -200,6 +201,21 @@ def test_features_dimension_mismatch_names_the_file(pipeline, tmp_path, capsys):
     assert capsys.readouterr().err == \
         f"error: --data '{wide}' has 3 columns, but the model is 2-dimensional\n"
     assert os.listdir(tmp_path) == ["x3.dmat"]
+
+
+def test_features_of_an_overflowing_row_name_the_layer_without_a_warning(tmp_path, capsys):
+    """A finite input row whose squared gradient norm overflows: the run exits 1
+    with the sweep's layer check as its one stderr line, and numpy warns of
+    nothing (pytest would raise the warning)."""
+    model, rows = str(tmp_path / "m.json"), str(tmp_path / "bad.dmat")
+    save_model(DiagGaussianModel.standard(2), model)
+    x = np.zeros((20, 2))
+    x[3] = (1e200, 0.0)
+    save_dmat(rows, x)
+    assert run(["features", "--model", model, "--data", rows, "--batch-size", 1,
+                "--out", tmp_path / "f.csv"]) == 1
+    assert capsys.readouterr().err == "error: layer 'mu' has non-finite entries\n"
+    assert sorted(os.listdir(tmp_path)) == ["bad.dmat", "m.json"]
 
 
 @pytest.mark.parametrize("flag", ["--eval", "--train"])
@@ -391,6 +407,22 @@ def test_train_split_without_a_full_batch_exits_1(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert "126 rows" in err and "128" in err
+
+
+def test_train_refuses_to_write_a_non_finite_loss_curve(tmp_path, capsys):
+    """A train row of (1e200, 0) gives the standard Gaussian a mean log-likelihood
+    of -inf: loss_curve.csv would hold a cell load_csv refuses, so save_csv refuses
+    it, naming the file, row and column, and the run exits 1."""
+    rows, out = str(tmp_path / "d.dmat"), tmp_path / "m"
+    x = np.zeros((40, 2))
+    x[7] = (1e200, 0.0)
+    save_dmat(rows, x)
+    assert run(["train", "--data", rows, "--model", "gaussian", "--epochs", 0,
+                "--batch-size", 8, "--seed", 0, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: '{out / 'loss_curve.csv'}' has non-finite value -inf (data rows count "
+        "from 1, columns from 0) at row 1, column 1\n")
+    assert not (out / "loss_curve.csv").exists()
 
 
 def test_train_rejects_an_infinite_learning_rate(pipeline, tmp_path, capsys):

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import fimscore
-from fimscore.data import (checkerboard, gauss_grid, generate, rings, save_dmat, two_moons,
-                           uniform_square)
+from fimscore.data import (checkerboard, gauss_grid, generate, rings, save_csv, save_dmat,
+                           two_moons, uniform_square)
 from fimscore.detector import (fisher_method_score, fit_detector, load_detector,
                                ood_score)
 from fimscore.errors import (DatasetFormatError, DomainError, NonFiniteError,
@@ -148,6 +148,8 @@ def _finite_sites(tmp_path):
          NonFiniteError, "^layer 'b' has non-finite entries$"),
         ("save_dmat", lambda: save_dmat(str(tmp_path / "m.dmat"), np.array([[0], [np.inf]])),
          DatasetFormatError, "non-finite value inf .* at row 1, column 0$"),
+        ("save_csv", lambda: save_csv(str(tmp_path / "m.csv"), np.array([[0, 1], [2, -np.inf]])),
+         DatasetFormatError, "m.csv' has non-finite value -inf .* at row 2, column 1$"),
         ("generate", lambda: generate("two_moons", 100, 0, noise=1e308), DomainError,
          f"gives non-finite points, first at row {first}$"),
         ("fit_detector", lambda: fit_detector(np.array([[0.0, 1.0], [0.0, np.nan]])),
@@ -176,7 +178,7 @@ def test_finite_sites_raise_their_type_with_the_location(tmp_path):
     for name, call, kind, message in _finite_sites(tmp_path):
         with pytest.raises(kind, match=message):
             call()
-    assert not (tmp_path / "m.dmat").exists()
+    assert not (tmp_path / "m.dmat").exists() and not (tmp_path / "m.csv").exists()
 
 
 def test_detector_scores_refuse_non_finite_features():

@@ -346,6 +346,53 @@ def test_run_pairings_fit_split_remainder_rows(monkeypatch):
         np.testing.assert_allclose(logf, want, rtol=0, atol=1e-12)
 
 
+def test_run_pairings_one_fit_batch_reads_the_shared_pass(monkeypatch):
+    """9 fit rows at B = 1 and 5 take one fit-split factor_sweep: B = 1's detector
+    is bit for bit the one fit from its own sweep, and B = 5, one batch, reads the
+    same pass and is refused by fit_detector, skipping its cells."""
+    entries, evals = _two_flow_setup()
+    model, fit_rows = entries["near"][0], entries["near"][1][:9]
+    swept = []
+    sweep = CouplingFlowModel.factor_sweep
+    monkeypatch.setattr(CouplingFlowModel, "factor_sweep",
+                        lambda self, x: swept.append(len(x)) or sweep(self, x))
+    fitted, _ = _spy_fits(monkeypatch)
+    [report] = run_pairings({"near": (model, fit_rows)}, evals, batch_sizes=[1, 5],
+                            n_eval_batches=10, methods=("ours", "fisher"))
+    assert swept == [9, 10, 10]  # the fit split, then B = 1's near and far eval batches
+    [(_, got)] = fitted
+    want = fit_detector(log_features(feature_sweep(model, fit_rows, [1])[0]))
+    assert np.array_equal(got.mu, want.mu) and np.array_equal(got.sigma2, want.sigma2)
+    for row in report.rows:
+        if row["batch_size"] == 1:
+            assert 0.0 <= row["auroc"] <= 1.0
+        else:
+            assert row["auroc"] is None
+            assert row["skipped"] == "need >= 2 fit batches to estimate variances, got 1"
+
+
+def test_run_pairings_fit_split_without_a_batch_of_one_size(monkeypatch):
+    """7 fit rows at B = 1 and 9: the feature sweep refuses the shared pass before
+    any model pass, so B = 1 passes its own batches and is scored, and B = 9 is
+    skipped naming the fit split. H_hat needs no batch: a typicality-only grid
+    fits it from the one likelihood pass of every fit row and scores both sizes."""
+    entries, evals = _two_flow_setup()
+    model, fit_rows = entries["near"][0], entries["near"][1][:7]
+    calls = _count_flow_passes(monkeypatch)
+    [report] = run_pairings({"near": (model, fit_rows)}, evals, batch_sizes=[1, 9],
+                            n_eval_batches=10, methods=("ours",))
+    assert calls == {"factor_sweep": 1 + 2, "log_likelihood_batch": 0}
+    assert [row["auroc"] is None for row in report.rows] == [False, True]
+    assert report.rows[1]["skipped"] == "fit split of 'near' with 7 rows yields no batch of size 9"
+    _, h_hats = _spy_fits(monkeypatch)
+    calls.update(factor_sweep=0)
+    [report] = run_pairings({"near": (model, fit_rows)}, evals, batch_sizes=[1, 9],
+                            n_eval_batches=10, methods=("typicality",))
+    assert calls == {"factor_sweep": 0, "log_likelihood_batch": 1 + 2 * 2}
+    assert all(0.0 <= row["auroc"] <= 1.0 for row in report.rows)
+    assert set(h_hats) == {fit_typicality(model, fit_rows)}
+
+
 def test_run_pairings_fit_errors_stop_only_their_batch_size():
     """When the shared fit sweep fails, each batch size sweeps its own
     batches: B = 5 log_sigma sums that overflow skip only B = 5, and a NaN
@@ -393,9 +440,9 @@ def test_run_pairings_non_finite_score_skips_only_its_cells(methods):
 
 
 @pytest.mark.parametrize("n_fit,near_eval,methods,passes", [
-    # one fit batch per size: the shared sweep is refused unrun, so each size
-    # makes its own fit pass and fit_detector refuses it
-    (9, "whole", tuple(METHODS), {"factor_sweep": 2, "log_likelihood_batch": 0}),
+    # one fit batch per size: the shared sweep serves both sizes, and
+    # fit_detector refuses each
+    (9, "whole", tuple(METHODS), {"factor_sweep": 1, "log_likelihood_batch": 0}),
     # no eval batch of either size: only the shared fit pass is made
     (300, "thin", tuple(METHODS), {"factor_sweep": 1, "log_likelihood_batch": 0}),
     # an in-distribution pass that fails: H_hat, then one pass per size

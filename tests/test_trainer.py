@@ -175,7 +175,7 @@ def test_nonfinite_loss_names_epoch_and_batch():
 
 def test_nonfinite_gradient_names_epoch_batch_and_layer():
     data = Rng(4).normals(300).reshape(-1, 1)
-    with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as exc:
+    with pytest.raises(NonFiniteError) as exc:
         train(DiagGaussianModel([0.0], [-400.0]), data,
               TrainConfig(epochs=1, batch_size=32, seed=0))
     msg = str(exc.value)
