@@ -116,17 +116,15 @@ def _cmd_train(args):
     )
     result = trainer.train(model, rows, cfg)
     out = _ensure_dir(args.out)
+    # written first: only the curve can fail a finite check, so a refusal leaves --out empty
+    curve = np.array([[0.0, result.initial_loglik]] + [
+        [float(e + 1), v] for e, v in enumerate(result.loss_curve)])
+    data.save_csv(os.path.join(out, "loss_curve.csv"), curve, header=["epoch", "mean_loglik"])
     M.save_model(result.model, os.path.join(out, "model.json"))
-    curve = [[0.0, result.initial_loglik]] + [
-        [float(e + 1), v] for e, v in enumerate(result.loss_curve)
-    ]
-    data.save_csv(os.path.join(out, "loss_curve.csv"), np.asarray(curve),
-                  header=["epoch", "mean_loglik"])
     data.save_dmat(os.path.join(out, "train_split.dmat"), result.train_rows)
     data.save_dmat(os.path.join(out, "fit_split.dmat"), result.fit_rows)
-    final = result.loss_curve[-1] if result.loss_curve else result.initial_loglik
     return (f"trained {args.model}: mean log-likelihood "
-            f"{result.initial_loglik:.4f} -> {final:.4f}")
+            f"{result.initial_loglik:.4f} -> {curve[-1, 1]:.4f}")
 
 
 def _require_dim(flag: str, path: str, rows: np.ndarray, model) -> None:
@@ -142,12 +140,7 @@ def _cmd_features(args):
     _require_dim("--data", args.data, rows, model)
     batches = gradfeatures.batch_view(rows, args.batch_size, f"--data '{args.data}'")
     feats = gradfeatures.feature_sweep(model, batches.reshape(-1, model.dim), [args.batch_size])[0]
-    provenance = {
-        "model_checksum": M.model_checksum(model),
-        "batch_size": args.batch_size,
-        "layer_names": list(model.params.names),
-    }
-    gradfeatures.save_features(args.out, feats, provenance)
+    gradfeatures.save_features(args.out, feats, model, args.batch_size)
     return f"wrote {feats.shape[0]} x {feats.shape[1]} features to {args.out}"
 
 
@@ -228,12 +221,9 @@ def _cmd_fim_probe(args):
     from . import fim, models as M
     model = M.load_model(args.model)
     root = Rng(args.seed)
-    if args.layers:
-        layers = [p.strip() for p in args.layers.split(",") if p.strip()]
-    else:
-        names = model.params.names
-        k = min(fim.MAX_PROBE_LAYERS, len(names))
-        layers = [names[int(i)] for i in root.child(0).permutation(len(names))[:k]]
+    names = model.params.names
+    k = min(fim.MAX_PROBE_LAYERS, len(names))
+    layers = [names[int(i)] for i in root.child(0).permutation(len(names))[:k]]
     sl = fim.mc_fim_slice(model, layers, root, args.n)
     normalized = fim.normalize_fim(sl.matrix)
     diag_mean, offdiag_mean = fim.diag_dominance(normalized)
@@ -364,8 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fim-probe", help="Monte Carlo FIM slice of a model")
     p.add_argument("--model", required=True)
-    p.add_argument("--layers", default="",
-                   help="comma-separated layer names (default: 2 seeded picks)")
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fim_probe)

@@ -20,10 +20,11 @@ with the first error that stopped it (``auroc`` None): an error in the
 column's fits or own scores, made once per batch size, skips every cell of
 that size; one in a test split's scores or their AUROC skips only its cells.
 
-Batches are reproducible: the eval split of distribution d at batch
-size B is shuffled once with a child stream derived from (seed, d, B),
-then cut into disjoint contiguous batches. Runs with identical inputs
-produce byte-identical report JSON.
+Batches are reproducible: the i-th eval split, in name order, at the b-th
+batch size is shuffled once with child 1 + i * len(batch_sizes) + b of the
+seed's stream, then cut into disjoint contiguous batches. So a cell's batches
+depend on which other splits and sizes the grid holds. Runs with identical
+inputs produce byte-identical report JSON.
 """
 
 from __future__ import annotations

@@ -61,16 +61,16 @@ MAX_PROBE_LAYERS = 2
 MAX_PER_LAYER = 50
 
 
-def select_weights(params, layer_names, rng: Rng):
+def select_weights(params, layers, rng: Rng):
     """Seeded subset of flat weight indices: min(MAX_PER_LAYER, size) per
     layer, drawn without replacement, listed in ascending index order."""
-    if not 1 <= len(layer_names) <= MAX_PROBE_LAYERS:
+    if not 1 <= len(layers) <= MAX_PROBE_LAYERS:
         raise DomainError(
-            f"probe supports 1 to {MAX_PROBE_LAYERS} layers, got {len(layer_names)}"
+            f"probe supports 1 to {MAX_PROBE_LAYERS} layers, got {len(layers)}"
         )
-    reject_repeats(layer_names, "probe layers")
+    reject_repeats(layers, "probe layers")
     weight_map = []
-    for name in layer_names:
+    for name in layers:
         size = params[name].size
         k = min(MAX_PER_LAYER, size)
         chosen = sorted(int(i) for i in rng.permutation(size)[:k])
@@ -78,14 +78,14 @@ def select_weights(params, layer_names, rng: Rng):
     return weight_map
 
 
-def mc_fim_slice(model, layer_names, rng: Rng, n: int) -> FimSlice:
+def mc_fim_slice(model, layers, rng: Rng, n: int) -> FimSlice:
     """Monte Carlo FIM estimate restricted to a seeded weight subset.
 
     Consumes from ``rng`` in a fixed order: one permutation per probed
     layer for weight selection, then the model draws. A non-finite entry
     is a NonFiniteError naming its layer.
     """
-    weight_map = select_weights(model.params, layer_names, rng)
+    weight_map = select_weights(model.params, layers, rng)
     s = score_columns(model, sample(model, rng, n), weight_map)
     matrix = (s.T @ s) / n
     require_finite(matrix, layer_fail(lambda col: weight_map[col][0]))

@@ -15,7 +15,8 @@ Scoring happens on ln f_j; exact zeros (they occur, for instance, in the
 mean layer of a Gaussian at its MLE) are raised to FLOOR first so
 downstream Gaussians stay finite.
 A feature CSV has a required JSON sidecar: its provenance record (model
-checksum, layer names, batch size), which read_provenance validates.
+checksum, layer names, batch size), which save_features builds and
+read_provenance validates.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from .data import _parse_csv, json_text, read_json, read_text, save_csv, write_atomic
 from .errors import DatasetFormatError, DomainError, InsufficientDataError, require_int
+from . import models  # model_checksum looked up per call, where perfbench wraps it
 from .models import group_sums, sweep_chunks
 
 FLOOR = 1e-300
@@ -85,12 +87,15 @@ def batch_view(rows: np.ndarray, batch_size: int, source="rows", dim=None) -> np
     return rows[: n * batch_size].reshape(n, batch_size, rows.shape[1])
 
 
-def save_features(path: str, features: np.ndarray, provenance: dict) -> None:
-    """CSV with header batch_id,layer_0,... plus a JSON sidecar at path.json."""
+def save_features(path: str, features: np.ndarray, model, batch_size) -> None:
+    """CSV with header batch_id,layer_0,... plus, at path.json, the provenance
+    record of ``model`` and ``batch_size`` that read_provenance validates."""
+    record = {"model_checksum": models.model_checksum(model), "layer_names": model.params.names,
+              "batch_size": require_int(batch_size, "batch size", 1)}
     f = np.asarray(features, dtype=np.float64)
     table = np.column_stack([np.arange(f.shape[0], dtype=np.float64), f])
     save_csv(path, table, ["batch_id"] + [f"layer_{j}" for j in range(f.shape[1])])
-    write_atomic(path + ".json", json_text(provenance))
+    write_atomic(path + ".json", json_text(record))
 
 
 def read_provenance(obj: dict, path: str, width: int) -> dict:

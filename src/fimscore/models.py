@@ -47,9 +47,9 @@ CHUNK_FLOATS = 1 << 20  # gradient floats the groups of one sweep_chunks chunk s
 HIDDEN_CACHE_FLOATS = 1 << 18  # hidden activations a flow sweep may cache
 
 
-def layer_fail(layer_of):
-    """The ``require_finite`` failure naming ``layer_of(j)``, j the bad entry's column."""
-    return lambda i: NonFiniteError(f"layer '{layer_of(i[-1])}' has non-finite entries")
+def layer_fail(layer_of, where=lambda i: ""):
+    """The require_finite failure naming ``layer_of(j)``, j the bad column, then ``where(i)``."""
+    return lambda i: NonFiniteError(f"layer '{layer_of(i[-1])}' has non-finite entries{where(i)}")
 
 
 class LayeredParams:
@@ -419,7 +419,8 @@ def sweep_chunks(model, x: np.ndarray, sizes, sink, width: int, name_of):
     fills chunk by chunk from the chunk's (i, a, b) stream; then each row's
     log-likelihood. A chunk's rows are a multiple of every size: at most
     CHUNK_FLOATS // P groups of the smallest, or one multiple. A NaN or inf in
-    column j is a NonFiniteError naming ``name_of(j)``; a sink that drops factors checks them."""
+    column j is a NonFiniteError naming ``name_of(j)`` and the group's input rows;
+    a sink that drops factors checks them."""
     x = _as_batch(x, model.dim)
     align = math.lcm(*sizes)
     step = align * max(1, min(sizes) * (CHUNK_FLOATS // model.params.n_params) // align)
@@ -428,8 +429,9 @@ def sweep_chunks(model, x: np.ndarray, sizes, sink, width: int, name_of):
         for start in range(0, len(x), step):  # the sink consumes the factors in here
             loglik[start:start + step], factors = model.factor_sweep(x[start:start + step])
             sink(factors, *[out[start // g:(start + step) // g] for out, g in zip(outs, sizes)])
-    for out in outs:
-        require_finite(out, layer_fail(name_of))
+    for out, g in zip(outs, sizes):  # the failing group's input rows, counted from 0
+        require_finite(out, layer_fail(name_of, lambda i: f" at input row {i[0]}" if g == 1
+                       else f" in the group of input rows {i[0] * g} to {i[0] * g + g - 1}"))
     return (*outs, loglik)
 
 

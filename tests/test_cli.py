@@ -205,8 +205,8 @@ def test_features_dimension_mismatch_names_the_file(pipeline, tmp_path, capsys):
 
 def test_features_of_an_overflowing_row_name_the_layer_without_a_warning(tmp_path, capsys):
     """A finite input row whose squared gradient norm overflows: the run exits 1
-    with the sweep's layer check as its one stderr line, and numpy warns of
-    nothing (pytest would raise the warning)."""
+    with the sweep's check, naming the layer and the row, as its one stderr
+    line, and numpy warns of nothing (pytest would raise the warning)."""
     model, rows = str(tmp_path / "m.json"), str(tmp_path / "bad.dmat")
     save_model(DiagGaussianModel.standard(2), model)
     x = np.zeros((20, 2))
@@ -214,7 +214,8 @@ def test_features_of_an_overflowing_row_name_the_layer_without_a_warning(tmp_pat
     save_dmat(rows, x)
     assert run(["features", "--model", model, "--data", rows, "--batch-size", 1,
                 "--out", tmp_path / "f.csv"]) == 1
-    assert capsys.readouterr().err == "error: layer 'mu' has non-finite entries\n"
+    assert capsys.readouterr().err == \
+        "error: layer 'mu' has non-finite entries at input row 3\n"
     assert sorted(os.listdir(tmp_path)) == ["bad.dmat", "m.json"]
 
 
@@ -412,7 +413,7 @@ def test_train_split_without_a_full_batch_exits_1(pipeline, tmp_path, capsys):
 def test_train_refuses_to_write_a_non_finite_loss_curve(tmp_path, capsys):
     """A train row of (1e200, 0) gives the standard Gaussian a mean log-likelihood
     of -inf: loss_curve.csv would hold a cell load_csv refuses, so save_csv refuses
-    it, naming the file, row and column, and the run exits 1."""
+    it, naming the file, row and column, and the run exits 1 with --out empty."""
     rows, out = str(tmp_path / "d.dmat"), tmp_path / "m"
     x = np.zeros((40, 2))
     x[7] = (1e200, 0.0)
@@ -422,7 +423,7 @@ def test_train_refuses_to_write_a_non_finite_loss_curve(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: '{out / 'loss_curve.csv'}' has non-finite value -inf (data rows count "
         "from 1, columns from 0) at row 1, column 1\n")
-    assert not (out / "loss_curve.csv").exists()
+    assert os.listdir(out) == []
 
 
 def test_train_rejects_an_infinite_learning_rate(pipeline, tmp_path, capsys):
@@ -671,11 +672,12 @@ def test_fim_probe_checkpoint_without_layers_exits_1(tmp_path, capsys):
     assert "'mu'" in err
 
 
-def test_invariance_check(pipeline):
-    out = str(pipeline["root"] / "inv")
+@pytest.mark.parametrize("transform", list(cli._TRANSFORMS))
+def test_invariance_check(pipeline, transform):
+    out = str(pipeline["root"] / f"inv_{transform}")
     assert run(["invariance-check", "--model",
                 os.path.join(pipeline["model"], "model.json"),
-                "--transform", "scale_shift", "--n-points", 10,
+                "--transform", transform, "--n-points", 10,
                 "--seed", 2, "--out", out]) == 0
     rep = read_json(os.path.join(out, "invariance.json"))
     assert rep["pass"] is True

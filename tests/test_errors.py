@@ -125,7 +125,7 @@ def test_sweep_check_names_the_first_bad_entry_in_row_order():
         out[:] = 0.0
         out[0, 3], out[1, 0] = np.nan, np.nan
 
-    with pytest.raises(NonFiniteError, match="^layer 'b' has non-finite entries$"):
+    with pytest.raises(NonFiniteError, match="^layer 'b' has non-finite entries at input row 0$"):
         sweep_chunks(GAUSS, np.zeros((2, 2)), [1], sink, 4, params.layer_of)
 
 

@@ -404,7 +404,8 @@ def test_run_pairings_fit_errors_stop_only_their_batch_size():
     huge[5:10, 0] = 1e307 ** 0.25  # (z^2 - 1)^2 finite per row, (5 z^2)^2 is not
     tail_nan = np.vstack([fit_rows, [[0.0, np.nan]]])
     for rows, methods, bad_size, message in (
-            (huge, tuple(METHODS), 5, "layer 'log_sigma' has non-finite entries"),
+            (huge, tuple(METHODS), 5,
+             "layer 'log_sigma' has non-finite entries in the group of input rows 5 to 9"),
             (tail_nan, ("ours",), 1, "input point 300 has a non-finite value in column 1")):
         entries["near"] = (model, rows)
         reports = {r.train: r for r in run_pairings(

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fimscore.data import json_text, read_json, save_csv, write_atomic
 from fimscore.errors import DatasetFormatError, DomainError, InsufficientDataError, NonFiniteError
 from fimscore.fim import mc_fim_slice, score_columns
 from fimscore.gradfeatures import (
@@ -15,7 +16,7 @@ from fimscore.gradfeatures import (
     log_features,
     save_features,
 )
-from fimscore.models import DiagGaussianModel, CouplingFlowModel
+from fimscore.models import DiagGaussianModel, CouplingFlowModel, model_checksum
 from fimscore.numcore import Rng
 
 from gaussian_mle import analytic_mle_gaussian
@@ -131,14 +132,28 @@ RECORD = {"batch_size": 5, "layer_names": ["a", "b", "c"], "model_checksum": "ab
 
 def test_save_load_roundtrip(tmp_path):
     path = str(tmp_path / "features.csv")
-    f = np.abs(Rng(10).normals(12)).reshape(4, 3)
-    save_features(path, f, RECORD)
+    f = np.abs(Rng(10).normals(8)).reshape(4, 2)
+    model = DiagGaussianModel.standard(2)
+    save_features(path, f, model, 3)
     with open(path) as fh:
         header = fh.readline().strip()
-    assert header == "batch_id,layer_0,layer_1,layer_2"
+    assert header == "batch_id,layer_0,layer_1"
     back, record = load_features(path)
     assert np.array_equal(back, f)
-    assert record == RECORD
+    assert record == {"batch_size": 3, "layer_names": ["mu", "log_sigma"],
+                      "model_checksum": model_checksum(model)}
+
+
+def test_save_features_builds_the_record_of_the_model_and_batch_size(tmp_path):
+    """The sidecar holds the model's checksum and layer names and the batch
+    size as a JSON int, also when the size comes in as a numpy integer."""
+    path = str(tmp_path / "features.csv")
+    model = CouplingFlowModel.init_random(2, Rng(3), n_blocks=1, hidden=4)
+    width = len(model.params.names)
+    save_features(path, np.ones((2, width)), model, np.int64(5))
+    assert read_json(path + ".json") == {"batch_size": 5, "layer_names": model.params.names,
+                                         "model_checksum": model_checksum(model)}
+    assert load_features(path)[1] == read_json(path + ".json")
 
 
 def test_load_features_errors(tmp_path):
@@ -181,8 +196,9 @@ def test_load_features_rejects_mistyped_sidecar_fields(tmp_path):
                        ("layer_names", ["a", "b"]), ("batch_size", 0),
                        ("batch_size", False), ("batch_size", 5.0)):
         bad.append({**RECORD, key: value})
+    save_csv(path, np.ones((2, 4)), ["batch_id", "layer_0", "layer_1", "layer_2"])
     for record in bad:
-        save_features(path, np.ones((2, 3)), record)
+        write_atomic(path + ".json", json_text(record))
         with pytest.raises(DatasetFormatError, match="f.csv.json"):
             load_features(path)
 
