@@ -19,7 +19,8 @@ version (=1), u64 rows, u64 cols, then rows*cols float64 values in
 row-major order. Round-trips are exact. CSV (header row, numeric cells)
 is supported for interchange. Both loaders reject a malformed or
 non-finite cell with its row and column. JSON artifacts share one
-format, ``json_text``.
+format, ``json_text``, and one reader, ``read_json(path, parse)``: a
+refusal of the loader's ``parse`` reads ``'<path>' is malformed: ...``.
 
 Every artifact the package writes goes through ``write_atomic``, so a
 reader never sees a half-written file, and every file it reads goes
@@ -248,15 +249,19 @@ def read_text(path: str) -> str:
         raise DatasetFormatError(f"'{path}' is not UTF-8 text: {exc}") from exc
 
 
-def read_json(path: str) -> dict:
-    """The JSON object stored in ``path``."""
+def read_json(path: str, parse=lambda obj: obj):
+    """``parse`` of the JSON object in ``path``; a FimscoreError, KeyError, TypeError
+    or the like that ``parse`` raises becomes a DatasetFormatError naming the file."""
     try:
         obj = json.loads(read_text(path))
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DatasetFormatError(f"'{path}' is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise DatasetFormatError(f"'{path}' must hold a JSON object")
-    return obj
+    try:
+        return parse(obj)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"'{path}' is malformed: {exc}") from exc
 
 
 def json_text(obj) -> str:

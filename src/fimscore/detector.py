@@ -13,7 +13,8 @@ Phi(z_j)) clamped to at least 1e-300, score = -sum_j ln q_j.
 Log features use gradfeatures' one fixed FLOOR, so a saved detector
 records no floor. A detector file stores, beside the statistics, the
 provenance record of the features it was fit on (model checksum, layer
-names, batch size), so scoring can refuse features built otherwise.
+names, batch size), so scoring can refuse features built otherwise;
+``load_detector`` reads it through ``read_json(path, parse)``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import json_text, read_json, write_atomic
-from .errors import (DatasetFormatError, DomainError, InsufficientDataError, require_finite,
-                     require_int, require_numbers)
+from .errors import DomainError, InsufficientDataError, require_finite, require_int, require_numbers
 from .gradfeatures import read_provenance
 from .numcore import std_normal_cdf
 
@@ -43,8 +43,8 @@ class DetectorModel:
 def fit_detector(log_feats: np.ndarray) -> DetectorModel:
     """Per-layer Gaussian fit; requires at least 2 fit batches."""
     f = np.asarray(log_feats, dtype=np.float64)
-    if f.ndim != 2:
-        raise DomainError(f"log-feature matrix must be 2-D, got shape {f.shape}")
+    if f.ndim != 2 or not f.shape[1]:
+        raise DomainError(f"log-feature matrix must be 2-D with >= 1 layer, got shape {f.shape}")
     if f.shape[0] < 2:
         raise InsufficientDataError(
             f"need >= 2 fit batches to estimate variances, got {f.shape[0]}"
@@ -104,14 +104,12 @@ def save_detector(det: DetectorModel, path: str, provenance: dict) -> None:
 
 def load_detector(path: str):
     """Inverse of save_detector; returns (detector, provenance)."""
-    obj = read_json(path)
-    try:
+    def parse(obj):
         mu, sigma2 = require_numbers(obj["mu"], "mu"), require_numbers(obj["sigma2"], "sigma2")
+        if mu.shape != sigma2.shape or not mu.size:
+            raise DomainError("mu and sigma2 must be equal-length vectors of at least one layer")
+        if np.any(sigma2 <= 0.0):
+            raise DomainError("sigma2 entries must be positive")
         det = DetectorModel(mu, sigma2, require_int(obj["n_fit"], "n_fit", 2))
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:  # DomainErrors too
-        raise DatasetFormatError(f"malformed detector file '{path}': {exc}") from exc
-    if mu.shape != sigma2.shape:
-        raise DatasetFormatError(f"'{path}': mu and sigma2 must be equal-length vectors")
-    if np.any(sigma2 <= 0.0):
-        raise DatasetFormatError(f"'{path}': sigma2 entries must be positive")
-    return det, read_provenance(obj, path, mu.size)
+        return det, read_provenance(obj, mu.size)
+    return read_json(path, parse)

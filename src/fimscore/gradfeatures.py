@@ -16,7 +16,7 @@ mean layer of a Gaussian at its MLE) are raised to FLOOR first so
 downstream Gaussians stay finite.
 A feature CSV has a required JSON sidecar: its provenance record (model
 checksum, layer names, batch size), which save_features builds and
-read_provenance validates.
+read_provenance validates as the parse of ``read_json(path, parse)``.
 """
 
 from __future__ import annotations
@@ -98,19 +98,19 @@ def save_features(path: str, features: np.ndarray, model, batch_size) -> None:
     write_atomic(path + ".json", json_text(record))
 
 
-def read_provenance(obj: dict, path: str, width: int) -> dict:
+def read_provenance(obj: dict, width: int) -> dict:
     """The provenance record in ``obj``: ``batch_size`` a positive int,
     ``layer_names`` exactly ``width`` strings, ``model_checksum`` a string.
-    A missing or mistyped entry is a DatasetFormatError naming ``path``."""
+    A missing or mistyped entry is a DomainError, which ``read_json`` locates."""
     size, names, checksum = (obj.get(k) for k in ("batch_size", "layer_names",
                                                   "model_checksum"))
     if type(size) is not int or size < 1:
-        raise DatasetFormatError(f"'{path}': batch_size must be a positive int")
+        raise DomainError("batch_size must be a positive int")
     if not (isinstance(names, list) and len(names) == width
             and all(isinstance(n, str) for n in names)):
-        raise DatasetFormatError(f"'{path}': layer_names must be {width} strings")
+        raise DomainError(f"layer_names must be {width} strings")
     if not isinstance(checksum, str):
-        raise DatasetFormatError(f"'{path}': model_checksum must be a string")
+        raise DomainError("model_checksum must be a string")
     return {"batch_size": size, "layer_names": names, "model_checksum": checksum}
 
 
@@ -121,5 +121,4 @@ def load_features(path: str):
     if not text.startswith("batch_id"):
         raise DatasetFormatError(f"'{path}' is not a feature CSV", row=0)
     matrix = _parse_csv(text, path)[:, 1:]
-    side = path + ".json"
-    return matrix, read_provenance(read_json(side), side, matrix.shape[1])
+    return matrix, read_json(path + ".json", lambda obj: read_provenance(obj, matrix.shape[1]))

@@ -21,7 +21,8 @@ making a new half k % 2, so ``x`` is never written. The forward caches h for
 the backward within HIDDEN_CACHE_FLOATS; ``log_likelihood_batch`` caches none.
 
 Checkpoints are JSON (type, dims, hyper, named layers with shapes and
-row-major values), written and read through ``data``. The loader and
+row-major values), written through ``data`` and read by ``read_json(path,
+model_from_dict)``, which names the file in a refusal. The loader and
 ``with_params`` both call the family's ``build(dims, layers, **hyper)``; the
 layers must fit the family's one layout, and a flow's hyper gives K, H and c,
 none defaulted. The checksum hashes a compact sorted-key form. Python's
@@ -37,9 +38,8 @@ import math
 import numpy as np
 
 from .data import json_text, read_json, write_atomic
-from .errors import (DatasetFormatError, DomainError, FimscoreError, NonFiniteError,
-                     require_finite, require_int, require_numbers,
-                     require_positive)
+from .errors import (DomainError, NonFiniteError, require_finite, require_int,
+                     require_numbers, require_positive)
 from .numcore import Rng
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -443,7 +443,10 @@ def score(model, x) -> LayeredParams:
 
 
 def sample(model, rng: Rng, n: int) -> np.ndarray:
-    return model.sample(rng, n)  # the model's own sample checks n
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the draw
+        x = model.sample(rng, n)  # the model's own sample checks n
+    require_finite(x, lambda index: NonFiniteError(f"model draw {index[0]} is not finite"))
+    return x
 
 
 def checkpoint_dict(model) -> dict:
@@ -474,31 +477,24 @@ def save_model(model, path: str) -> None:
 
 def model_from_dict(obj: dict):
     """The model a checkpoint dict holds, made by its family's ``build``, whose
-    hyper must be exactly the checkpoint's; every refusal is a DatasetFormatError."""
-    try:
-        family = _MODEL_TYPES.get(obj["type"])
-        if family is None:
-            raise DomainError(f"unknown model type '{obj['type']}'")
-        dims = require_int(obj["dims"], "dims")  # its refusals are ValueErrors, caught below
-        items = []
-        for entry in obj["layers"]:
-            name = entry["name"]
-            values = require_numbers(entry["values"], f"layer '{name}' values")
-            shape = tuple(require_int(s, f"layer '{name}' shape", 0) for s in entry["shape"])
-            if values.size != math.prod(shape):
-                raise DomainError(f"layer '{name}' has {values.size} values for shape {shape}")
-            items.append((name, values.reshape(shape)))
-        model = family.build(dims, LayeredParams(items), **obj["hyper"])
-        for key in sorted(obj["hyper"].keys() - model.hyper.keys()):
-            raise DomainError(f"'{key}' is not a {obj['type']} hyperparameter")
-        return model
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise DatasetFormatError(f"malformed checkpoint: {exc}") from exc
+    hyper must be exactly the checkpoint's; ``read_json`` reports a refusal."""
+    family = _MODEL_TYPES.get(obj["type"])
+    if family is None:
+        raise DomainError(f"unknown model type '{obj['type']}'")
+    dims = require_int(obj["dims"], "dims")
+    items = []
+    for entry in obj["layers"]:
+        name = entry["name"]
+        values = require_numbers(entry["values"], f"layer '{name}' values")
+        shape = tuple(require_int(s, f"layer '{name}' shape", 0) for s in entry["shape"])
+        if values.size != math.prod(shape):
+            raise DomainError(f"layer '{name}' has {values.size} values for shape {shape}")
+        items.append((name, values.reshape(shape)))
+    model = family.build(dims, LayeredParams(items), **obj["hyper"])
+    for key in sorted(obj["hyper"].keys() - model.hyper.keys()):
+        raise DomainError(f"'{key}' is not a {obj['type']} hyperparameter")
+    return model
 
 
 def load_model(path: str):
-    obj = read_json(path)
-    try:
-        return model_from_dict(obj)
-    except FimscoreError as exc:
-        raise type(exc)(f"'{path}': {exc}") from exc
+    return read_json(path, model_from_dict)

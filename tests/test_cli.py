@@ -524,29 +524,65 @@ def test_train_data_dir_with_splits_of_different_widths_exits_1(tmp_path, capsys
 
 
 @pytest.mark.parametrize("artifact,contents,message", [
-    ("model", {"type": "diag_gaussian"}, "malformed checkpoint: 'dims'"),
+    ("model", {"type": "diag_gaussian"}, "is malformed: 'dims'"),
     ("detector", {"mu": [1, 2], "sigma2": [1], "n_fit": 3},
      "mu and sigma2 must be equal-length vectors"),
     ("detector", {"mu": [1, 2], "sigma2": [1, 1], "n_fit": 3, "model_checksum": "c",
                   "layer_names": ["mu", "log_sigma"]},
      "batch_size must be a positive int"),
-], ids=["model-no-dims", "detector-unequal", "detector-no-batch-size"])
+    ("sidecar", {"batch_size": 1, "layer_names": ["mu", "log_sigma"], "model_checksum": 5},
+     "model_checksum must be a string"),
+], ids=["model-no-dims", "detector-unequal", "detector-no-batch-size", "sidecar-int-checksum"])
 def test_invalid_parsed_artifact_names_file(pipeline, tmp_path, capsys, artifact,
                                             contents, message):
-    """A model or detector file that parses as JSON but fails validation
-    is reported with its path."""
+    """A model, detector or features sidecar file that parses as JSON but
+    fails validation is reported in one shape: its path, then the reason."""
     bad = str(tmp_path / f"{artifact}.json")
     with open(bad, "w") as fh:
         json.dump(contents, fh)
+    shutil.copyfile(pipeline["feats"], tmp_path / "sidecar")  # its sidecar is sidecar.json
     argv = {
         "model": ["fim-probe", "--model", bad],
         "detector": ["score", "--detector", bad, "--features", pipeline["feats"]],
+        "sidecar": ["fit", "--features", tmp_path / "sidecar"],
     }[artifact]
     out = tmp_path / "o"
     assert run(argv + ["--out", out]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
-    assert bad in err and message in err
+    assert err.startswith(f"error: '{bad}' is malformed: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
+def test_zero_layer_features_and_detector_exit_1(pipeline, tmp_path, capsys):
+    """Features with no layer column are refused by fit, and a detector file
+    with no layer by score, naming the file, rather than scoring every batch 0."""
+    feats, det = str(tmp_path / "f.csv"), str(tmp_path / "det.json")
+    record = {"batch_size": 1, "layer_names": [], "model_checksum": "c"}
+    save_csv(feats, np.arange(4.0)[:, None], ["batch_id"])
+    with open(feats + ".json", "w") as fh:
+        json.dump(record, fh)
+    with open(det, "w") as fh:
+        json.dump({**record, "mu": [], "sigma2": [], "n_fit": 4}, fh)
+    out = tmp_path / "o"
+    assert run(["fit", "--features", feats, "--out", out]) == 1
+    assert run(["score", "--detector", det, "--features", feats, "--out", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error: log-feature matrix must be 2-D with >= 1 layer, got shape (4, 0)"
+    assert err[1] == (f"error: '{det}' is malformed: mu and sigma2 must be equal-length "
+                      "vectors of at least one layer")
+    assert len(err) == 2 and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fim-probe", "invariance-check"])
+def test_overflowing_model_draw_exits_1(tmp_path, capsys, command):
+    """A loadable Gaussian whose sigma overflows draws infinities: the draw is
+    refused by its row, under the overflow policy, not blamed on an input point."""
+    model = str(tmp_path / "m.json")
+    save_model(DiagGaussianModel([0.0, 0.0], [800.0, 0.0]), model)
+    out = tmp_path / "o"
+    assert run([command, "--model", model, "--out", out]) == 1
+    assert capsys.readouterr().err == "error: model draw 0 is not finite\n"
     assert not out.exists()
 
 

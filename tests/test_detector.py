@@ -190,7 +190,12 @@ def test_load_detector_errors(tmp_path):
             load_detector(path)
     with open(path, "w") as fh:
         json.dump({**good, "sigma2": [1.0, "2"]}, fh)
-    with pytest.raises(DatasetFormatError, match="det.json': sigma2 entry 1 must be a number"):
+    with pytest.raises(DatasetFormatError,
+                       match="det.json' is malformed: sigma2 entry 1 must be a number"):
+        load_detector(path)
+    with open(path, "w") as fh:  # a zero-layer detector would score every batch 0
+        json.dump({**good, "mu": [], "sigma2": [], "layer_names": []}, fh)
+    with pytest.raises(DatasetFormatError, match="det.json' is malformed: .* at least one layer"):
         load_detector(path)
 
 

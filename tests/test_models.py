@@ -488,7 +488,7 @@ def test_malformed_checkpoints(tmp_path):
     for dims in (2.5, "2", True):  # a whole dims field, never coerced
         with open(path, "w") as fh:
             json.dump({**good, "dims": dims}, fh)
-        with pytest.raises(DatasetFormatError, match="malformed checkpoint: dims"):
+        with pytest.raises(DatasetFormatError, match="is malformed: dims"):
             load_model(path)
     mu, log_sigma = good["layers"]
     save_model(zero_flow(n_blocks=1), path)
@@ -510,7 +510,7 @@ def test_malformed_checkpoints(tmp_path):
     ):
         with open(path, "w") as fh:
             json.dump(obj, fh)
-        with pytest.raises(DatasetFormatError, match=f"bad.json': malformed checkpoint: .*{message}"):
+        with pytest.raises(DatasetFormatError, match=f"bad.json' is malformed: .*{message}"):
             load_model(path)
 
 
@@ -535,7 +535,7 @@ def test_malformed_checkpoint_hyper(tmp_path, hyper, field):
     obj["hyper"] = hyper
     with open(path, "w") as fh:
         json.dump(obj, fh)
-    with pytest.raises(DatasetFormatError, match=f"malformed checkpoint: '?{field}"):
+    with pytest.raises(DatasetFormatError, match=f"is malformed: '?{field}"):
         load_model(path)
 
 
