@@ -8,14 +8,14 @@ average outer products of the restricted score over n model draws,
 
     F_hat = (1/n) sum_i s_i s_i^T.
 
-Per-sample scores are built only at the k probed weights, from the
-backward factors (weight (i, j) of a layer with row gradients a b^T is
-a[:, i] * b[:, j]), so no (n, P) score matrix is formed; their sink drops
-the other factors, so it checks every factor itself. Past one chunk,
-BLAS rounding moves them up to about 1e-14 relative from one whole-array
-sweep; reruns stay byte-identical. Normalizing by the diagonal turns a
-slice into a correlation-like matrix whose off-diagonal mass measures
-how far from diagonal the true FIM is.
+Per-sample scores are built only at the k probed weights, from the model's draw
+sweep, whose backward reads the inverse chain's cache (no forward pass). Weight
+(i, j) of a layer with row gradients a b^T is a[:, i] * b[:, j], so no (n, P)
+score matrix is formed; the sink drops the other factors, so it checks every
+factor itself. Past one chunk, BLAS rounding moves them up to about 1e-14
+relative from one whole-array sweep; reruns stay byte-identical. Normalizing by
+the diagonal turns a slice into a correlation-like matrix whose off-diagonal
+mass measures how far from diagonal the true FIM is.
 
 For the diagonal Gaussian the Rao score test s^T F^{-1} s is computed
 with the exact information matrix rather than an estimate: per
@@ -45,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateDataError, DomainError, NonFiniteError, reject_repeats,
-                     require_finite)
-from .models import layer_fail, sample, sweep_chunks
+                     require_finite, require_int)
+from .models import layer_fail, sample, sweep_chunks  # sample: perfbench's tracer wraps fim.sample
 from .numcore import Rng
 
 
@@ -82,18 +82,26 @@ def mc_fim_slice(model, layers, rng: Rng, n: int) -> FimSlice:
     """Monte Carlo FIM estimate restricted to a seeded weight subset.
 
     Consumes from ``rng`` in a fixed order: one permutation per probed
-    layer for weight selection, then the model draws. A non-finite entry
-    is a NonFiniteError naming its layer.
+    layer for weight selection, then the n*dim base normals ``sample`` draws.
+    A non-finite draw is named by its row, a non-finite entry by its layer.
     """
     weight_map = select_weights(model.params, layers, rng)
-    s = score_columns(model, sample(model, rng, n), weight_map)
+    n = require_int(n, "sample count", 1)
+    z = rng.normals(n * model.dim).reshape(n, model.dim)
+    s = score_columns(model, z, weight_map, draws=True)
     matrix = (s.T @ s) / n
     require_finite(matrix, layer_fail(lambda col: weight_map[col][0]))
     return FimSlice(matrix=matrix, weight_map=weight_map, n_samples=n)
 
 
-def score_columns(model, x: np.ndarray, weight_map) -> np.ndarray:
-    """(rows, k) per-sample scores of ``x`` at the k weights of ``weight_map``."""
+def score_columns(model, x: np.ndarray, weight_map, draws=False) -> np.ndarray:
+    """(rows, k) per-sample scores of ``x`` at the k weights of ``weight_map``;
+    with ``draws``, of the model's draws from base normals ``x``."""
+    if not weight_map:
+        raise DomainError("weight map is empty")
+    for name, idx in weight_map:  # params[name] refuses a name the model lacks
+        if require_int(idx, f"weight map entry {(name, idx)}", 0) >= model.params[name].size:
+            raise DomainError(f"weight map entry {(name, idx)} is outside its layer")
     names, flat = (np.array(v) for v in zip(*weight_map))
     picks = {}  # layer index -> (its output columns, the factor columns of its weights)
     for n in set(names):
@@ -111,7 +119,7 @@ def score_columns(model, x: np.ndarray, weight_map) -> np.ndarray:
                 cols, rows, *inner = picks[i]
                 out[:, cols] = a[:, rows] if b is None else a[:, rows] * b[:, inner[0]]
 
-    return sweep_chunks(model, x, [1], sink, len(weight_map), lambda j: weight_map[j][0])[0]
+    return sweep_chunks(model, x, [1], sink, len(weight_map), lambda j: weight_map[j][0], draws)[0]
 
 
 def normalize_fim(matrix: np.ndarray) -> np.ndarray:
@@ -119,6 +127,7 @@ def normalize_fim(matrix: np.ndarray) -> np.ndarray:
     f = np.asarray(matrix, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] != f.shape[1] or f.size == 0:
         raise DomainError(f"non-empty square matrix required, got shape {f.shape}")
+    require_finite(f, lambda i: NonFiniteError("matrix entry ({}, {}) is not finite".format(*i)))
     d = np.diag(f)
     if np.any(d <= 0.0):
         bad = int(np.nonzero(d <= 0.0)[0][0])
@@ -134,6 +143,7 @@ def diag_dominance(normalized: np.ndarray):
     c = np.asarray(normalized, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
         raise DomainError(f"non-empty square matrix required, got shape {c.shape}")
+    require_finite(c, lambda i: NonFiniteError("matrix entry ({}, {}) is not finite".format(*i)))
     p = c.shape[0]
     diag_mean = float(np.mean(np.abs(np.diag(c))))
     if p == 1:

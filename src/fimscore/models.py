@@ -8,17 +8,18 @@ them to a one-hidden-layer tanh conditioner, and applies the resulting
 scale/shift to the other half. Scales are exp(clamp(s, -c, c)) so the
 map is invertible for every finite input.
 
-Backward passes are derived by hand per architecture and verified
-against central finite differences in the tests; there is no autodiff
-tape. Each model has one backward pass, ``factor_sweep(x)``: per layer,
-row factors a, b whose products a_r b_r^T (a_r for a vector layer) are
-the per-row gradients. ``sweep_chunks`` is the one driver of that pass: it
-hands each chunk's factors to a sink, checks the filled rows once and keeps
-the per-row log-likelihood; ``grad_groups`` is its full-row sink, one reduce
-per vector layer straight into the row. The flow's block table holds weights
-only; its passes, sampling too, hold z and its gradient as two halves, block k
-making a new half k % 2, so ``x`` is never written. The forward caches h for
-the backward within HIDDEN_CACHE_FLOATS; ``log_likelihood_batch`` caches none.
+Backward passes are derived by hand per architecture and verified against
+central finite differences in the tests; there is no autodiff tape. Each model
+has one backward pass, ``factor_sweep(x)``: per layer, row factors a, b whose
+products a_r b_r^T (a_r for a vector layer) are the per-row gradients;
+``draw_sweep(z)`` is the model's draws from base normals z and that pass at
+them. ``sweep_chunks`` drives either one: it hands each chunk's factors to a
+sink, checks the filled rows once and keeps the per-row log-likelihood;
+``grad_groups`` is its full-row sink, one reduce per vector layer straight
+into the row. The flow's block table holds weights only; one chain routine
+runs its blocks either way over two halves, block k making a new half k % 2,
+so its input is never written, and caches h for the backward within
+HIDDEN_CACHE_FLOATS; ``log_likelihood_batch`` and ``sample`` cache none.
 
 Checkpoints are JSON (type, dims, hyper, named layers with shapes and
 row-major values), written through ``data`` and read by ``read_json(path,
@@ -221,6 +222,11 @@ class DiagGaussianModel:
         loglik = np.sum(-ls - 0.5 * _LOG_2PI - 0.5 * z * z, axis=1)
         return loglik, self._factors(z, sigma)
 
+    def draw_sweep(self, z: np.ndarray):
+        """``(x, loglik, factors)``: ``sample``'s draws x of base normals z, then x's sweep."""
+        x = self._draw(z)
+        return (x, *self.factor_sweep(x))
+
     @staticmethod
     def _factors(z: np.ndarray, sigma: np.ndarray):
         yield 0, z / sigma, None
@@ -235,10 +241,11 @@ class DiagGaussianModel:
 
     def sample(self, rng: Rng, n: int) -> np.ndarray:
         """n draws; consumes n*dim normals in row-major (sample, coord) order."""
-        mu, ls = self.params.arrays
         n = require_int(n, "sample count", 1)
-        z = rng.normals(n * self.dim).reshape(n, self.dim)
-        return mu + np.exp(ls) * z
+        return self._draw(rng.normals(n * self.dim).reshape(n, self.dim))
+
+    def _draw(self, z: np.ndarray) -> np.ndarray:
+        return self.params["mu"] + np.exp(self.params["log_sigma"]) * z
 
 
 class CouplingFlowModel:
@@ -324,21 +331,21 @@ class CouplingFlowModel:
         s_raw = o[:, :half]  # s below is np.clip's values, without its wrapper
         return h, s_raw, np.minimum(np.maximum(s_raw, -c), c), o[:, half:]
 
-    def _forward(self, x: np.ndarray, keep: bool = True, keep_h: bool = True):
-        """Data-to-base pass over two halves of z, never writing ``x``; with
-        ``keep``, caches per-block intermediates for backward, and h too with
-        ``keep_h``. An uncached h is dropped before the next block makes its own."""
-        z = [x[:, :self.dim // 2], x[:, self.dim // 2:]]
-        logdet = np.zeros(x.shape[0])
-        cache = []
-        for k in range(self.n_blocks):
+    def _chain(self, z: np.ndarray, inverse=False, keep=True, keep_h=True):
+        """``(out, logdet, cache)`` of blocks 0..K-1 data to base, or with ``inverse``
+        of blocks K-1..0 base to data, over two halves, never writing ``z``; logdet
+        is data to base. With ``keep``, cache[k] is block k's (act, cond, s_raw, es,
+        h), act on the data side; an h not kept (``keep_h``) is dropped at once."""
+        z = [z[:, :self.dim // 2], z[:, self.dim // 2:]]
+        logdet, cache = np.zeros(len(z[0])), [None] * self.n_blocks
+        for k in range(self.n_blocks)[::-1 if inverse else 1]:
             act, cond = z[k % 2], z[1 - k % 2]
             h, s_raw, s, t = self._block(k, cond)
             es = np.exp(s)
-            z[k % 2] = act * es + t
+            z[k % 2] = (act - t) * np.exp(-s) if inverse else act * es + t  # sample's bytes
             logdet += np.add.reduce(s, axis=1)
             if keep:
-                cache.append((act, cond, s_raw, es, h if keep_h else None))
+                cache[k] = (z[k % 2] if inverse else act, cond, s_raw, es, h if keep_h else None)
             del h
         return np.concatenate(z, axis=1), logdet, cache
 
@@ -351,13 +358,19 @@ class CouplingFlowModel:
         the clamp is active. Each block's h comes from the forward's cache if
         all blocks' h fit in HIDDEN_CACHE_FLOATS, else the backward remakes it."""
         keep_h = len(x) * self.n_blocks * self.hidden <= HIDDEN_CACHE_FLOATS
-        z, logdet, cache = self._forward(x, keep_h=keep_h)
+        z, logdet, cache = self._chain(x, keep_h=keep_h)
         return self._loglik(z, logdet), self._factors(-z, cache)
+
+    def draw_sweep(self, z: np.ndarray):
+        """``(x, loglik, factors)``: ``factor_sweep`` at ``sample``'s draws x of base normals z."""
+        keep_h = len(z) * self.n_blocks * self.hidden <= HIDDEN_CACHE_FLOATS
+        x, logdet, cache = self._chain(z, inverse=True, keep_h=keep_h)
+        return x, self._loglik(z, logdet), self._factors(-z, cache)
 
     def log_likelihood_batch(self, x: np.ndarray) -> np.ndarray:
         """Per-row log-likelihood from a forward that caches nothing."""
         with np.errstate(over="ignore", invalid="ignore"):  # the caller names a non-finite value
-            z, logdet, _ = self._forward(_as_batch(x, self.dim), keep=False)
+            z, logdet, _ = self._chain(_as_batch(x, self.dim), keep=False)
             return self._loglik(z, logdet)
 
     def _loglik(self, z: np.ndarray, logdet: np.ndarray) -> np.ndarray:
@@ -389,11 +402,8 @@ class CouplingFlowModel:
     def sample(self, rng: Rng, n: int) -> np.ndarray:
         """n draws; consumes n*dim base normals, then inverts the chain."""
         n = require_int(n, "sample count", 1)
-        z = np.hsplit(rng.normals(n * self.dim).reshape(n, self.dim), 2)  # views of the halves
-        for k in range(self.n_blocks - 1, -1, -1):
-            _, _, s, t = self._block(k, z[1 - k % 2])
-            z[k % 2] = (z[k % 2] - t) * np.exp(-s)
-        return np.concatenate(z, axis=1)
+        z = rng.normals(n * self.dim).reshape(n, self.dim)
+        return self._chain(z, inverse=True, keep=False)[0]
 
 
 _MODEL_TYPES = {
@@ -413,21 +423,26 @@ def _as_batch(x: np.ndarray, dim: int) -> np.ndarray:
     return x
 
 
-def sweep_chunks(model, x: np.ndarray, sizes, sink, width: int, name_of):
-    """``(*outs, loglik)``: per size G of ``sizes``, a (len(x) // G, width) array,
-    a row per whole contiguous group of G rows, that ``sink(factors, *outs)``
-    fills chunk by chunk from the chunk's (i, a, b) stream; then each row's
-    log-likelihood. A chunk's rows are a multiple of every size: at most
-    CHUNK_FLOATS // P groups of the smallest, or one multiple. A NaN or inf in
-    column j is a NonFiniteError naming ``name_of(j)`` and the group's input rows;
-    a sink that drops factors checks them."""
+def sweep_chunks(model, x: np.ndarray, sizes, sink, width: int, name_of, draws=False):
+    """``(*outs, loglik)``: per size G of ``sizes``, a (len(x) // G, width) array, a
+    row per whole contiguous group of G rows, that ``sink(factors, *outs)`` fills chunk
+    by chunk from the chunk's (i, a, b) stream; then each row's log-likelihood. A
+    chunk's rows are a multiple of every size: at most CHUNK_FLOATS // P groups of the
+    smallest, or one multiple. A NaN or inf in column j is a NonFiniteError naming
+    ``name_of(j)`` and the group's input rows; a sink that drops factors checks them.
+    With ``draws``, x is base normals, a chunk is a ``draw_sweep`` and a bad draw is
+    named by its row, as ``sample`` names it."""
     x = _as_batch(x, model.dim)
     align = math.lcm(*sizes)
     step = align * max(1, min(sizes) * (CHUNK_FLOATS // model.params.n_params) // align)
     outs, loglik = [np.empty((len(x) // g, width)) for g in sizes], np.empty(len(x))
+    sweep = model.draw_sweep if draws else model.factor_sweep
     with np.errstate(over="ignore", invalid="ignore"):  # the check below names the layer
         for start in range(0, len(x), step):  # the sink consumes the factors in here
-            loglik[start:start + step], factors = model.factor_sweep(x[start:start + step])
+            *drawn, loglik[start:start + step], factors = sweep(x[start:start + step])
+            for d in drawn:  # checked before the sink reads a bad draw's factors
+                require_finite(d, lambda i: NonFiniteError(
+                    f"model draw {start + i[0]} is not finite"))
             sink(factors, *[out[start // g:(start + step) // g] for out, g in zip(outs, sizes)])
     for out, g in zip(outs, sizes):  # the failing group's input rows, counted from 0
         require_finite(out, layer_fail(name_of, lambda i: f" at input row {i[0]}" if g == 1

@@ -124,7 +124,7 @@ def test_flow_density_integrates_to_one():
 def test_flow_invertibility():
     m = warped_flow(seed=6, n_blocks=4, hidden=16)
     x = sample(m, Rng(12), 100)
-    z, logdet, _ = m._forward(x)
+    z, logdet, _ = m._chain(x)
     # invert block by block from the last: block k transforms half k % 2
     half = m.dim // 2
     y = [z[:, :half], z[:, half:]]
@@ -414,6 +414,44 @@ def test_loglik_and_grad_sum_hands_out_the_checked_row():
         assert not grad.flat().flags.writeable
         assert np.array_equal(grad.flat(), grads[0])
         assert total == float(loglik.sum())
+
+
+def _full_rows(m, factors, n):
+    """Per-row gradients built from a factor stream, one outer product a row."""
+    out = np.empty((n, m.params.n_params))
+    views = m.params.views(out)
+    for i, a, b in factors:
+        views[i][...] = a if b is None else a[:, :, None] * b[:, None, :]
+    return out
+
+
+@pytest.mark.parametrize("dim, n_blocks, hidden", [(2, 6, 32), (4, 3, 5)])
+def test_draw_sweep_scores_the_model_draws(dim, n_blocks, hidden):
+    """The draw sweep runs only the inverse chain, yet its draws are
+    ``sample``'s bytes, and its per-row scores and log-likelihoods are the
+    forward route's (``grad_groups(x, 1)`` at those draws): scores within
+    1e-9 of each row's largest entry, log-likelihoods within 1e-9 relative.
+    Measured: 2.4e-13 and 1.8e-13 at d = 2, where draws reach |x| = 109, and
+    2.1e-15 and 5.2e-16 at d = 4."""
+    m = warped_flow(seed=23, dim=dim, n_blocks=n_blocks, hidden=hidden)
+    n = 300
+    x, loglik, factors = m.draw_sweep(Rng(7).normals(n * dim).reshape(n, dim))
+    assert np.array_equal(x, sample(m, Rng(7), n))
+    grads, want = m.grad_groups(x, 1)
+    rows = _full_rows(m, factors, n)
+    scale = np.max(np.abs(grads), axis=1, keepdims=True)
+    assert np.max(np.abs(rows - grads) / scale) <= 1e-9
+    assert np.max(np.abs(loglik - want) / np.abs(want)) <= 1e-9
+
+
+def test_gaussian_draw_sweep_is_sample_then_factor_sweep():
+    m = DiagGaussianModel(np.array([0.5, -0.5]), np.array([0.1, -0.2]))
+    x, loglik, factors = m.draw_sweep(Rng(9).normals(40).reshape(20, 2))
+    assert np.array_equal(x, sample(m, Rng(9), 20))
+    want, want_factors = m.factor_sweep(x)
+    assert np.array_equal(loglik, want)
+    for (i, a, _), (j, b, _) in zip(factors, want_factors, strict=True):
+        assert i == j and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("dim", [2, 4])
