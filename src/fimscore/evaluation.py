@@ -13,12 +13,12 @@ becomes a row. METHODS gives each method the column fit and the batch-set
 statistic it reads, "logf" (log features) or "ll" (log-likelihoods); FITS
 gives each fit kind the fit-split statistic it reads. A row set takes one
 pass for what is read of it: a feature sweep if "logf" is, else a
-likelihood pass. One pass of a 2-D fit split serves every batch size; if
-it fails, each size passes its own batches. Each off-diagonal
-cell gets an AUROC against the column's own eval scores, or is skipped
-with the first error that stopped it (``auroc`` None): an error in the
-column's fits or own scores, made once per batch size, skips every cell of
-that size; one in a test split's scores or their AUROC skips only its cells.
+likelihood pass. Per column, a column step per batch size makes its fits,
+from one pass of a 2-D fit split shared by every size or, if that fails,
+from its own batches' "logf" and every fit row's "ll", then its own eval
+scores; a cell step per test split gives its cells their AUROCs against
+those. A cell is skipped with the first error that stopped it (``auroc``
+None): a column step's skips every cell of its size, a cell step's its own.
 
 Batches are reproducible: the i-th eval split, in name order, at the b-th
 batch size is shuffled once with child 1 + i * len(batch_sizes) + b of the
@@ -29,8 +29,7 @@ inputs produce byte-identical report JSON.
 
 from __future__ import annotations
 
-import contextlib
-import itertools
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,13 +105,11 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
     seed = require_int(seed, "seed")
     if len(batch_sizes) == 0 or len(methods) == 0:
         raise DomainError("batch_sizes and methods must not be empty")
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
+    if unknown := [m for m in methods if m not in METHODS]:
         raise DomainError(f"unknown methods: {unknown}")
     reject_repeats(batch_sizes, "batch sizes")
     reject_repeats(methods, "methods")
-    missing = [n for n in train_entries if n not in eval_splits]
-    if missing:
+    if missing := [n for n in train_entries if n not in eval_splits]:
         raise DomainError(f"train distributions without eval split: {missing}")
     kinds = [k for k in FITS if any(METHODS[m][0] == k for m in methods)]
     fit_stats = {FITS[k][0] for k in kinds}
@@ -120,8 +117,8 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
     eval_names = sorted(eval_splits)
 
     def eval_scores(name, b_idx, model, fits):
-        # built inside the cell's try, so a split too thin for one batch size, or of the
-        # wrong width, skips only the cells it is in; scorers get one row per batch
+        # built inside a step's try, so a split too thin for one batch size, or of the
+        # wrong width, stops only that step; scorers get one row per batch
         rng = root.child(1 + eval_names.index(name) * len(batch_sizes) + b_idx)
         batches = gradfeatures.batch_view(rng.shuffled(eval_splits[name]), batch_sizes[b_idx],
                                           f"eval split '{name}'", model.dim)[:n_eval_batches]
@@ -129,6 +126,14 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
         stats = _pass(model, batches, [size], {METHODS[m][1] for m in methods})
         return {m: METHODS[m][2](fits.get(METHODS[m][0]), stats[size][METHODS[m][1]].reshape(n, -1))
                 for m in methods}
+
+    def cell_step(test_name, b_idx, model, fits, in_scores):
+        try:  # a test split's or an auroc's error skips only this split's cells
+            out_scores = eval_scores(test_name, b_idx, model, fits)
+            return [{"auroc": auroc(in_scores[m], out_scores[m]), "n_in": int(in_scores[m].size),
+                     "n_out": int(out_scores[m].size)} for m in methods]
+        except FimscoreError as exc:
+            return [{"auroc": None, "skipped": str(exc)}] * len(methods)
 
     reports = []
     for train_name in sorted(train_entries):
@@ -138,32 +143,28 @@ def run_pairings(train_entries: dict, eval_splits: dict, batch_sizes=(1, 5),
             "seed": seed, "batch_sizes": list(batch_sizes), "methods": list(methods),
             "n_eval_batches": n_eval_batches, "model_checksum": model_checksum(model),
             "n_fit_rows": len(fit_rows) if fit_rows.ndim else 0})
-        source, tests = f"fit split of '{train_name}'", [t for t in eval_names if t != train_name]
-        column, joint = {}, {}  # batch size -> its column scores or their error; its fit stats
-        with contextlib.suppress(FimscoreError):  # if it fails, each size passes its own
-            if kinds and fit_rows.ndim == 2:
-                joint = _pass(model, fit_rows, batch_sizes, fit_stats)
-        for (b_idx, bsz), test_name in itertools.product(enumerate(batch_sizes), tests):
-            # a column error (thin fit or eval split, non-finite gradients) skips
-            # every cell of its size; a test split's or an auroc's only this cell
-            try:
-                in_scores = column.get(bsz)
-                if isinstance(in_scores, FimscoreError):
-                    raise in_scores
-                if in_scores is None:  # this size's fits, then its scores
-                    stats = kinds and (joint.pop(bsz, None) or _pass(model, gradfeatures.batch_view(
-                        fit_rows, bsz, source, model.dim), [bsz], fit_stats)[bsz])
-                    fits = {k: FITS[k][1](stats[FITS[k][0]], source) for k in kinds}
-                    in_scores = column[bsz] = eval_scores(train_name, b_idx, model, fits)
-                out_scores = eval_scores(test_name, b_idx, model, fits)
-                cells = [{"auroc": auroc(in_scores[m], out_scores[m]),
-                          "n_in": int(in_scores[m].size), "n_out": int(out_scores[m].size)}
-                         for m in methods]
-            except FimscoreError as exc:
-                column.setdefault(bsz, exc)
-                cells = [{"auroc": None, "skipped": str(exc)}] * len(methods)
-            report.rows += [{"test": test_name, "method": m, "batch_size": bsz, **cell}
-                            for m, cell in zip(methods, cells)]
+        source = f"fit split of '{train_name}'"
+        try:  # batch size -> its fit stats, from one pass of a 2-D fit split
+            joint = (_pass(model, fit_rows, batch_sizes, fit_stats)
+                     if kinds and fit_rows.ndim == 2 else {})
+        except FimscoreError:  # then each size passes its own batches
+            joint = {}
+        fit_ll = functools.cache(lambda: model.log_likelihood_batch(fit_rows))
+        for b_idx, bsz in enumerate(batch_sizes):
+            try:  # column step: this size's fits, then its own eval scores
+                stats = kinds and joint.pop(bsz, None)
+                if kinds and not stats:  # "logf" of its own batches, "ll" of every fit row
+                    rows = gradfeatures.batch_view(fit_rows, bsz, source, model.dim)
+                    stats = _pass(model, rows, [bsz], fit_stats)[bsz] if "logf" in fit_stats else {}
+                    stats = {**stats, "ll": fit_ll()} if "ll" in fit_stats else stats
+                fits = {k: FITS[k][1](stats[FITS[k][0]], source) for k in kinds}
+                in_scores, stopped = eval_scores(train_name, b_idx, model, fits), None
+            except FimscoreError as exc:  # a column error skips every cell of its size
+                stopped = [{"auroc": None, "skipped": str(exc)}] * len(methods)
+            for test_name in (t for t in eval_names if t != train_name):  # cell step
+                cells = stopped or cell_step(test_name, b_idx, model, fits, in_scores)
+                report.rows += [{"test": test_name, "method": m, "batch_size": bsz, **cell}
+                                for m, cell in zip(methods, cells)]
         reports.append(report)
     return reports
 

@@ -331,11 +331,12 @@ class CouplingFlowModel:
         s_raw = o[:, :half]  # s below is np.clip's values, without its wrapper
         return h, s_raw, np.minimum(np.maximum(s_raw, -c), c), o[:, half:]
 
-    def _chain(self, z: np.ndarray, inverse=False, keep=True, keep_h=True):
+    def _chain(self, z: np.ndarray, inverse=False, keep=True):
         """``(out, logdet, cache)`` of blocks 0..K-1 data to base, or with ``inverse``
         of blocks K-1..0 base to data, over two halves, never writing ``z``; logdet
         is data to base. With ``keep``, cache[k] is block k's (act, cond, s_raw, es,
-        h), act on the data side; an h not kept (``keep_h``) is dropped at once."""
+        h), act on the data side, h None unless rows * K * H <= HIDDEN_CACHE_FLOATS."""
+        keep_h = keep and len(z) * self.n_blocks * self.hidden <= HIDDEN_CACHE_FLOATS
         z = [z[:, :self.dim // 2], z[:, self.dim // 2:]]
         logdet, cache = np.zeros(len(z[0])), [None] * self.n_blocks
         for k in range(self.n_blocks)[::-1 if inverse else 1]:
@@ -355,16 +356,13 @@ class CouplingFlowModel:
         last block to the first: w_out (do, h), b_out (do, None), w_in
         (du, cond), b_in (du, None). ``g`` carries d loglik / d z_current
         per row; each block adds 1 to ds for its log-det term, zeroed where
-        the clamp is active. Each block's h comes from the forward's cache if
-        all blocks' h fit in HIDDEN_CACHE_FLOATS, else the backward remakes it."""
-        keep_h = len(x) * self.n_blocks * self.hidden <= HIDDEN_CACHE_FLOATS
-        z, logdet, cache = self._chain(x, keep_h=keep_h)
+        the clamp is active; the backward remakes each h ``_chain`` dropped."""
+        z, logdet, cache = self._chain(x)
         return self._loglik(z, logdet), self._factors(-z, cache)
 
     def draw_sweep(self, z: np.ndarray):
         """``(x, loglik, factors)``: ``factor_sweep`` at ``sample``'s draws x of base normals z."""
-        keep_h = len(z) * self.n_blocks * self.hidden <= HIDDEN_CACHE_FLOATS
-        x, logdet, cache = self._chain(z, inverse=True, keep_h=keep_h)
+        x, logdet, cache = self._chain(z, inverse=True)
         return x, self._loglik(z, logdet), self._factors(-z, cache)
 
     def log_likelihood_batch(self, x: np.ndarray) -> np.ndarray:

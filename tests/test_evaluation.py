@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fimscore import baselines, detector
 from fimscore.baselines import fit_typicality
+from fimscore.data import two_moons, uniform_square
 from fimscore.detector import fit_detector
 from fimscore.errors import DomainError, InsufficientDataError
 from fimscore.evaluation import FITS, METHODS, auroc, render_grid, run_pairings
@@ -393,6 +395,38 @@ def test_run_pairings_fit_split_without_a_batch_of_one_size(monkeypatch):
     assert set(h_hats) == {fit_typicality(model, fit_rows)}
 
 
+def test_run_pairings_h_hat_reads_every_fit_row(monkeypatch):
+    """H_hat is the mean log-likelihood of every fit row, whichever pass made it.
+    Of 303 fit rows, B = 5's batches hold 300 and B = 400's none, so with sizes
+    [5, 400] the shared fit pass fails and B = 5 sweeps its own batches: its H_hat
+    is still bit for bit fit_typicality of all 303 rows, as with [5] alone."""
+    model = CouplingFlowModel.init_random(2, Rng(1), n_blocks=2, hidden=8)
+    fit_rows = two_moons(303, Rng(2))
+    evals = {"moons": two_moons(1000, Rng(3)), "square": uniform_square(1000, Rng(4))}
+    for sizes in ([5], [5, 400]):
+        _, h_hats = _spy_fits(monkeypatch)
+        [report] = run_pairings({"moons": (model, fit_rows)}, evals, batch_sizes=sizes,
+                                n_eval_batches=40, methods=("ours", "typicality"))
+        skipped = [row["auroc"] is None for row in report.rows]
+        assert skipped == [False, False] + [True, True] * (len(sizes) - 1)
+        assert len(h_hats) == 2 and set(h_hats) == {fit_typicality(model, fit_rows)}
+
+
+def test_run_pairings_failed_shared_pass_takes_one_likelihood_pass(monkeypatch):
+    """7 fit rows at B = 1, 2 and 9: the shared fit pass is refused (no batch of
+    9), so B = 1 and 2 sweep their own batches and read H_hat from one likelihood
+    pass of every fit row, made once for the column; B = 9 is skipped with no pass."""
+    entries, evals = _two_flow_setup()
+    model, fit_rows = entries["near"][0], entries["near"][1][:7]
+    calls = _count_flow_passes(monkeypatch)
+    _, h_hats = _spy_fits(monkeypatch)
+    [report] = run_pairings({"near": (model, fit_rows)}, evals, batch_sizes=[1, 2, 9],
+                            n_eval_batches=10, methods=("ours", "typicality"))
+    assert calls == {"factor_sweep": 2 * (1 + 2), "log_likelihood_batch": 1}
+    assert [row["auroc"] is None for row in report.rows] == [False] * 4 + [True] * 2
+    assert set(h_hats) == {fit_typicality(model, fit_rows)}
+
+
 def test_run_pairings_fit_errors_stop_only_their_batch_size():
     """When the shared fit sweep fails, each batch size sweeps its own
     batches: B = 5 log_sigma sums that overflow skip only B = 5, and a NaN
@@ -524,6 +558,43 @@ def test_run_pairings_non_finite_h_hat_names_the_fit_split():
         assert row["auroc"] is None
         assert row["skipped"] == "fit split of 'near': the log-likelihood of row 7 is not finite"
     assert all(row["auroc"] is not None for row in reports["far"].rows)
+
+
+# methods -> sha256 of each report's to_json(), in train-name order
+SKIP_GRID_PINS = {
+    tuple(METHODS): ("74d3bffc5599266d3ed3e649665bd29c2a1dcc3f70dcd5fbdf52cc512b67d775",
+                     "c82df2580f1bd3fcaa346aee969497c9a5bee279de93adf26184d21a3197a432"),
+    ("typicality", "likelihood"): (
+        "a1ff506a6e387dc2aa45cd90ad8d4ebe313629bd11ced5664455ad2c6fe4bd43",
+        "3a736745a06a0ded1574d430c79ee504a989551dc8104e29a686c46db0d8b1e5"),
+}
+
+
+@pytest.mark.parametrize("methods", sorted(SKIP_GRID_PINS))
+def test_run_pairings_grid_of_every_skip_reason_is_pinned(methods):
+    """A two-column grid at B = 1 and 5 whose skipped cells give every reason.
+    With every method: near's 7 fit rows make one batch of 5, which fit_detector
+    refuses; far's 4 make none, so its shared fit pass fails and B = 1 sweeps its
+    own batches, which hold every fit row; 'wide' is 3 columns wide; 'overflow'
+    holds a row whose log-likelihood is -inf, and its feature sweep names the
+    layer. With the likelihood methods alone both columns score B = 5, where
+    'thin' has no batch, and auroc refuses the non-finite scores of 'overflow'.
+    Each report's JSON is pinned by its sha256 (pinned with numpy 2.4.6, with
+    one BLAS thread and with two)."""
+    entries, evals = _two_gaussian_setup()
+    entries["near"] = (entries["near"][0], entries["near"][1][:7])
+    entries["far"] = (entries["far"][0], entries["far"][1][:4])
+    evals["thin"], evals["wide"] = evals["near"][:3], np.zeros((25, 3))
+    evals["overflow"] = evals["far"][:10].copy()
+    evals["overflow"][3] = (1e200, 0.0)
+    reports = run_pairings(entries, evals, batch_sizes=[1, 5], n_eval_batches=10,
+                           methods=methods)
+    # the first word of each skip reason: every kind the docstring names appears
+    reasons = {row["skipped"].split(" ")[0] for r in reports for row in r.rows if "skipped" in row}
+    assert reasons == ({"need", "fit", "eval", "layer"} if len(methods) == 4
+                       else {"eval", "scores_out"})
+    assert tuple(hashlib.sha256(r.to_json().encode()).hexdigest()
+                 for r in reports) == SKIP_GRID_PINS[methods]
 
 
 # statistic -> (a toy fit of a fit split's statistic, a toy score of a batch set's)

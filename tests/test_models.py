@@ -8,6 +8,7 @@ import pytest
 
 from fimscore import models
 from fimscore.errors import DatasetFormatError, DomainError, NonFiniteError
+from fimscore.fim import score_columns
 from fimscore.models import (
     CouplingFlowModel,
     DiagGaussianModel,
@@ -377,6 +378,18 @@ def test_remade_hidden_activations_give_the_cached_gradients(monkeypatch):
     cached = m.grad_groups(x, 1)[0]
     monkeypatch.setattr(models, "HIDDEN_CACHE_FLOATS", 0)
     assert np.array_equal(m.grad_groups(x, 1)[0], cached)
+
+
+def test_remade_hidden_activations_give_the_cached_draw_scores(monkeypatch):
+    """A draw sweep too large to cache its hidden activations remakes them in
+    the backward from the inverse chain's cache; its score rows at every
+    weight equal the cached sweep's bit for bit."""
+    m = warped_flow(seed=19, dim=2, n_blocks=6, hidden=32)
+    z = Rng(50).normals(80).reshape(40, 2)
+    every = [(name, i) for name, a in m.params for i in range(a.size)]
+    cached = score_columns(m, z, every, draws=True)
+    monkeypatch.setattr(models, "HIDDEN_CACHE_FLOATS", 0)
+    assert np.array_equal(score_columns(m, z, every, draws=True), cached)
 
 
 @pytest.mark.parametrize("size", [1, 2])
